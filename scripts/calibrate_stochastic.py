@@ -7,16 +7,18 @@ pauses ~12.2 in [6.1, 18.3], avg gap ~393ms in [200, 590].
 
 Evaluates each parameter combination over a fixed block of seeds and prints
 every combination that lands inside all four windows, ranked by distance to
-the target center. Re-run with --fine around a chosen point before freezing
-values into StochasticConfig's defaults.
+the target center. --fine searches each of StochasticConfig's current
+defaults and one step either side of it, so the shipped point is itself a
+grid point; re-run it before freezing new values into the defaults.
 """
 
 import argparse
 import itertools
 import math
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dde.analytics import conversation_report
 from dde.simulate import StochasticConfig, run_selfchat, stochastic_run
@@ -52,29 +54,44 @@ def in_windows(means):
     return all(WINDOWS[k][0] <= means[k] <= WINDOWS[k][1] for k in TARGETS)
 
 
+COARSE_GRID = {
+    "p_backchannel_per_tick": [0.002, 0.004, 0.006, 0.008],
+    "p_initiate_per_tick_after_gap": [0.12, 0.18, 0.25, 0.35],
+    "min_gap_ticks": [1, 2],
+    "p_stop_on_overlap_per_tick": [0.03, 0.09, 0.25, 0.45],
+    "pause_insertion_rate": [0.1, 0.22, 0.3],
+}
+
+# --fine step per searched field, applied once on each side of the default
+FINE_STEPS = {
+    "p_backchannel_per_tick": 0.001,
+    "p_initiate_per_tick_after_gap": 0.02,
+    "min_gap_ticks": 1,
+    "p_stop_on_overlap_per_tick": 0.01,
+    "pause_insertion_rate": 0.04,
+}
+
+
+def search_grid(fine: bool) -> dict:
+    """Values to try per StochasticConfig field."""
+    if not fine:
+        return COARSE_GRID
+    defaults = StochasticConfig()
+    grid = {}
+    for name, step in FINE_STEPS.items():
+        value = getattr(defaults, name)
+        grid[name] = [round(value - step, 6), value, round(value + step, 6)]
+    return grid
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=20)
-    ap.add_argument("--fine", action="store_true", help="dense grid near defaults")
+    ap.add_argument("--fine", action="store_true", help="each default and one step either side")
     args = ap.parse_args()
     seeds = range(100, 100 + args.seeds)
 
-    if args.fine:
-        grid = {
-            "p_backchannel_per_tick": [0.004, 0.005, 0.006, 0.007],
-            "p_initiate_per_tick_after_gap": [0.18, 0.2, 0.22],
-            "min_gap_ticks": [1],
-            "p_stop_on_overlap_per_tick": [0.02, 0.03, 0.05],
-            "pause_insertion_rate": [0.18, 0.22, 0.26],
-        }
-    else:
-        grid = {
-            "p_backchannel_per_tick": [0.002, 0.004, 0.006, 0.008],
-            "p_initiate_per_tick_after_gap": [0.12, 0.18, 0.25, 0.35],
-            "min_gap_ticks": [1, 2],
-            "p_stop_on_overlap_per_tick": [0.03, 0.09, 0.25, 0.45],
-            "pause_insertion_rate": [0.1, 0.22, 0.3],
-        }
+    grid = search_grid(args.fine)
 
     names = list(grid)
     results = []

@@ -1,32 +1,15 @@
-"""Hot numeric kernels: numba-jitted implementations with pure-numpy fallbacks.
-
-Set DDE_DISABLE_NUMBA=1 to force the numpy path (also used automatically when
-numba is not installed). benchmarks/bench_kernels.py compares the two.
-"""
+"""Hot numeric kernels, vectorized with numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("DDE_DISABLE_NUMBA", "").strip() not in ("", "0", "false")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via DDE_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------- levenshtein
 
-def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """Edit distance via a vectorized row DP.
+def levenshtein(a, b) -> int:
+    """Unit-cost edit distance between two integer sequences, via a vectorized
+    row DP.
 
     The within-row insertion chain cur[j] = min(base[j], cur[j-1]+1) is a
     running minimum of base[j]-j shifted back by +j.
@@ -49,53 +32,9 @@ def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[n])
 
 
-def _levenshtein_py(a, b) -> int:
-    # two-row DP, used as the numba kernel body
-    n = len(b)
-    prev = np.arange(n + 1, dtype=np.int64)
-    cur = np.empty(n + 1, dtype=np.int64)
-    for i in range(1, len(a) + 1):
-        cur[0] = i
-        ai = a[i - 1]
-        for j in range(1, n + 1):
-            cost = 0 if b[j - 1] == ai else 1
-            best = prev[j - 1] + cost
-            if prev[j] + 1 < best:
-                best = prev[j] + 1
-            if cur[j - 1] + 1 < best:
-                best = cur[j - 1] + 1
-            cur[j] = best
-        prev, cur = cur, prev
-    return int(prev[n])
-
-
-if HAVE_NUMBA:
-    _levenshtein_jit = njit(cache=True)(_levenshtein_py)
-
-    def levenshtein_numba(a, b) -> int:
-        return int(
-            _levenshtein_jit(
-                np.ascontiguousarray(a, dtype=np.int64),
-                np.ascontiguousarray(b, dtype=np.int64),
-            )
-        )
-
-else:
-    levenshtein_numba = None
-
-
-def levenshtein(a, b) -> int:
-    """Unit-cost edit distance between two integer sequences."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if HAVE_NUMBA:
-        return levenshtein_numba(a, b)
-    return levenshtein_numpy(a, b)
-
-
 # -------------------------------------------------------------- frame energy
 
-def frame_rms_numpy(x: np.ndarray, frame_len: int) -> np.ndarray:
+def frame_rms(x, frame_len: int) -> np.ndarray:
     """Per-frame RMS of a 1-d signal; trailing partial frame is dropped."""
     x = np.asarray(x, dtype=np.float64)
     n_frames = x.size // frame_len
@@ -103,35 +42,6 @@ def frame_rms_numpy(x: np.ndarray, frame_len: int) -> np.ndarray:
         return np.zeros(0)
     frames = x[: n_frames * frame_len].reshape(n_frames, frame_len)
     return np.sqrt(np.mean(frames * frames, axis=1))
-
-
-def _frame_rms_py(x, frame_len):
-    n_frames = x.size // frame_len
-    out = np.empty(n_frames, dtype=np.float64)
-    for f in range(n_frames):
-        acc = 0.0
-        base = f * frame_len
-        for t in range(frame_len):
-            acc += x[base + t] * x[base + t]
-        out[f] = np.sqrt(acc / frame_len)
-    return out
-
-
-if HAVE_NUMBA:
-    _frame_rms_jit = njit(cache=True)(_frame_rms_py)
-
-    def frame_rms_numba(x, frame_len: int) -> np.ndarray:
-        return _frame_rms_jit(np.ascontiguousarray(x, dtype=np.float64), frame_len)
-
-else:
-    frame_rms_numba = None
-
-
-def frame_rms(x, frame_len: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if HAVE_NUMBA:
-        return frame_rms_numba(x, frame_len)
-    return frame_rms_numpy(x, frame_len)
 
 
 # ------------------------------------------------------- autocorrelation F0
@@ -142,11 +52,12 @@ def _f0_pick(r: np.ndarray, lag_min: int, fs: float):
     Takes the smallest local maximum within 15% of the global peak (guards
     against octave-down errors), then refines it with a parabolic fit.
     Returns (f0_hz, peak_strength); (0, strength) when nothing qualifies.
+    A peak at or below zero means no periodicity: strength is then 0.
     """
     n = r.size
-    best = r.max() if n else 0.0
-    if n < 3 or best <= 0.0:
-        return 0.0, float(best)
+    best = max(float(r.max()), 0.0) if n else 0.0
+    if n < 3 or best == 0.0:
+        return 0.0, best
     thresh = 0.85 * best
     for k in range(1, n - 1):
         if r[k] >= r[k - 1] and r[k] >= r[k + 1] and r[k] >= thresh:
@@ -159,17 +70,10 @@ def _f0_pick(r: np.ndarray, lag_min: int, fs: float):
             lag = lag_min + k + delta
             return fs / lag, float(r[k])
     k = int(np.argmax(r))
-    return fs / (lag_min + k), float(best)
+    return fs / (lag_min + k), best
 
 
-def f0_frames_numpy(
-    x: np.ndarray,
-    fs: int,
-    frame_len: int,
-    window_len: int,
-    lag_min: int,
-    lag_max: int,
-):
+def f0_frames(x, fs, frame_len, window_len, lag_min, lag_max):
     """Per-frame F0 estimate and voicing strength via normalized autocorrelation.
 
     The analysis window starts at each frame and extends window_len samples
@@ -201,84 +105,6 @@ def f0_frames_numpy(
     return f0, strength
 
 
-def _f0_frames_py(x, fs, frame_len, window_len, lag_min, lag_max):
-    n_frames = x.size // frame_len
-    f0 = np.zeros(n_frames)
-    strength = np.zeros(n_frames)
-    n_lags = lag_max - lag_min + 1
-    r = np.empty(n_lags)
-    buf = np.empty(window_len)
-    energy = np.empty(window_len + 1)
-    for f in range(n_frames):
-        lo = f * frame_len
-        hi = min(lo + window_len, x.size)
-        m = hi - lo
-        if m < lag_max + 8:
-            continue
-        mean = 0.0
-        for t in range(lo, hi):
-            mean += x[t]
-        mean /= m
-        energy[0] = 0.0
-        for t in range(m):
-            buf[t] = x[lo + t] - mean
-            energy[t + 1] = energy[t] + buf[t] * buf[t]
-        total = energy[m]
-        if total <= 0.0:
-            continue
-        for k in range(n_lags):
-            lag = lag_min + k
-            num = 0.0
-            for t in range(m - lag):
-                num += buf[t] * buf[t + lag]
-            denom = np.sqrt(energy[m - lag] * (total - energy[lag]))
-            r[k] = num / denom if denom > 0.0 else 0.0
-        # smallest qualifying local max, parabolic refinement
-        best = r.max()
-        if best <= 0.0:
-            continue
-        thresh = 0.85 * best
-        chosen = -1
-        for k in range(1, n_lags - 1):
-            if r[k] >= r[k - 1] and r[k] >= r[k + 1] and r[k] >= thresh:
-                chosen = k
-                break
-        if chosen < 0:
-            k = int(np.argmax(r))
-            f0[f] = fs / (lag_min + k)
-            strength[f] = best
-            continue
-        denom = r[chosen - 1] - 2.0 * r[chosen] + r[chosen + 1]
-        delta = 0.0 if denom == 0.0 else 0.5 * (r[chosen - 1] - r[chosen + 1]) / denom
-        if delta > 1.0:
-            delta = 1.0
-        elif delta < -1.0:
-            delta = -1.0
-        f0[f] = fs / (lag_min + chosen + delta)
-        strength[f] = r[chosen]
-    return f0, strength
-
-
-if HAVE_NUMBA:
-    _f0_frames_jit = njit(cache=True)(_f0_frames_py)
-
-    def f0_frames_numba(x, fs, frame_len, window_len, lag_min, lag_max):
-        return _f0_frames_jit(
-            np.ascontiguousarray(x, dtype=np.float64),
-            float(fs), frame_len, window_len, lag_min, lag_max,
-        )
-
-else:
-    f0_frames_numba = None
-
-
-def f0_frames(x, fs, frame_len, window_len, lag_min, lag_max):
-    x = np.asarray(x, dtype=np.float64)
-    if HAVE_NUMBA:
-        return f0_frames_numba(x, fs, frame_len, window_len, lag_min, lag_max)
-    return f0_frames_numpy(x, fs, frame_len, window_len, lag_min, lag_max)
-
-
 def backend() -> str:
-    """Which implementation the module-level entry points dispatch to."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation, for run records."""
+    return "numpy"

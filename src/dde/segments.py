@@ -17,7 +17,6 @@ from .errors import ValidationError
 
 FRAME_MS = 20      # atomic activity/audio frame
 TICK_MS = 160      # decision interval (8 frames)
-TICK_FRAMES = TICK_MS // FRAME_MS
 
 SPEAKER_NAMES = ("A", "B")
 
@@ -267,8 +266,6 @@ class FrameGrid:
     """Boolean per-channel activity at 20ms resolution."""
 
     frames: np.ndarray  # bool, shape (2, n_frames)
-    frame_ms: int = FRAME_MS
-    tick_frames: int = TICK_FRAMES
 
     def __post_init__(self):
         self.frames.setflags(write=False)

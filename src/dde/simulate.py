@@ -460,11 +460,8 @@ class SimRun:
     responses: tuple = (None, None)          # None -> policy default
     opening_speaker: int | None = None       # who seeds the conversation
     window_ms: int = 20000
-    tick_ms: int = TICK_MS
 
     def __post_init__(self):
-        if self.tick_ms != TICK_MS:
-            raise ValidationError(f"tick_ms is fixed at {TICK_MS}")
         if self.duration_ms < TICK_MS:
             raise ValidationError(
                 f"duration must cover at least one {TICK_MS}ms tick"

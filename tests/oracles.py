@@ -2,6 +2,7 @@
 package's interval arithmetic: these work on dense boolean grids and plain
 recursion so that both routes can be compared exactly."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -153,3 +154,74 @@ def recursive_levenshtein(a, b) -> int:
         return 1 + min(go(i + 1, j), go(i, j + 1), go(i + 1, j + 1))
 
     return go(0, 0)
+
+
+# ------------------------------------------------------- frame energy and F0
+
+def loop_frame_rms(x, frame_len: int) -> np.ndarray:
+    """Per-frame RMS, one sample at a time; trailing partial frame dropped."""
+    x = [float(v) for v in x]
+    out = []
+    for f in range(len(x) // frame_len):
+        acc = 0.0
+        for t in range(f * frame_len, (f + 1) * frame_len):
+            acc += x[t] * x[t]
+        out.append(math.sqrt(acc / frame_len))
+    return np.array(out, dtype=np.float64)
+
+
+def loop_f0_frames(x, fs, frame_len, window_len, lag_min, lag_max):
+    """Per-frame (f0_hz, strength) by direct normalized autocorrelation sums.
+
+    Same definition as the package's kernel: the window starts at the frame
+    and spans window_len samples (clipped at the signal end); each lag's
+    correlation is normalized by the energies of the two overlapping parts;
+    the smallest local maximum within 15% of the peak is refined with a
+    parabola clamped to one lag. Frames with no positive peak are unvoiced
+    with strength 0.
+    """
+    x = [float(v) for v in x]
+    n_frames = len(x) // frame_len
+    f0 = np.zeros(n_frames)
+    strength = np.zeros(n_frames)
+    n_lags = lag_max - lag_min + 1
+    for f in range(n_frames):
+        lo = f * frame_len
+        hi = min(lo + window_len, len(x))
+        m = hi - lo
+        if m < lag_max + 8:
+            continue
+        mean = sum(x[lo:hi]) / m
+        buf = [v - mean for v in x[lo:hi]]
+        energy = [0.0]
+        for v in buf:
+            energy.append(energy[-1] + v * v)
+        total = energy[m]
+        if total <= 0.0:
+            continue
+        r = []
+        for k in range(n_lags):
+            lag = lag_min + k
+            num = 0.0
+            for t in range(m - lag):
+                num += buf[t] * buf[t + lag]
+            denom = math.sqrt(energy[m - lag] * (total - energy[lag]))
+            r.append(num / denom if denom > 0.0 else 0.0)
+        best = max(r)
+        if best <= 0.0:
+            continue
+        chosen = next(
+            (k for k in range(1, n_lags - 1)
+             if r[k] >= r[k - 1] and r[k] >= r[k + 1] and r[k] >= 0.85 * best),
+            None,
+        )
+        if chosen is None:
+            f0[f] = fs / (lag_min + r.index(best))
+            strength[f] = best
+            continue
+        denom = r[chosen - 1] - 2.0 * r[chosen] + r[chosen + 1]
+        delta = 0.0 if denom == 0.0 else 0.5 * (r[chosen - 1] - r[chosen + 1]) / denom
+        delta = min(max(delta, -1.0), 1.0)
+        f0[f] = fs / (lag_min + chosen + delta)
+        strength[f] = r[chosen]
+    return f0, strength

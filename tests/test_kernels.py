@@ -1,12 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from dde import _kernels
-from oracles import recursive_levenshtein
+from oracles import loop_f0_frames, loop_frame_rms, recursive_levenshtein
 
 
 class TestLevenshtein:
@@ -14,14 +9,7 @@ class TestLevenshtein:
         for _ in range(100):
             a = rng.integers(0, 4, size=rng.integers(0, 15))
             b = rng.integers(0, 4, size=rng.integers(0, 15))
-            assert _kernels.levenshtein_numpy(a, b) == recursive_levenshtein(a, b)
-
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_numba_path_matches_numpy(self, rng):
-        for _ in range(100):
-            a = rng.integers(0, 4, size=rng.integers(0, 30))
-            b = rng.integers(0, 4, size=rng.integers(0, 30))
-            assert _kernels.levenshtein_numba(a, b) == _kernels.levenshtein_numpy(a, b)
+            assert _kernels.levenshtein(a, b) == recursive_levenshtein(a, b)
 
     def test_edge_cases(self):
         assert _kernels.levenshtein([], []) == 0
@@ -32,19 +20,19 @@ class TestLevenshtein:
 class TestFrameRms:
     def test_constant_signal(self):
         x = np.full(640, 3.0)
-        out = _kernels.frame_rms_numpy(x, 320)
+        out = _kernels.frame_rms(x, 320)
         assert out.shape == (2,)
         assert np.allclose(out, 3.0)
 
     def test_partial_frame_dropped(self):
-        out = _kernels.frame_rms_numpy(np.ones(500), 320)
+        out = _kernels.frame_rms(np.ones(500), 320)
         assert out.shape == (1,)
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_backends_agree(self, rng):
-        x = rng.normal(size=3200)
-        a = _kernels.frame_rms_numpy(x, 320)
-        b = _kernels.frame_rms_numba(x, 320)
+    def test_matches_loop_oracle(self, rng):
+        x = rng.normal(size=3300)
+        a = _kernels.frame_rms(x, 320)
+        b = loop_frame_rms(x, 320)
+        assert a.shape == b.shape == (10,)
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -53,40 +41,33 @@ class TestF0Frames:
         t = np.arange(int(fs * seconds)) / fs
         return np.sin(2 * np.pi * freq * t)
 
-    def test_tone_frequency_recovered_numpy(self):
+    def test_tone_frequency_recovered(self):
         x = self._tone(220.0)
-        f0, strength = _kernels.f0_frames_numpy(x, 16000, 320, 480, 40, 267)
+        f0, strength = _kernels.f0_frames(x, 16000, 320, 480, 40, 267)
         voiced = strength >= 0.6
         assert voiced.sum() > 10
         assert abs(np.mean(f0[voiced]) - 220.0) < 2.0
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_backends_agree_on_tone(self):
-        x = self._tone(150.0, seconds=0.3) + 0.01 * np.sin(
+    def test_matches_loop_oracle(self):
+        tone = self._tone(150.0, seconds=0.3) + 0.01 * np.sin(
             2 * np.pi * 60.0 * np.arange(4800) / 16000
         )
-        f0a, sa = _kernels.f0_frames_numpy(x, 16000, 320, 480, 40, 267)
-        f0b, sb = _kernels.f0_frames_numba(x, 16000, 320, 480, 40, 267)
-        assert np.allclose(f0a, f0b, atol=1e-6)
-        assert np.allclose(sa, sb, atol=1e-9)
+        # an impulse train whose best normalized autocorrelation is negative
+        impulses = np.zeros(3200)
+        impulses[::400] = 1.0
+        impulses[5] = 1.0
+        for x in (tone, impulses):
+            f0a, sa = _kernels.f0_frames(x, 16000, 320, 480, 40, 267)
+            f0b, sb = loop_f0_frames(x, 16000, 320, 480, 40, 267)
+            assert np.allclose(f0a, f0b, atol=1e-6)
+            assert np.allclose(sa, sb, atol=1e-9)
+        assert (sa >= 0).all()
 
     def test_silence_unvoiced(self):
-        f0, strength = _kernels.f0_frames_numpy(np.zeros(3200), 16000, 320, 480, 40, 267)
+        f0, strength = _kernels.f0_frames(np.zeros(3200), 16000, 320, 480, 40, 267)
         assert (f0 == 0).all()
         assert (strength == 0).all()
 
 
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, DDE_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from dde import _kernels; print(_kernels.backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
 def test_default_backend_reports():
-    assert _kernels.backend() in ("numba", "numpy")
+    assert _kernels.backend() == "numpy"
