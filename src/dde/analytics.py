@@ -37,11 +37,11 @@ _SAMPLE_RATE = 16000
 _PCM_SCALE = 32768.0
 
 
-def _group_turns(intervals, max_join_ms=TURN_JOIN_MS):
-    """Merge consecutive intervals separated by silence < max_join_ms."""
+def _group_turns(intervals):
+    """Merge consecutive intervals separated by silence < TURN_JOIN_MS."""
     turns = []
     for start, end in intervals:
-        if turns and start - turns[-1][1] < max_join_ms:
+        if turns and start - turns[-1][1] < TURN_JOIN_MS:
             turns[-1] = (turns[-1][0], end)
         else:
             turns.append((start, end))
@@ -66,9 +66,8 @@ def turn_structure(trace: ConversationTrace, speaker) -> TurnStructure:
     turns are formed, so brief acknowledgments do not fragment gap statistics.
     """
     si = speaker_index(speaker)
-    own = [(s.start_ms, s.end_ms) for s in trace.channels[si]]
-    other = [(s.start_ms, s.end_ms) for s in trace.channels[1 - si]]
-    other_spans = _group_turns(other)
+    own = list(trace.bounds(si).spans())
+    other_spans = _group_turns(trace.bounds(1 - si).spans())
     backchannels = tuple(
         (s, e)
         for s, e in own
@@ -93,16 +92,15 @@ def turn_structure(trace: ConversationTrace, speaker) -> TurnStructure:
 
 def _overlap_intervals(trace: ConversationTrace):
     """Maximal intervals of simultaneous speech, via a two-pointer sweep."""
-    a = [(s.start_ms, s.end_ms) for s in trace.channels[0]]
-    b = [(s.start_ms, s.end_ms) for s in trace.channels[1]]
+    a, b = trace.bounds(0), trace.bounds(1)
     out = []
     i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
+    while i < len(a.starts) and j < len(b.starts):
+        lo = max(a.starts[i], b.starts[j])
+        hi = min(a.ends[i], b.ends[j])
         if lo < hi:
             out.append((lo, hi))
-        if a[i][1] <= b[j][1]:
+        if a.ends[i] <= b.ends[j]:
             i += 1
         else:
             j += 1
@@ -213,22 +211,18 @@ def _annotation_rates(trace: ConversationTrace):
     return wpm, rates
 
 
-def _silence_stats(trace: ConversationTrace):
-    """Total within-turn silence and pause lengths, across both speakers."""
-    total_silence_ms = 0
-    pause_lengths = []
-    any_turn = False
-    for sp in (0, 1):
-        ts = turn_structure(trace, sp)
-        any_turn = any_turn or bool(ts.turns)
-        bc = set(ts.backchannel_ipus)
-        main = [iv for iv in ts.ipus if iv not in bc]
-        for prev, cur in zip(main, main[1:]):
-            gap = cur[0] - prev[1]
-            if 0 < gap < TURN_JOIN_MS:
-                total_silence_ms += gap
-        pause_lengths.extend(e - s for s, e in ts.pauses)
-    return any_turn, total_silence_ms, pause_lengths
+def _silence_stats(structures):
+    """Total within-turn silence and pause lengths, across both speakers.
+
+    A turn spans its main (non-backchannel) IPUs, so its silence is its span
+    minus their speech: all IPU speech less the backchannels'.
+    """
+    spans = sum(e - s for ts in structures for s, e in ts.turns)
+    speech = sum(e - s for ts in structures for s, e in ts.ipus)
+    backchannel = sum(e - s for ts in structures for s, e in ts.backchannel_ipus)
+    pause_lengths = [e - s for ts in structures for s, e in ts.pauses]
+    any_turn = any(ts.turns for ts in structures)
+    return any_turn, spans - speech + backchannel, pause_lengths
 
 
 def _audio_stats(trace: ConversationTrace, audio):
@@ -281,7 +275,8 @@ def naturalness_report(
     otherwise MissingInputError is raised.
     """
     wpm, event_rates = _annotation_rates(trace)
-    any_turn, silence_ms, pause_lengths = _silence_stats(trace)
+    structures = (turn_structure(trace, 0), turn_structure(trace, 1))
+    any_turn, silence_ms, pause_lengths = _silence_stats(structures)
     spm_s = None
     mean_pause_s = None
     if any_turn and trace.duration_ms > 0:

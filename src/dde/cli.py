@@ -86,7 +86,6 @@ def _make_run(args, cfg) -> simulate.SimRun:
         duration_ms=duration_ms,
         agents=(agent, agent),
         opening_speaker=opening,
-        window_ms=args.window_ms,
     )
 
 
@@ -112,7 +111,9 @@ def cmd_label(args, cfg) -> int:
         with open(args.vocab, "r", encoding="utf-8") as fp:
             vocab = units.BpeVocab.from_json(fp.read())
     window_ms = (
-        args.window_ms if args.window_ms is not None else int(cfg.get("window_ms", 20000))
+        args.window_ms
+        if args.window_ms is not None
+        else int(cfg.get("window_ms", segments.WINDOW_MS))
     )
     speakers = [0, 1] if args.speaker == "both" else [segments.speaker_index(args.speaker)]
     all_samples = []
@@ -334,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=["cascaded", "stochastic"])
     p.add_argument("--seed", type=int)
     p.add_argument("--duration-s", type=float)
-    p.add_argument("--window-ms", type=int, default=20000)
-    p.add_argument("--eot-silence-ms", type=int, default=800)
-    p.add_argument("--response-min-ms", type=int, default=1600)
-    p.add_argument("--response-max-ms", type=int, default=4000)
+    cascaded = simulate.CascadedConfig()
+    p.add_argument("--eot-silence-ms", type=int, default=cascaded.eot_silence_ms)
+    p.add_argument("--response-min-ms", type=int, default=cascaded.response_min_ms)
+    p.add_argument("--response-max-ms", type=int, default=cascaded.response_max_ms)
     p.add_argument("--opening-speaker", help="A, B, or none")
     p.add_argument("--run-config", help="JSON SimRun file (overrides other flags)")
     p.add_argument("--out", required=True)

@@ -18,12 +18,13 @@ the earlier rule wins: initiations are the rarest, most valuable events.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import ValidationError
-from .segments import TICK_MS, ConversationTrace, speaker_index, window
+from .segments import (
+    TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace, speaker_index, window,
+)
 from .units import BpeVocab, bpe_encode, dedup
 
 PAD_ID = 0
@@ -77,39 +78,7 @@ class TrainingSample:
         return d
 
 
-class _Channel:
-    """Pre-extracted boundary arrays for O(log n) tick queries."""
-
-    def __init__(self, segments):
-        self.starts = [s.start_ms for s in segments]
-        self.ends = [s.end_ms for s in segments]
-        self.segments = segments
-
-    def onset_index_in(self, t0: int, t1: int):
-        """Index of the first segment starting in [t0, t1), or None."""
-        i = bisect_left(self.starts, t0)
-        if i < len(self.starts) and self.starts[i] < t1:
-            return i
-        return None
-
-    def offset_in(self, t0: int, t1: int):
-        """The unique offset instant in (t0, t1], or None."""
-        i = bisect_right(self.ends, t0)
-        if i < len(self.ends) and self.ends[i] <= t1:
-            return self.ends[i]
-        return None
-
-    def active_at(self, t: int) -> bool:
-        i = bisect_right(self.starts, t) - 1
-        return i >= 0 and self.ends[i] > t
-
-    def active_inside(self, t: int) -> bool:
-        """Speech strictly surrounds instant t (start < t < end)."""
-        i = bisect_left(self.starts, t) - 1
-        return i >= 0 and self.ends[i] > t
-
-
-def _label(own: _Channel, other: _Channel, tick_index: int) -> Action:
+def _label(own: ChannelBounds, other: ChannelBounds, tick_index: int) -> Action:
     t0 = tick_index * TICK_MS
     t1 = t0 + TICK_MS
     if own.onset_index_in(t0, t1) is not None:
@@ -135,16 +104,13 @@ def label_tick(trace: ConversationTrace, agent, tick_index: int) -> Action:
     """Next-action label for one speaker at one complete tick."""
     _check_tick(trace, tick_index)
     ai = speaker_index(agent)
-    return _label(
-        _Channel(trace.channels[ai]), _Channel(trace.channels[1 - ai]), tick_index
-    )
+    return _label(trace.bounds(ai), trace.bounds(1 - ai), tick_index)
 
 
 def label_sequence(trace: ConversationTrace, agent) -> list[Action]:
     """Labels for every complete tick of the trace (no contexts built)."""
     ai = speaker_index(agent)
-    own = _Channel(trace.channels[ai])
-    other = _Channel(trace.channels[1 - ai])
+    own, other = trace.bounds(ai), trace.bounds(1 - ai)
     return [_label(own, other, i) for i in range(trace.duration_ms // TICK_MS)]
 
 
@@ -168,7 +134,7 @@ def encode_target(action: Action, bpe_unit_ids=None) -> tuple[int, ...]:
 def build_samples(
     trace: ConversationTrace,
     agent,
-    window_ms: int = 20000,
+    window_ms: int = WINDOW_MS,
     vocab: BpeVocab | None = None,
 ) -> list[TrainingSample]:
     """One training sample per complete tick for the given speaker.
@@ -179,15 +145,14 @@ def build_samples(
     as their single action token.
     """
     ai = speaker_index(agent)
-    own = _Channel(trace.channels[ai])
-    other = _Channel(trace.channels[1 - ai])
+    own, other = trace.bounds(ai), trace.bounds(1 - ai)
     samples = []
     for i in range(trace.duration_ms // TICK_MS):
         action = _label(own, other, i)
         ctx = window(trace, TICK_MS * (i + 1), window_ms)
         target = None
         if action is Action.SPK:
-            seg = own.segments[own.onset_index_in(i * TICK_MS, (i + 1) * TICK_MS)]
+            seg = trace.channels[ai][own.onset_index_in(i * TICK_MS, (i + 1) * TICK_MS)]
             if seg.units is not None:
                 ids = dedup(seg.units)
                 if vocab is not None:
@@ -212,7 +177,7 @@ def action_histogram(samples) -> dict[str, int]:
 
 
 def write_samples_jsonl(
-    samples, path, context_mode="ref", trace_path=None, window_ms=20000
+    samples, path, context_mode="ref", trace_path=None, window_ms=WINDOW_MS
 ) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         for s in samples:

@@ -8,8 +8,9 @@ a channel are sorted, non-overlapping and separated by at least 1ms.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,8 +18,32 @@ from .errors import ValidationError
 
 FRAME_MS = 20      # atomic activity/audio frame
 TICK_MS = 160      # decision interval (8 frames)
+WINDOW_MS = 20000  # default trailing context window
 
 SPEAKER_NAMES = ("A", "B")
+
+
+_REQUIRED = object()
+
+
+def _expect_object(data, path) -> None:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
+
+
+def _field(data, key, path="", convert=int, default=_REQUIRED):
+    """convert(data[key]); an absent or null key gives `default`. Bad values
+    raise ValidationError naming the JSON path, e.g. channels[0][3].end_ms."""
+    name = f"{path}.{key}" if path else key
+    value = data.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"{name}: missing")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name}: {exc}") from None
 
 
 def speaker_index(speaker) -> int:
@@ -50,12 +75,13 @@ class EventCounts:
         }
 
     @classmethod
-    def from_dict(cls, data) -> "EventCounts":
+    def from_dict(cls, data, path="events") -> "EventCounts":
+        _expect_object(data, path)
         return cls(
-            fillers=int(data.get("fillers", 0)),
-            repetitions=int(data.get("repetitions", 0)),
-            laughs=int(data.get("laughs", 0)),
-            breaths=int(data.get("breaths", 0)),
+            fillers=_field(data, "fillers", path, default=0),
+            repetitions=_field(data, "repetitions", path, default=0),
+            laughs=_field(data, "laughs", path, default=0),
+            breaths=_field(data, "breaths", path, default=0),
         )
 
     def __add__(self, other: "EventCounts") -> "EventCounts":
@@ -105,9 +131,6 @@ class SpeechSegment:
     def duration_ms(self) -> int:
         return self.end_ms - self.start_ms
 
-    def contains(self, t_ms: int) -> bool:
-        return self.start_ms <= t_ms < self.end_ms
-
     def to_dict(self):
         d = {"start_ms": self.start_ms, "end_ms": self.end_ms}
         if self.units is not None:
@@ -119,16 +142,20 @@ class SpeechSegment:
         return d
 
     @classmethod
-    def from_dict(cls, data) -> "SpeechSegment":
-        units = data.get("units")
+    def from_dict(cls, data, path="segment") -> "SpeechSegment":
+        _expect_object(data, path)
         events = data.get("events")
-        return cls(
-            start_ms=int(data["start_ms"]),
-            end_ms=int(data["end_ms"]),
-            units=tuple(units) if units is not None else None,
-            words=int(data["words"]) if data.get("words") is not None else None,
-            events=EventCounts.from_dict(events) if events is not None else None,
+        fields = dict(
+            start_ms=_field(data, "start_ms", path),
+            end_ms=_field(data, "end_ms", path),
+            units=_field(data, "units", path, lambda v: tuple(int(u) for u in v), None),
+            words=_field(data, "words", path, default=None),
+            events=None if events is None else EventCounts.from_dict(events, f"{path}.events"),
         )
+        try:
+            return cls(**fields)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -161,15 +188,17 @@ class ConversationTrace:
                     )
                 prev_end = seg.end_ms
 
-    def channel(self, speaker) -> tuple[SpeechSegment, ...]:
-        return self.channels[speaker_index(speaker)]
+    @cached_property
+    def _bounds(self) -> tuple[ChannelBounds, ChannelBounds]:
+        return tuple(ChannelBounds(ch) for ch in self.channels)
+
+    def bounds(self, speaker) -> ChannelBounds:
+        """The speaker's boundary index, built once per trace."""
+        return self._bounds[speaker_index(speaker)]
 
     def active_at(self, speaker, t_ms: int) -> bool:
         """True iff the speaker's channel has a segment containing instant t_ms."""
-        segs = self.channels[speaker_index(speaker)]
-        starts = [s.start_ms for s in segs]
-        i = bisect_right(starts, t_ms) - 1
-        return i >= 0 and segs[i].end_ms > t_ms
+        return self.bounds(speaker).active_at(t_ms)
 
     def total_speech_ms(self, speaker) -> int:
         return sum(s.duration_ms for s in self.channels[speaker_index(speaker)])
@@ -185,15 +214,21 @@ class ConversationTrace:
 
     @classmethod
     def from_dict(cls, data) -> "ConversationTrace":
+        _expect_object(data, "trace")
         chans = data.get("channels")
-        if chans is None or len(chans) != 2:
+        if not isinstance(chans, list) or len(chans) != 2:
             raise ValidationError("trace JSON needs a 2-element 'channels' list")
-        return cls(
-            channels=tuple(
-                tuple(SpeechSegment.from_dict(s) for s in ch) for ch in chans
-            ),
-            duration_ms=int(data["duration_ms"]),
-        )
+        channels = []
+        for ci, ch in enumerate(chans):
+            try:
+                items = iter(ch)
+            except TypeError:
+                raise ValidationError(f"channels[{ci}]: expected a list of segments") from None
+            channels.append(tuple(
+                SpeechSegment.from_dict(s, f"channels[{ci}][{si}]")
+                for si, s in enumerate(items)
+            ))
+        return cls(channels=tuple(channels), duration_ms=_field(data, "duration_ms"))
 
     @classmethod
     def from_json(cls, text: str) -> "ConversationTrace":
@@ -202,6 +237,42 @@ class ConversationTrace:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed trace JSON: {exc}") from exc
         return cls.from_dict(data)
+
+
+class ChannelBounds:
+    """One channel's segment starts and ends (both sorted), for O(log n) queries."""
+
+    def __init__(self, segments):
+        self.starts = [s.start_ms for s in segments]
+        self.ends = [s.end_ms for s in segments]
+
+    def spans(self):
+        """(start_ms, end_ms) of each segment, in order."""
+        return zip(self.starts, self.ends)
+
+    def onset_index_in(self, t0: int, t1: int):
+        """Index of the first segment starting in [t0, t1), or None."""
+        i = bisect_left(self.starts, t0)
+        if i < len(self.starts) and self.starts[i] < t1:
+            return i
+        return None
+
+    def offset_in(self, t0: int, t1: int):
+        """The unique offset instant in (t0, t1], or None."""
+        i = bisect_right(self.ends, t0)
+        if i < len(self.ends) and self.ends[i] <= t1:
+            return self.ends[i]
+        return None
+
+    def active_at(self, t: int) -> bool:
+        """Speech covers instant t (start <= t < end)."""
+        i = bisect_right(self.starts, t) - 1
+        return i >= 0 and self.ends[i] > t
+
+    def active_inside(self, t: int) -> bool:
+        """Speech strictly surrounds instant t (start < t < end)."""
+        i = bisect_left(self.starts, t) - 1
+        return i >= 0 and self.ends[i] > t
 
 
 EMPTY_TRACE = ConversationTrace(channels=((), ()), duration_ms=0)
@@ -320,7 +391,7 @@ def _clip_segment(seg: SpeechSegment, lo: int, hi: int, shift: int):
     return SpeechSegment(ns - shift, ne - shift, units=units)
 
 
-def window(trace: ConversationTrace, end_ms: int, width_ms: int = 20000) -> ConversationTrace:
+def window(trace: ConversationTrace, end_ms: int, width_ms: int = WINDOW_MS) -> ConversationTrace:
     """Sliding context window: the last `width_ms` of history before `end_ms`.
 
     Returns the trace restricted to [max(0, end_ms - width_ms), end_ms), with

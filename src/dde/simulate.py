@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,7 +25,9 @@ from .errors import PolicyContractViolation, ValidationError
 from .labeler import Action
 from .segments import (
     EMPTY_TRACE,
+    FRAME_MS,
     TICK_MS,
+    WINDOW_MS,
     ConversationTrace,
     SpeechSegment,
     build_trace,
@@ -36,6 +38,7 @@ from .segments import (
 PAUSE_TICKS = 2       # inserted mid-response pauses: 320ms, a countable within-turn pause
 MIN_BURST_TICKS = 7   # split bursts stay over the 1s backchannel cutoff
 SELF_RESUME_MS = 480  # a speaker re-initiating sooner would merge into its own turn
+FRAMES_PER_TICK = TICK_MS // FRAME_MS
 
 
 def _quantize_ms(ms: float) -> int:
@@ -103,20 +106,36 @@ class CorpusResponse:
 
     def __post_init__(self):
         usable = tuple(
-            tuple(int(u) for u in seq)[: len(seq) // 8 * 8]
+            tuple(int(u) for u in seq)[: len(seq) - len(seq) % FRAMES_PER_TICK]
             for seq in self.sequences
-            if len(seq) >= 8
+            if len(seq) >= FRAMES_PER_TICK
         )
         if not usable:
-            raise ValidationError("corpus needs sequences of at least 8 frames")
+            raise ValidationError(
+                f"corpus needs sequences of at least {FRAMES_PER_TICK} frames"
+            )
         object.__setattr__(self, "sequences", usable)
 
     def draw(self, rng):
         seq = self.sequences[int(rng.integers(len(self.sequences)))]
-        return 20 * len(seq), seq
+        return FRAME_MS * len(seq), seq
 
     def to_dict(self):
         return {"kind": "corpus", "sequences": [list(s) for s in self.sequences]}
+
+
+def _from_defaults(cls, data):
+    """cls with each field read from data, cast to the type of its default;
+    absent fields keep the default."""
+    defaults = cls()
+    return cls(
+        **{
+            f.name: type(getattr(defaults, f.name))(
+                data.get(f.name, getattr(defaults, f.name))
+            )
+            for f in fields(cls)
+        }
+    )
 
 
 def response_from_dict(data):
@@ -124,12 +143,7 @@ def response_from_dict(data):
     if kind == "uniform":
         return UniformResponse(int(data["min_ms"]), int(data["max_ms"]))
     if kind == "lognormal":
-        return LogNormalResponse(
-            mean_ms=float(data.get("mean_ms", 2800.0)),
-            sigma=float(data.get("sigma", 0.6)),
-            min_ms=int(data.get("min_ms", 1120)),
-            max_ms=int(data.get("max_ms", 15000)),
-        )
+        return _from_defaults(LogNormalResponse, data)
     if kind == "corpus":
         return CorpusResponse(tuple(tuple(s) for s in data["sequences"]))
     raise ValidationError(f"unknown response generator kind {kind!r}")
@@ -227,26 +241,9 @@ class ScriptedConfig:
 def policy_config_from_dict(data):
     kind = data.get("kind")
     if kind == "cascaded":
-        return CascadedConfig(
-            eot_silence_ms=int(data.get("eot_silence_ms", 800)),
-            response_min_ms=int(data.get("response_min_ms", 1600)),
-            response_max_ms=int(data.get("response_max_ms", 4000)),
-        )
+        return _from_defaults(CascadedConfig, data)
     if kind == "stochastic":
-        defaults = StochasticConfig()
-        return StochasticConfig(
-            **{
-                f: type(getattr(defaults, f))(data.get(f, getattr(defaults, f)))
-                for f in (
-                    "p_backchannel_per_tick",
-                    "backchannel_ms",
-                    "p_initiate_per_tick_after_gap",
-                    "min_gap_ticks",
-                    "p_stop_on_overlap_per_tick",
-                    "pause_insertion_rate",
-                )
-            }
-        )
+        return _from_defaults(StochasticConfig, data)
     if kind == "scripted":
         return ScriptedConfig(steps=tuple(tuple(s) for s in data["steps"]))
     raise ValidationError(f"unknown policy kind {kind!r}")
@@ -324,7 +321,7 @@ class StochasticPolicy:
         self.cfg = cfg
         self.response = response
 
-    def _plan(self, state: AgentState, tick_index: int):
+    def _plan(self, state: AgentState):
         """Draw a response and split it into bursts separated by 320ms pauses.
 
         Cut points keep every burst at least MIN_BURST_TICKS long, so split
@@ -341,11 +338,9 @@ class StochasticPolicy:
         bursts = []
         prev = 0
         for cut in cuts + [n_ticks]:
-            span = (prev, cut)
             burst_ms = (cut - prev) * TICK_MS
             if units is not None:
-                frames_per_tick = TICK_MS // 20
-                burst_units = units[prev * frames_per_tick : cut * frames_per_tick]
+                burst_units = units[prev * FRAMES_PER_TICK : cut * FRAMES_PER_TICK]
             else:
                 burst_units = None
             bursts.append((burst_ms, burst_units))
@@ -380,7 +375,7 @@ class StochasticPolicy:
             return Action.SIL, None
         if state.is_opener and obs.mutual_silence_ms is None:
             state.pending_bursts = []
-            return self._start_burst(state, tick_index, self._plan(state, tick_index))
+            return self._start_burst(state, tick_index, self._plan(state))
         if state.planned_end_ms is not None and state.planned_end_ms > obs.now_ms:
             return Action.SIL, None  # own utterance tail still in flight
         if obs.other_speaking and state.rng.random() < cfg.p_backchannel_per_tick:
@@ -394,7 +389,7 @@ class StochasticPolicy:
             or obs.now_ms - obs.own_last_end_ms >= SELF_RESUME_MS
         )
         if long_enough and floor_open and state.rng.random() < cfg.p_initiate_per_tick_after_gap:
-            return self._start_burst(state, tick_index, self._plan(state, tick_index))
+            return self._start_burst(state, tick_index, self._plan(state))
         return Action.SIL, None
 
 
@@ -459,7 +454,7 @@ class SimRun:
     agents: tuple = (CascadedConfig(), CascadedConfig())
     responses: tuple = (None, None)          # None -> policy default
     opening_speaker: int | None = None       # who seeds the conversation
-    window_ms: int = 20000
+    window_ms: int = WINDOW_MS
 
     def __post_init__(self):
         if self.duration_ms < TICK_MS:
@@ -501,7 +496,7 @@ class SimRun:
             agents=tuple(agents),
             responses=tuple(responses),
             opening_speaker=None if opening is None else speaker_index(opening),
-            window_ms=int(data.get("window_ms", 20000)),
+            window_ms=int(data.get("window_ms", WINDOW_MS)),
         )
 
 
@@ -584,7 +579,7 @@ class SelfChat:
         for agent in (0, 1):
             for s, e, units in self._visible_segments(agent, horizon_ms):
                 if units is not None:
-                    units = units[: (e - s) // 20]
+                    units = units[: (e - s) // FRAME_MS]
                 events.append((agent, SpeechSegment(s, e, units=units)))
         return build_trace(events, horizon_ms)
 
@@ -630,7 +625,7 @@ class SelfChat:
             elif action is Action.STP:
                 state.planned_end_ms = tick_end
                 if state.utterance_units is not None:
-                    keep = (tick_end - state.utterance_start_ms) // 20
+                    keep = (tick_end - state.utterance_start_ms) // FRAME_MS
                     state.utterance_units = state.utterance_units[:keep]
             emitted.append(action)
             self.actions[agent].append(action)

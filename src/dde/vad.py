@@ -61,7 +61,6 @@ def _segment_channel(samples: np.ndarray, cfg: VadConfig):
     speech = energies > floor + cfg.energy_threshold_db
     runs = _active_runs(speech)
     # bridge short gaps
-    max_gap_frames = cfg.min_gap_ms // FRAME_MS
     bridged = []
     for start, end in runs:
         if bridged and (start - bridged[-1][1]) * FRAME_MS < cfg.min_gap_ms:

@@ -69,7 +69,7 @@ def frame_label_sequence(trace, agent: int):
 
 # ------------------------------------------------------ 1ms sweep analytics
 
-def _ms_activity(trace, channel: int) -> np.ndarray:
+def ms_activity(trace, channel: int) -> np.ndarray:
     act = np.zeros(trace.duration_ms, dtype=bool)
     for seg in trace.channels[channel]:
         act[seg.start_ms : seg.end_ms] = True
@@ -93,8 +93,9 @@ def _close_gaps(runs, threshold):
 
 
 def sweep_events(trace):
-    """Overlap/pause/gap/backchannel events from dense 1ms boolean arrays."""
-    act = [_ms_activity(trace, 0), _ms_activity(trace, 1)]
+    """Overlap/pause/gap/backchannel events from dense 1ms boolean arrays,
+    plus the total within-turn silence and the pause lengths in ms."""
+    act = [ms_activity(trace, 0), ms_activity(trace, 1)]
     ipus = [_runs(a) for a in act]
     raw_spans = [_close_gaps(r, 400) for r in ipus]
     backchannels = []
@@ -127,11 +128,21 @@ def sweep_events(trace):
         if latest_end is None or e >= latest_end:
             latest_end, latest_sp = e, sp
     backchannels.sort(key=lambda x: x[1])
+    pauses.sort(key=lambda x: x[1])
+    # silences between consecutive main IPUs that the 400ms rule joins
+    within_turn_silence = sum(
+        cur[0] - prev[1]
+        for m in main
+        for prev, cur in zip(m, m[1:])
+        if cur[0] - prev[1] < 400
+    )
     return {
         "overlaps": overlaps,
         "backchannels": backchannels,
-        "pauses": sorted(pauses, key=lambda x: x[1]),
+        "pauses": pauses,
         "gaps": gaps,
+        "within_turn_silence_ms": within_turn_silence,
+        "pause_lengths": [e - s for _, (s, e) in pauses],
     }
 
 

@@ -140,6 +140,32 @@ class TestSweepOracleEquivalence:
             assert sorted(ev["pauses"], key=lambda x: x[1]) == ref["pauses"]
             assert ev["gaps"] == ref["gaps"]
 
+    @pytest.mark.parametrize("align_ms", [1, 20])
+    def test_silence_stats_match_ms_sweep(self, rng, align_ms):
+        # backchannels sitting inside a speaker's own turn span are not its
+        # speech, so the silence around them counts as within-turn silence
+        with_backchannels = 0
+        for _ in range(200):
+            t = random_trace(rng, max_duration_ms=20000, align_ms=align_ms)
+            ref = sweep_events(t)
+            stats = naturalness_report(t)
+            with_backchannels += bool(ref["backchannels"])
+            n_ipus = len(t.channels[0]) + len(t.channels[1])
+            if n_ipus == len(ref["backchannels"]):  # no main IPU, so no turn
+                assert stats.spm_s is None and stats.mean_pause_s is None
+                continue
+            assert stats.spm_s == pytest.approx(
+                ref["within_turn_silence_ms"] * 60.0 / t.duration_ms, rel=1e-12
+            )
+            pauses = ref["pause_lengths"]
+            if pauses:
+                assert stats.mean_pause_s == pytest.approx(
+                    sum(pauses) / len(pauses) / 1000.0, rel=1e-12
+                )
+            else:
+                assert stats.mean_pause_s is None
+        assert with_backchannels > 50
+
 
 class TestConversationReport:
     def test_worked_example_rates(self):

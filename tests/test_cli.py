@@ -115,6 +115,32 @@ class TestLabelCmd:
         assert run_cli("label", "--trace", str(p), "--out", str(tmp_path / "s.jsonl")) != 0
 
 
+BAD_TRACES = {
+    "no_duration": {"channels": [[], []]},
+    "list_top_level": [[], []],
+    "segment_without_end": {"duration_ms": 1000, "channels": [[{"start_ms": 0}], []]},
+    "non_integer_start": {"duration_ms": 1000, "channels": [[], [{"start_ms": "x", "end_ms": 20}]]},
+    "null_channel": {"duration_ms": 1000, "channels": [None, []]},
+    "events_not_object": {
+        "duration_ms": 1000, "channels": [[{"start_ms": 0, "end_ms": 20, "events": 3}], []],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "label"])
+@pytest.mark.parametrize("case", sorted(BAD_TRACES))
+def test_bad_trace_is_an_error_not_a_traceback(tmp_path, capsys, command, case):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(BAD_TRACES[case]))
+    argv = [command, "--trace", str(p)]
+    if command == "label":
+        argv += ["--out", str(tmp_path / "s.jsonl")]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 class TestAnalyzeCmd:
     def test_json_format_schema(self, tmp_path, capsys):
         p = tmp_path / "t.json"

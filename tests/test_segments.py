@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dde import (
     window,
 )
 from conftest import random_trace, random_unaligned_trace
+from oracles import ms_activity
 
 
 def seg(a, b, **kw):
@@ -202,3 +205,35 @@ class TestSerialization:
     def test_rejects_wrong_channel_count(self):
         with pytest.raises(ValidationError):
             ConversationTrace.from_json('{"duration_ms": 100, "channels": [[]]}')
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ([], "trace"),
+            ({"channels": [[], []]}, "duration_ms"),
+            ({"duration_ms": 100, "channels": [None, []]}, "channels[0]"),
+            ({"duration_ms": 100, "channels": [[], [{"start_ms": 0}]]}, "channels[1][0].end_ms"),
+            ({"duration_ms": 100, "channels": [[{"start_ms": "x", "end_ms": 20}], []]},
+             "channels[0][0].start_ms"),
+            ({"duration_ms": 100, "channels": [[{"start_ms": 0, "end_ms": 20, "units": 3}], []]},
+             "channels[0][0].units"),
+            ({"duration_ms": 100,
+              "channels": [[], [{"start_ms": 0, "end_ms": 20, "events": {"laughs": "x"}}]]},
+             "channels[1][0].events.laughs"),
+            ({"duration_ms": 100, "channels": [[{"start_ms": 50, "end_ms": 20}], []]},
+             "channels[0][0]:"),
+        ],
+    )
+    def test_bad_fields_name_their_json_path(self, data, path):
+        with pytest.raises(ValidationError, match=re.escape(path)):
+            ConversationTrace.from_dict(data)
+
+
+class TestActiveAt:
+    @pytest.mark.parametrize("align_ms", [1, 20])
+    def test_matches_ms_activity_randomized(self, rng, align_ms):
+        for _ in range(40):
+            t = random_trace(rng, max_duration_ms=5000, align_ms=align_ms)
+            for sp in (0, 1):
+                expected = ms_activity(t, sp).tolist() + [False]  # nothing at duration_ms
+                assert [t.active_at(sp, ms) for ms in range(t.duration_ms + 1)] == expected
