@@ -90,6 +90,11 @@ def turn_structure(trace: ConversationTrace, speaker) -> TurnStructure:
     )
 
 
+def _turn_structures(trace: ConversationTrace):
+    """Both speakers' TurnStructures, computed once per report."""
+    return turn_structure(trace, 0), turn_structure(trace, 1)
+
+
 def _overlap_intervals(trace: ConversationTrace):
     """Maximal intervals of simultaneous speech, via a two-pointer sweep."""
     a, b = trace.bounds(0), trace.bounds(1)
@@ -114,7 +119,10 @@ def cross_channel_events(trace: ConversationTrace) -> dict:
     after a different speaker's turn is a gap (from, to, duration); anything
     else (same speaker resuming, or a turn swallowed by a longer one) is not.
     """
-    structures = (turn_structure(trace, 0), turn_structure(trace, 1))
+    return _cross_channel_events(trace, _turn_structures(trace))
+
+
+def _cross_channel_events(trace: ConversationTrace, structures) -> dict:
     backchannels = sorted(
         [(sp, iv) for sp in (0, 1) for iv in structures[sp].backchannel_ipus],
         key=lambda x: x[1],
@@ -274,8 +282,11 @@ def naturalness_report(
     per-speaker audio. `require` names fields that must come out non-None,
     otherwise MissingInputError is raised.
     """
+    return _naturalness_report(trace, _turn_structures(trace), audio, require)
+
+
+def _naturalness_report(trace: ConversationTrace, structures, audio, require=()):
     wpm, event_rates = _annotation_rates(trace)
-    structures = (turn_structure(trace, 0), turn_structure(trace, 1))
     any_turn, silence_ms, pause_lengths = _silence_stats(structures)
     spm_s = None
     mean_pause_s = None
@@ -310,10 +321,11 @@ def conversation_report(trace: ConversationTrace, audio=None) -> ConversationRep
     """Overlap/backchannel/pause rates per minute plus average gap latency."""
     if trace.duration_ms <= 0:
         raise ValidationError("cannot analyze a zero-duration trace")
-    events = cross_channel_events(trace)
+    structures = _turn_structures(trace)
+    events = _cross_channel_events(trace, structures)
     per_min = 60000.0 / trace.duration_ms
     gaps = events["gaps"]
-    naturalness = naturalness_report(trace, audio=audio)
+    naturalness = _naturalness_report(trace, structures, audio=audio)
     return ConversationReport(
         duration_ms=trace.duration_ms,
         overlaps_per_min=len(events["overlaps"]) * per_min,

@@ -127,7 +127,6 @@ def cmd_label(args, cfg) -> int:
         args.out,
         context_mode=context_mode,
         trace_path=args.trace,
-        window_ms=window_ms,
     )
     hist = labeler.action_histogram(all_samples)
     print(f"wrote {args.out}: {len(all_samples)} samples")

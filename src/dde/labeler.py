@@ -18,7 +18,7 @@ the earlier rule wins: initiations are the rarest, most valuable events.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .errors import ValidationError
@@ -53,13 +53,19 @@ class Action(IntEnum):
 class TrainingSample:
     """One (context, next action) pair for a speaker at a tick boundary."""
 
-    context: ConversationTrace      # trailing window ending at 160*(tick_index+1)
+    trace: ConversationTrace = field(repr=False)  # the whole source trace, shared
     agent: int                      # channel whose action is labeled
     tick_index: int
     action: Action
     target_tokens: tuple[int, ...] | None = None
+    window_ms: int = WINDOW_MS
 
-    def to_dict(self, context_mode="ref", trace_path=None, window_ms=None):
+    @property
+    def context(self) -> ConversationTrace:
+        """Trailing window ending at 160*(tick_index+1), built on each read."""
+        return window(self.trace, TICK_MS * (self.tick_index + 1), self.window_ms)
+
+    def to_dict(self, context_mode="ref", trace_path=None):
         d = {
             "agent": "AB"[self.agent],
             "tick_index": self.tick_index,
@@ -73,7 +79,7 @@ class TrainingSample:
             d["context_ref"] = {
                 "trace": str(trace_path) if trace_path is not None else None,
                 "end_ms": TICK_MS * (self.tick_index + 1),
-                "window_ms": window_ms,
+                "window_ms": self.window_ms,
             }
         return d
 
@@ -142,14 +148,15 @@ def build_samples(
     SPK samples carry the deduplicated (and, when a vocab is given,
     BPE-encoded) units of the segment that starts inside the tick; segments
     without unit annotations leave target_tokens unset. Other actions encode
-    as their single action token.
+    as their single action token. Contexts are built only when read.
     """
+    if window_ms <= 0:
+        raise ValidationError("window width must be positive")
     ai = speaker_index(agent)
     own, other = trace.bounds(ai), trace.bounds(1 - ai)
     samples = []
     for i in range(trace.duration_ms // TICK_MS):
         action = _label(own, other, i)
-        ctx = window(trace, TICK_MS * (i + 1), window_ms)
         target = None
         if action is Action.SPK:
             seg = trace.channels[ai][own.onset_index_in(i * TICK_MS, (i + 1) * TICK_MS)]
@@ -162,8 +169,8 @@ def build_samples(
             target = (int(action),)
         samples.append(
             TrainingSample(
-                context=ctx, agent=ai, tick_index=i, action=action,
-                target_tokens=target,
+                trace=trace, agent=ai, tick_index=i, action=action,
+                target_tokens=target, window_ms=window_ms,
             )
         )
     return samples
@@ -176,18 +183,12 @@ def action_histogram(samples) -> dict[str, int]:
     return hist
 
 
-def write_samples_jsonl(
-    samples, path, context_mode="ref", trace_path=None, window_ms=WINDOW_MS
-) -> None:
+def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         for s in samples:
             fp.write(
                 json.dumps(
-                    s.to_dict(
-                        context_mode=context_mode,
-                        trace_path=trace_path,
-                        window_ms=window_ms,
-                    ),
+                    s.to_dict(context_mode=context_mode, trace_path=trace_path),
                     sort_keys=True,
                 )
             )

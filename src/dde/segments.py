@@ -31,7 +31,24 @@ def _expect_object(data, path) -> None:
         raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
 
 
-def _field(data, key, path="", convert=int, default=_REQUIRED):
+def _int(value) -> int:
+    """An integer from a JSON number or numeric string: 20, 20.0 and "20" read
+    as 20; booleans and non-integral numbers are errors, not 1 or truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _units(value) -> tuple[int, ...]:
+    """Unit ids from a JSON list; a string is an error, not a list of digits."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("expected a list")
+    if set(map(type, value)) <= {int}:
+        return tuple(value)
+    return tuple(map(_int, value))
+
+
+def _field(data, key, path="", convert=_int, default=_REQUIRED):
     """convert(data[key]); an absent or null key gives `default`. Bad values
     raise ValidationError naming the JSON path, e.g. channels[0][3].end_ms."""
     name = f"{path}.{key}" if path else key
@@ -111,7 +128,7 @@ class SpeechSegment:
                 f"segment end {self.end_ms} must exceed start {self.start_ms}"
             )
         if self.units is not None:
-            object.__setattr__(self, "units", tuple(int(u) for u in self.units))
+            object.__setattr__(self, "units", tuple(map(int, self.units)))
             if self.start_ms % FRAME_MS or self.end_ms % FRAME_MS:
                 raise ValidationError(
                     "unit-annotated segments must be 20ms-aligned: "
@@ -122,7 +139,7 @@ class SpeechSegment:
                 raise ValidationError(
                     f"{len(self.units)} units for a {n_frames}-frame segment"
                 )
-            if any(u < 0 for u in self.units):
+            if min(self.units) < 0:  # non-empty: n_frames >= 1
                 raise ValidationError("unit ids must be non-negative")
         if self.words is not None and self.words < 0:
             raise ValidationError("word count must be non-negative")
@@ -148,7 +165,7 @@ class SpeechSegment:
         fields = dict(
             start_ms=_field(data, "start_ms", path),
             end_ms=_field(data, "end_ms", path),
-            units=_field(data, "units", path, lambda v: tuple(int(u) for u in v), None),
+            units=_field(data, "units", path, _units, None),
             words=_field(data, "words", path, default=None),
             events=None if events is None else EventCounts.from_dict(events, f"{path}.events"),
         )
@@ -406,9 +423,11 @@ def window(trace: ConversationTrace, end_ms: int, width_ms: int = WINDOW_MS) -> 
         raise ValidationError("window width must be positive")
     left = max(0, end_ms - width_ms)
     channels = []
-    for ch in trace.channels:
-        clipped = [_clip_segment(s, left, end_ms, left) for s in ch]
-        channels.append(tuple(s for s in clipped if s is not None))
+    for ci, ch in enumerate(trace.channels):
+        # only ch[lo:hi] overlaps [left, end_ms): ends > left, starts < end_ms
+        b = trace.bounds(ci)
+        lo, hi = bisect_right(b.ends, left), bisect_left(b.starts, end_ms)
+        channels.append(tuple(_clip_segment(s, left, end_ms, left) for s in ch[lo:hi]))
     return ConversationTrace(channels=tuple(channels), duration_ms=end_ms - left)
 
 

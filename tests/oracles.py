@@ -7,6 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from dde.segments import ConversationTrace, _clip_segment
+
 FRAME_MS = 20
 TICK_MS = 160
 FRAMES_PER_TICK = TICK_MS // FRAME_MS
@@ -65,6 +67,19 @@ def frame_label_sequence(trace, agent: int):
         else:
             labels.append("SIL")
     return labels
+
+
+# ------------------------------------------------------------ context window
+
+def scan_window(trace, end_ms: int, width_ms: int):
+    """window() by clipping every segment of both channels to the window and
+    dropping the empty results, with no search for the overlapping ones."""
+    left = max(0, end_ms - width_ms)
+    channels = []
+    for ch in trace.channels:
+        clipped = [_clip_segment(s, left, end_ms, left) for s in ch]
+        channels.append(tuple(s for s in clipped if s is not None))
+    return ConversationTrace(channels=tuple(channels), duration_ms=end_ms - left)
 
 
 # ------------------------------------------------------ 1ms sweep analytics

@@ -7,6 +7,7 @@ from dde import (
     MissingInputError,
     SpeechSegment,
     ValidationError,
+    analytics,
     build_trace,
     classification_report,
     conversation_report,
@@ -190,6 +191,17 @@ class TestConversationReport:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValidationError):
             conversation_report(build_trace([], 0))
+
+    def test_turn_structure_once_per_speaker(self, monkeypatch, rng):
+        t = random_trace(rng, max_duration_ms=15000)
+        expected = conversation_report(t)
+        calls = []
+        real = analytics.turn_structure
+        monkeypatch.setattr(
+            analytics, "turn_structure", lambda tr, sp: calls.append(sp) or real(tr, sp)
+        )
+        assert conversation_report(t) == expected
+        assert calls == [0, 1]
 
     def test_rates_invariant_under_duplication(self, rng):
         for _ in range(20):

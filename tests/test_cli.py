@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from dde import build_trace, SpeechSegment, read_trace
+from dde import build_trace, SpeechSegment, labeler, read_trace, window
 from dde.cli import main
 from dde.vad import write_wav
+
+from conftest import random_trace
 
 
 def run_cli(*argv):
@@ -109,6 +111,30 @@ class TestLabelCmd:
         rec = json.loads(out.read_text().splitlines()[0])
         assert rec["context"]["duration_ms"] == 160
 
+    def test_ref_mode_builds_no_context(self, tmp_path, monkeypatch):
+        calls = []
+        real_window = labeler.window
+        monkeypatch.setattr(labeler, "window", lambda *a: calls.append(a) or real_window(*a))
+        p = self._write_trace(tmp_path, build_trace([("A", seg(1000, 3000))], 5000))
+        out = tmp_path / "s.jsonl"
+        assert run_cli("label", "--trace", str(p), "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 2 * 31
+        assert calls == []
+
+    def test_inline_contexts_equal_independent_windows(self, tmp_path, rng):
+        trace = random_trace(rng, max_duration_ms=8000, with_units=True)
+        p = self._write_trace(tmp_path, trace)
+        out = tmp_path / "s.jsonl"
+        assert run_cli(
+            "label", "--trace", str(p), "--window-ms", "1000",
+            "--inline-context", "--out", str(out),
+        ) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 2 * (trace.duration_ms // 160)
+        for rec in records:
+            end = 160 * (rec["tick_index"] + 1)
+            assert rec["context"] == window(trace, end, 1000).to_dict()
+
     def test_malformed_trace_fails(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -124,6 +150,11 @@ BAD_TRACES = {
     "events_not_object": {
         "duration_ms": 1000, "channels": [[{"start_ms": 0, "end_ms": 20, "events": 3}], []],
     },
+    "units_string": {
+        "duration_ms": 1000, "channels": [[{"start_ms": 0, "end_ms": 60, "units": "123"}], []],
+    },
+    "boolean_start": {"duration_ms": 1000, "channels": [[{"start_ms": True, "end_ms": 20}], []]},
+    "fractional_end": {"duration_ms": 1000, "channels": [[], [{"start_ms": 0, "end_ms": 19.9}]]},
 }
 
 

@@ -13,7 +13,7 @@ from dde import (
     window,
 )
 from conftest import random_trace, random_unaligned_trace
-from oracles import ms_activity
+from oracles import ms_activity, scan_window
 
 
 def seg(a, b, **kw):
@@ -91,6 +91,12 @@ class TestSegmentValidation:
     def test_units_require_alignment(self):
         with pytest.raises(ValidationError):
             seg(5, 105, units=tuple(range(5)))
+
+    @pytest.mark.parametrize("units", [(-1, 2, 3), (1, -2, 3), (1, 2, -3)])
+    def test_negative_unit_ids_rejected(self, units):
+        assert seg(0, 60, units=(0, 2, 3)).units == (0, 2, 3)
+        with pytest.raises(ValidationError, match="non-negative"):
+            seg(0, 60, units=units)
 
     def test_event_counts_roundtrip(self):
         e = EventCounts(fillers=2, laughs=1)
@@ -171,6 +177,21 @@ class TestWindow:
             w = window(t, end, width_ms=end + 50000)
             assert w.to_dict() == t.to_dict()
 
+    @pytest.mark.parametrize("align_ms", [1, 20])
+    def test_matches_scan_oracle_randomized(self, rng, align_ms):
+        # window edges on segment boundaries (a segment ending exactly at the
+        # left edge or starting exactly at the end) and at random instants
+        # (segments straddling either edge)
+        for _ in range(100):
+            t = random_trace(rng, max_duration_ms=20000, align_ms=align_ms, with_units=True)
+            cuts = [b for ch in t.channels for s in ch for b in (s.start_ms, s.end_ms)]
+            points = cuts + [int(x) for x in rng.integers(0, t.duration_ms + 1, 4)]
+            for end in rng.choice(points, 8):
+                end = max(int(end), 1)
+                for left in rng.choice(points, 4):
+                    width = end - int(left) if left < end else end + 1000
+                    assert window(t, end, width) == scan_window(t, end, width)
+
 
 class TestSerialization:
     def test_roundtrip_with_annotations(self):
@@ -222,11 +243,34 @@ class TestSerialization:
              "channels[1][0].events.laughs"),
             ({"duration_ms": 100, "channels": [[{"start_ms": 50, "end_ms": 20}], []]},
              "channels[0][0]:"),
+            ({"duration_ms": 100, "channels": [[{"start_ms": 0, "end_ms": 60, "units": "123"}], []]},
+             "channels[0][0].units: expected a list"),
+            ({"duration_ms": 100,
+              "channels": [[{"start_ms": 0, "end_ms": 60, "units": [1, True, 3]}], []]},
+             "channels[0][0].units: expected an integer, got true"),
+            ({"duration_ms": 100, "channels": [[], [{"start_ms": True, "end_ms": 20}]]},
+             "channels[1][0].start_ms: expected an integer, got true"),
+            ({"duration_ms": 100, "channels": [[{"start_ms": 0, "end_ms": 19.9}], []]},
+             "channels[0][0].end_ms: expected an integer, got 19.9"),
+            ({"duration_ms": 100.9, "channels": [[], []]},
+             "duration_ms: expected an integer, got 100.9"),
+            ({"duration_ms": 100, "channels": [[{"start_ms": 0, "end_ms": 20, "words": 2.5}], []]},
+             "channels[0][0].words: expected an integer, got 2.5"),
+            ({"duration_ms": 100,
+              "channels": [[], [{"start_ms": 0, "end_ms": 20, "events": {"laughs": False}}]]},
+             "channels[1][0].events.laughs: expected an integer, got false"),
         ],
     )
     def test_bad_fields_name_their_json_path(self, data, path):
         with pytest.raises(ValidationError, match=re.escape(path)):
             ConversationTrace.from_dict(data)
+
+    def test_integral_numbers_and_numeric_strings_still_parse(self):
+        for value in (20, 20.0, "20"):
+            data = {"duration_ms": 100, "channels": [
+                [{"start_ms": value, "end_ms": 40, "units": [value], "words": value}], []]}
+            s = ConversationTrace.from_dict(data).channels[0][0]
+            assert (s.start_ms, s.units, s.words) == (20, (20,), 20)
 
 
 class TestActiveAt:
