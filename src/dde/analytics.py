@@ -68,14 +68,17 @@ def turn_structure(trace: ConversationTrace, speaker) -> TurnStructure:
     si = speaker_index(speaker)
     own = list(trace.bounds(si).spans())
     other_spans = _group_turns(trace.bounds(1 - si).spans())
-    backchannels = tuple(
-        (s, e)
-        for s, e in own
-        if e - s < BACKCHANNEL_MAX_MS
-        and any(ts <= s and e <= te for ts, te in other_spans)
-    )
-    bc_set = set(backchannels)
-    main = [iv for iv in own if iv not in bc_set]
+    # the other's turn spans are sorted and disjoint, so only the last one
+    # starting at or before an IPU can contain it; own IPUs come in start order
+    backchannels, main = [], []
+    j = 0
+    for s, e in own:
+        while j < len(other_spans) and other_spans[j][0] <= s:
+            j += 1
+        if e - s < BACKCHANNEL_MAX_MS and j and e <= other_spans[j - 1][1]:
+            backchannels.append((s, e))
+        else:
+            main.append((s, e))
     turns = _group_turns(main)
     pauses = []
     for prev, cur in zip(main, main[1:]):
@@ -86,7 +89,7 @@ def turn_structure(trace: ConversationTrace, speaker) -> TurnStructure:
         ipus=tuple(own),
         turns=tuple(turns),
         pauses=tuple(pauses),
-        backchannel_ipus=backchannels,
+        backchannel_ipus=tuple(backchannels),
     )
 
 

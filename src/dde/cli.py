@@ -8,13 +8,15 @@ and flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import analytics, labeler, segments, simulate, units, vad
-from .errors import DuplexError
+from .errors import DuplexError, ValidationError
+from .segments import _expect_object, _field, _read_record
 
 ENV_CONFIG = "DDE_CONFIG"
 
@@ -24,7 +26,23 @@ def _load_pipeline_config():
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fp:
-        return json.load(fp)
+        cfg = json.load(fp)
+    _expect_object(cfg, f"${ENV_CONFIG}")
+    return cfg
+
+
+def _section(cfg, key) -> dict:
+    """The pipeline config's `key` object, {} when absent."""
+    section = cfg.get(key, {})
+    _expect_object(section, key)
+    return section
+
+
+def _number(value):
+    """A JSON number as written (5 stays 5); booleans and strings are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    return value
 
 
 def _fail(message: str) -> int:
@@ -41,26 +59,20 @@ def _tick_ms_guard(value: str) -> int:
     return ms
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2, sort_keys=True)
-        fp.write("\n")
-
-
 # ------------------------------------------------------------------ simulate
 
 def _make_run(args, cfg) -> simulate.SimRun:
-    sim_cfg = cfg.get("sim", {})
+    sim_cfg = _section(cfg, "sim")
     if args.run_config:
         run = simulate.read_run_config(args.run_config)
         if args.seed is not None:
-            run = simulate.SimRun.from_dict({**run.to_dict(), "seed": args.seed})
+            run = dataclasses.replace(run, seed=args.seed)
         return run
-    seed = args.seed if args.seed is not None else int(sim_cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _field(sim_cfg, "seed", "sim", default=0)
     duration_ms = (
         int(args.duration_s * 1000)
         if args.duration_s is not None
-        else int(sim_cfg.get("duration_ms", 30000))
+        else _field(sim_cfg, "duration_ms", "sim", default=30000)
     )
     policy = args.policy or sim_cfg.get("policy", "cascaded")
     if policy == "cascaded":
@@ -113,7 +125,7 @@ def cmd_label(args, cfg) -> int:
     window_ms = (
         args.window_ms
         if args.window_ms is not None
-        else int(cfg.get("window_ms", segments.WINDOW_MS))
+        else _field(cfg, "window_ms", default=segments.WINDOW_MS)
     )
     speakers = [0, 1] if args.speaker == "both" else [segments.speaker_index(args.speaker)]
     all_samples = []
@@ -173,15 +185,16 @@ def cmd_analyze(args, cfg) -> int:
     if args.compare:
         with open(args.compare, "r", encoding="utf-8") as fp:
             ref = json.load(fp)
+        _expect_object(ref, "compare")
         rows.append(
             (
                 Path(args.compare).stem,
                 analytics.ConversationReport(
-                    duration_ms=int(ref.get("duration_ms", 0)),
-                    overlaps_per_min=ref["overlaps_per_min"],
-                    backchannels_per_min=ref["backchannels_per_min"],
-                    pauses_per_min=ref["pauses_per_min"],
-                    avg_gap_ms=ref.get("avg_gap_ms"),
+                    duration_ms=_field(ref, "duration_ms", default=0),
+                    overlaps_per_min=_field(ref, "overlaps_per_min", convert=_number),
+                    backchannels_per_min=_field(ref, "backchannels_per_min", convert=_number),
+                    pauses_per_min=_field(ref, "pauses_per_min", convert=_number),
+                    avg_gap_ms=_field(ref, "avg_gap_ms", convert=_number, default=None),
                 ),
             )
         )
@@ -201,7 +214,10 @@ def cmd_analyze(args, cfg) -> int:
 # -------------------------------------------------------------------- ingest
 
 def cmd_ingest(args, cfg) -> int:
-    vad_cfg_data = dict(cfg.get("vad", {}))
+    vad_cfg_data = dict(_section(cfg, "vad"))
+    unknown = sorted(set(vad_cfg_data) - {f.name for f in dataclasses.fields(vad.VadConfig)})
+    if unknown:
+        raise ValidationError(f"vad.{unknown[0]}: unknown field")
     for key, value in (
         ("energy_threshold_db", args.energy_threshold_db),
         ("min_speech_ms", args.min_speech_ms),
@@ -209,7 +225,7 @@ def cmd_ingest(args, cfg) -> int:
     ):
         if value is not None:
             vad_cfg_data[key] = value
-    vad_cfg = vad.VadConfig(**vad_cfg_data)
+    vad_cfg = _read_record(vad.VadConfig, vad_cfg_data, "vad")
     if args.audio:
         a, b = vad.load_conversation_audio(stereo_path=args.audio)
     else:
@@ -239,14 +255,16 @@ def _collect_unit_sequences(paths):
 
 
 def cmd_tokenize_train(args, cfg) -> int:
-    bpe_cfg = cfg.get("bpe", {})
+    bpe_cfg = _section(cfg, "bpe")
     num_merges = (
-        args.num_merges if args.num_merges is not None else int(bpe_cfg.get("num_merges", 0))
+        args.num_merges
+        if args.num_merges is not None
+        else _field(bpe_cfg, "num_merges", "bpe", default=0)
     )
     base = (
         args.base_alphabet_size
         if args.base_alphabet_size is not None
-        else int(bpe_cfg.get("base_alphabet_size", 500))
+        else _field(bpe_cfg, "base_alphabet_size", "bpe", default=500)
     )
     paths = [p for arg in args.traces for p in _trace_paths(arg)]
     corpus = _collect_unit_sequences(paths)

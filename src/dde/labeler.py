@@ -23,7 +23,8 @@ from enum import IntEnum
 
 from .errors import ValidationError
 from .segments import (
-    TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace, speaker_index, window,
+    TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace, _expect_object, _field,
+    speaker_index, window,
 )
 from .units import BpeVocab, bpe_encode, dedup
 
@@ -45,7 +46,7 @@ class Action(IntEnum):
     def from_name(cls, name: str) -> "Action":
         try:
             return cls[name.strip().upper()]
-        except KeyError:
+        except (AttributeError, KeyError):  # AttributeError: name is not a string
             raise ValidationError(f"unknown action {name!r}") from None
 
 
@@ -199,14 +200,22 @@ def read_actions_jsonl(path) -> dict[tuple[str, int], Action]:
     """(agent, tick_index) -> action, as needed for prediction scoring."""
     out = {}
     with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
+        for n, line in enumerate(fp, 1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-                key = (rec["agent"], int(rec["tick_index"]))
-                out[key] = Action.from_name(rec["action"])
-            except (json.JSONDecodeError, KeyError) as exc:
+            except json.JSONDecodeError as exc:
                 raise ValidationError(f"malformed samples line: {exc}") from exc
+            where = f"{path}:{n}"
+            _expect_object(rec, where)
+            key = (_field(rec, "agent", where, _str), _field(rec, "tick_index", where))
+            out[key] = _field(rec, "action", where, Action.from_name)
     return out
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {json.dumps(value)}")
+    return value

@@ -8,8 +8,9 @@ a channel are sorted, non-overlapping and separated by at least 1ms.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +40,18 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A float from a JSON number or numeric string; booleans, NaN and the
+    infinities are errors, not 1.0 or a value no parameter can take."""
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _as_is(value):
+    return value
+
+
 def _units(value) -> tuple[int, ...]:
     """Unit ids from a JSON list; a string is an error, not a list of digits."""
     if not isinstance(value, (list, tuple)):
@@ -61,6 +74,28 @@ def _field(data, key, path="", convert=_int, default=_REQUIRED):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name}: {exc}") from None
+
+
+_READERS = {"int": _int, "float": _float}
+
+
+def _read_record(cls, data, path):
+    """Dataclass `cls` with each field read from `data` by _field: `int` and
+    `float` annotations through _int and _float, other types as given (cls
+    validates them). Absent fields take their default; unknown keys are
+    ignored. Errors name the JSON path."""
+    _expect_object(data, path)
+    kwargs = {
+        f.name: _field(
+            data, f.name, path, _READERS.get(f.type, _as_is),
+            _REQUIRED if f.default is MISSING else f.default,
+        )
+        for f in fields(cls)
+    }
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def speaker_index(speaker) -> int:

@@ -30,6 +30,11 @@ from .segments import (
     WINDOW_MS,
     ConversationTrace,
     SpeechSegment,
+    _expect_object,
+    _field,
+    _int,
+    _read_record,
+    _units,
     build_trace,
     speaker_index,
     window,
@@ -46,14 +51,48 @@ def _quantize_ms(ms: float) -> int:
     return max(1, int(round(ms / TICK_MS))) * TICK_MS
 
 
+# ------------------------------------------------------------ config records
+
+def _plain(value):
+    """value with its tuples, nested ones too, as lists (the JSON form)."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+class _Record:
+    """A frozen config dataclass whose JSON form is its `kind` plus its fields.
+    A policy record's decide(obs, state, mode) returns (action, payload), an
+    SPK's payload being (duration_ms, units or None), drawn by state.response."""
+
+    def to_dict(self):
+        return {
+            "kind": self.kind,
+            **{f.name: _plain(getattr(self, f.name)) for f in fields(self)},
+        }
+
+    @classmethod
+    def from_dict(cls, data, path):
+        return _read_record(cls, data, path)
+
+
+def _from_kind(records, data, path):
+    """The record of the class whose `kind` data names."""
+    _expect_object(data, path)
+    kind = data.get("kind")
+    if not (isinstance(kind, str) and kind in records):
+        raise ValidationError(f"{path}.kind: unknown kind {kind!r}, expected {sorted(records)}")
+    return records[kind].from_dict(data, path)
+
+
 # ------------------------------------------------------------ response draws
 
 @dataclass(frozen=True)
-class UniformResponse:
+class UniformResponse(_Record):
     """Uniform response duration, tick-quantized."""
 
     min_ms: int = 1600
     max_ms: int = 4000
+
+    kind = "uniform"
 
     def __post_init__(self):
         if not 0 < self.min_ms <= self.max_ms:
@@ -62,12 +101,9 @@ class UniformResponse:
     def draw(self, rng):
         return _quantize_ms(rng.uniform(self.min_ms, self.max_ms)), None
 
-    def to_dict(self):
-        return {"kind": "uniform", "min_ms": self.min_ms, "max_ms": self.max_ms}
-
 
 @dataclass(frozen=True)
-class LogNormalResponse:
+class LogNormalResponse(_Record):
     """Log-normal response duration with a configurable mean, tick-quantized.
 
     min_ms floors the draw; the default keeps full responses above the 1s
@@ -79,6 +115,8 @@ class LogNormalResponse:
     min_ms: int = 1120
     max_ms: int = 15000
 
+    kind = "lognormal"
+
     def __post_init__(self):
         if self.mean_ms <= 0 or self.sigma < 0 or not 0 < self.min_ms <= self.max_ms:
             raise ValidationError("bad log-normal response parameters")
@@ -88,26 +126,23 @@ class LogNormalResponse:
         ms = min(max(float(rng.lognormal(mu, self.sigma)), float(self.min_ms)), float(self.max_ms))
         return _quantize_ms(ms), None
 
-    def to_dict(self):
-        return {
-            "kind": "lognormal",
-            "mean_ms": self.mean_ms,
-            "sigma": self.sigma,
-            "min_ms": self.min_ms,
-            "max_ms": self.max_ms,
-        }
-
 
 @dataclass(frozen=True)
-class CorpusResponse:
+class CorpusResponse(_Record):
     """Sample raw unit sequences; duration follows the sampled sequence."""
 
     sequences: tuple[tuple[int, ...], ...]
 
+    kind = "corpus"
+
     def __post_init__(self):
+        try:
+            seqs = [_units(seq) for seq in self.sequences]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"sequences: {exc}") from None
         usable = tuple(
-            tuple(int(u) for u in seq)[: len(seq) - len(seq) % FRAMES_PER_TICK]
-            for seq in self.sequences
+            seq[: len(seq) - len(seq) % FRAMES_PER_TICK]
+            for seq in seqs
             if len(seq) >= FRAMES_PER_TICK
         )
         if not usable:
@@ -120,39 +155,18 @@ class CorpusResponse:
         seq = self.sequences[int(rng.integers(len(self.sequences)))]
         return FRAME_MS * len(seq), seq
 
-    def to_dict(self):
-        return {"kind": "corpus", "sequences": [list(s) for s in self.sequences]}
+
+_RESPONSES = {cls.kind: cls for cls in (UniformResponse, LogNormalResponse, CorpusResponse)}
 
 
-def _from_defaults(cls, data):
-    """cls with each field read from data, cast to the type of its default;
-    absent fields keep the default."""
-    defaults = cls()
-    return cls(
-        **{
-            f.name: type(getattr(defaults, f.name))(
-                data.get(f.name, getattr(defaults, f.name))
-            )
-            for f in fields(cls)
-        }
-    )
-
-
-def response_from_dict(data):
-    kind = data.get("kind")
-    if kind == "uniform":
-        return UniformResponse(int(data["min_ms"]), int(data["max_ms"]))
-    if kind == "lognormal":
-        return _from_defaults(LogNormalResponse, data)
-    if kind == "corpus":
-        return CorpusResponse(tuple(tuple(s) for s in data["sequences"]))
-    raise ValidationError(f"unknown response generator kind {kind!r}")
+def response_from_dict(data, path="response"):
+    return _from_kind(_RESPONSES, data, path)
 
 
 # ----------------------------------------------------------------- policies
 
 @dataclass(frozen=True)
-class CascadedConfig:
+class CascadedConfig(_Record):
     """Fixed-silence-threshold turn taking: answer once the line has been
     quiet long enough; never barge in, never stop early."""
 
@@ -166,20 +180,27 @@ class CascadedConfig:
         if self.eot_silence_ms < 0:
             raise ValidationError("eot_silence_ms must be non-negative")
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "eot_silence_ms": self.eot_silence_ms,
-            "response_min_ms": self.response_min_ms,
-            "response_max_ms": self.response_max_ms,
-        }
-
     def default_response(self):
         return UniformResponse(self.response_min_ms, self.response_max_ms)
 
+    def decide(self, obs: Observation, state: AgentState, mode: str):
+        if mode == "Speaking":
+            return Action.CON, None
+        if state.is_opener and obs.mutual_silence_ms is None:
+            return Action.SPK, state.response.draw(state.rng)
+        if (
+            obs.other_has_spoken
+            and obs.mutual_silence_ms is not None
+            and obs.mutual_silence_ms >= self.eot_silence_ms
+            and obs.other_last_end_ms != state.answered_end_ms
+        ):
+            state.answered_end_ms = obs.other_last_end_ms
+            return Action.SPK, state.response.draw(state.rng)
+        return Action.SIL, None
+
 
 @dataclass(frozen=True)
-class StochasticConfig:
+class StochasticConfig(_Record):
     """Duplex-style behavior: backchannels while listening, probabilistic
     initiation after short mutual silence, stop-on-overlap, and mid-response
     pause insertion. Defaults were frozen from a seeded calibration run
@@ -207,23 +228,82 @@ class StochasticConfig:
         if self.backchannel_ms <= 0 or self.min_gap_ticks < 0:
             raise ValidationError("bad stochastic policy durations")
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "p_backchannel_per_tick": self.p_backchannel_per_tick,
-            "backchannel_ms": self.backchannel_ms,
-            "p_initiate_per_tick_after_gap": self.p_initiate_per_tick_after_gap,
-            "min_gap_ticks": self.min_gap_ticks,
-            "p_stop_on_overlap_per_tick": self.p_stop_on_overlap_per_tick,
-            "pause_insertion_rate": self.pause_insertion_rate,
-        }
-
     def default_response(self):
         return LogNormalResponse()
 
+    def _plan(self, state: AgentState):
+        """Draw a response and split it into bursts separated by 320ms pauses.
+
+        Cut points keep every burst at least MIN_BURST_TICKS long, so split
+        bursts never masquerade as backchannels.
+        """
+        total_ms, units = state.response.draw(state.rng)
+        n_ticks = total_ms // TICK_MS
+        cuts = []
+        prev = 0
+        for k in range(MIN_BURST_TICKS, n_ticks - MIN_BURST_TICKS + 1):
+            if k - prev >= MIN_BURST_TICKS and state.rng.random() < self.pause_insertion_rate:
+                cuts.append(k)
+                prev = k
+        bursts = []
+        prev = 0
+        for cut in cuts + [n_ticks]:
+            burst_ms = (cut - prev) * TICK_MS
+            if units is not None:
+                burst_units = units[prev * FRAMES_PER_TICK : cut * FRAMES_PER_TICK]
+            else:
+                burst_units = None
+            bursts.append((burst_ms, burst_units))
+            prev = cut
+        state.pending_bursts = bursts[1:]
+        return bursts[0]
+
+    def _start_burst(self, state: AgentState, tick_index: int, burst):
+        burst_ms, _units = burst
+        end_tick = tick_index + burst_ms // TICK_MS
+        state.resume_tick = end_tick + PAUSE_TICKS if state.pending_bursts else None
+        return Action.SPK, burst
+
+    def decide(self, obs: Observation, state: AgentState, mode: str):
+        if mode == "Speaking":
+            if obs.other_speaking and state.rng.random() < self.p_stop_on_overlap_per_tick:
+                state.pending_bursts = []
+                state.resume_tick = None
+                return Action.STP, None
+            return Action.CON, None
+        tick_index = obs.now_ms // TICK_MS
+        if state.resume_tick is not None:
+            if obs.other_speaking:  # floor was taken mid-pause: yield
+                state.pending_bursts = []
+                state.resume_tick = None
+                return Action.SIL, None
+            if tick_index >= state.resume_tick and state.pending_bursts:
+                return self._start_burst(state, tick_index, state.pending_bursts.pop(0))
+            if not state.pending_bursts:
+                state.resume_tick = None
+            return Action.SIL, None
+        if state.is_opener and obs.mutual_silence_ms is None:
+            state.pending_bursts = []
+            return self._start_burst(state, tick_index, self._plan(state))
+        if state.planned_end_ms is not None and state.planned_end_ms > obs.now_ms:
+            return Action.SIL, None  # own utterance tail still in flight
+        if obs.other_speaking and state.rng.random() < self.p_backchannel_per_tick:
+            return Action.SPK, (_quantize_ms(self.backchannel_ms), None)
+        gate_ms = self.min_gap_ticks * TICK_MS
+        long_enough = obs.mutual_silence_ms is None or obs.mutual_silence_ms >= gate_ms
+        # taking the floor: wait long enough after one's own turn that the new
+        # utterance cannot read as a continuation of it
+        floor_open = (
+            obs.own_last_end_ms is None
+            or obs.now_ms - obs.own_last_end_ms >= SELF_RESUME_MS
+        )
+        if long_enough and floor_open and state.rng.random() < self.p_initiate_per_tick_after_gap:
+            return self._start_burst(state, tick_index, self._plan(state))
+        return Action.SIL, None
+
 
 @dataclass(frozen=True)
-class ScriptedConfig:
+class ScriptedConfig(_Record):
     """Explicit tick -> action table; unlisted ticks take the idle action
     (SIL when listening, CON when speaking). SPK entries carry a duration."""
 
@@ -231,22 +311,43 @@ class ScriptedConfig:
 
     kind = "scripted"
 
-    def to_dict(self):
-        return {"kind": self.kind, "steps": [list(s) for s in self.steps]}
+    def __post_init__(self):
+        if not isinstance(self.steps, (list, tuple)):
+            raise ValidationError("steps: expected a list")
+        steps, table = [], {}  # table: tick -> (action, duration_ms or None)
+        for i, raw in enumerate(self.steps):
+            try:
+                step = tuple(raw)
+                if len(step) not in (2, 3):
+                    raise ValueError("expected [tick, action] or [tick, action, duration_ms]")
+                dur = _int(step[2]) if len(step) == 3 and step[2] is not None else None
+                table[_int(step[0])] = (Action.from_name(step[1]), dur)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"steps[{i}]: {exc}") from None
+            steps.append(step)
+        object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "_table", table)
 
     def default_response(self):
         return UniformResponse()
 
+    def decide(self, obs: Observation, state: AgentState, mode: str):
+        entry = self._table.get(obs.now_ms // TICK_MS)
+        if entry is None:
+            return (Action.CON if mode == "Speaking" else Action.SIL), None
+        action, dur = entry
+        if action is Action.SPK:
+            if dur is None:
+                return Action.SPK, state.response.draw(state.rng)
+            return Action.SPK, (dur, None)  # scripted durations verbatim
+        return action, None
 
-def policy_config_from_dict(data):
-    kind = data.get("kind")
-    if kind == "cascaded":
-        return _from_defaults(CascadedConfig, data)
-    if kind == "stochastic":
-        return _from_defaults(StochasticConfig, data)
-    if kind == "scripted":
-        return ScriptedConfig(steps=tuple(tuple(s) for s in data["steps"]))
-    raise ValidationError(f"unknown policy kind {kind!r}")
+
+_POLICIES = {cls.kind: cls for cls in (CascadedConfig, StochasticConfig, ScriptedConfig)}
+
+
+def policy_config_from_dict(data, path="policy"):
+    return _from_kind(_POLICIES, data, path)
 
 
 @dataclass
@@ -280,6 +381,7 @@ class AgentState:
     answered_end_ms: int | None = None     # cascaded: other-turn already answered
     pending_bursts: list = field(default_factory=list)
     resume_tick: int | None = None
+    response: object = None                # the agent's response generator (draw(rng))
 
     def mode(self, tick_index: int) -> str:
         """Speaking while the planned utterance extends strictly past the
@@ -295,152 +397,15 @@ class AgentState:
 _LEGAL = {"Listening": (Action.SIL, Action.SPK), "Speaking": (Action.CON, Action.STP)}
 
 
-class CascadedPolicy:
-    def __init__(self, cfg: CascadedConfig, response):
-        self.cfg = cfg
-        self.response = response
-
-    def decide(self, obs: Observation, state: AgentState, mode: str):
-        if mode == "Speaking":
-            return Action.CON, None
-        if state.is_opener and obs.mutual_silence_ms is None:
-            return Action.SPK, self.response.draw(state.rng)
-        if (
-            obs.other_has_spoken
-            and obs.mutual_silence_ms is not None
-            and obs.mutual_silence_ms >= self.cfg.eot_silence_ms
-            and obs.other_last_end_ms != state.answered_end_ms
-        ):
-            state.answered_end_ms = obs.other_last_end_ms
-            return Action.SPK, self.response.draw(state.rng)
-        return Action.SIL, None
+def _decide_once(observation, state, cfg, response=None) -> Action:
+    """One decision of policy `cfg` in the state's current mode. `response`
+    replaces the state's generator; without either, the policy's default draws."""
+    if response is not None or state.response is None:
+        state.response = response or cfg.default_response()
+    return cfg.decide(observation, state, state.mode(observation.now_ms // TICK_MS))[0]
 
 
-class StochasticPolicy:
-    def __init__(self, cfg: StochasticConfig, response):
-        self.cfg = cfg
-        self.response = response
-
-    def _plan(self, state: AgentState):
-        """Draw a response and split it into bursts separated by 320ms pauses.
-
-        Cut points keep every burst at least MIN_BURST_TICKS long, so split
-        bursts never masquerade as backchannels.
-        """
-        total_ms, units = self.response.draw(state.rng)
-        n_ticks = total_ms // TICK_MS
-        cuts = []
-        prev = 0
-        for k in range(MIN_BURST_TICKS, n_ticks - MIN_BURST_TICKS + 1):
-            if k - prev >= MIN_BURST_TICKS and state.rng.random() < self.cfg.pause_insertion_rate:
-                cuts.append(k)
-                prev = k
-        bursts = []
-        prev = 0
-        for cut in cuts + [n_ticks]:
-            burst_ms = (cut - prev) * TICK_MS
-            if units is not None:
-                burst_units = units[prev * FRAMES_PER_TICK : cut * FRAMES_PER_TICK]
-            else:
-                burst_units = None
-            bursts.append((burst_ms, burst_units))
-            prev = cut
-        state.pending_bursts = bursts[1:]
-        return bursts[0]
-
-    def _start_burst(self, state: AgentState, tick_index: int, burst):
-        burst_ms, _units = burst
-        end_tick = tick_index + burst_ms // TICK_MS
-        state.resume_tick = end_tick + PAUSE_TICKS if state.pending_bursts else None
-        return Action.SPK, burst
-
-    def decide(self, obs: Observation, state: AgentState, mode: str):
-        cfg = self.cfg
-        if mode == "Speaking":
-            if obs.other_speaking and state.rng.random() < cfg.p_stop_on_overlap_per_tick:
-                state.pending_bursts = []
-                state.resume_tick = None
-                return Action.STP, None
-            return Action.CON, None
-        tick_index = obs.now_ms // TICK_MS
-        if state.resume_tick is not None:
-            if obs.other_speaking:  # floor was taken mid-pause: yield
-                state.pending_bursts = []
-                state.resume_tick = None
-                return Action.SIL, None
-            if tick_index >= state.resume_tick and state.pending_bursts:
-                return self._start_burst(state, tick_index, state.pending_bursts.pop(0))
-            if not state.pending_bursts:
-                state.resume_tick = None
-            return Action.SIL, None
-        if state.is_opener and obs.mutual_silence_ms is None:
-            state.pending_bursts = []
-            return self._start_burst(state, tick_index, self._plan(state))
-        if state.planned_end_ms is not None and state.planned_end_ms > obs.now_ms:
-            return Action.SIL, None  # own utterance tail still in flight
-        if obs.other_speaking and state.rng.random() < cfg.p_backchannel_per_tick:
-            return Action.SPK, (_quantize_ms(cfg.backchannel_ms), None)
-        gate_ms = cfg.min_gap_ticks * TICK_MS
-        long_enough = obs.mutual_silence_ms is None or obs.mutual_silence_ms >= gate_ms
-        # taking the floor: wait long enough after one's own turn that the new
-        # utterance cannot read as a continuation of it
-        floor_open = (
-            obs.own_last_end_ms is None
-            or obs.now_ms - obs.own_last_end_ms >= SELF_RESUME_MS
-        )
-        if long_enough and floor_open and state.rng.random() < cfg.p_initiate_per_tick_after_gap:
-            return self._start_burst(state, tick_index, self._plan(state))
-        return Action.SIL, None
-
-
-class ScriptedPolicy:
-    def __init__(self, cfg: ScriptedConfig, response):
-        self.table = {}
-        for raw in cfg.steps:
-            raw = tuple(raw)
-            tick, name = raw[0], raw[1]
-            dur = raw[2] if len(raw) > 2 else None
-            self.table[int(tick)] = (Action.from_name(name), dur)
-        self.response = response
-
-    def decide(self, obs: Observation, state: AgentState, mode: str):
-        tick_index = obs.now_ms // TICK_MS
-        entry = self.table.get(tick_index)
-        if entry is None:
-            return (Action.CON if mode == "Speaking" else Action.SIL), None
-        action, dur = entry
-        if action is Action.SPK:
-            if dur is None:
-                return Action.SPK, self.response.draw(state.rng)
-            return Action.SPK, (int(dur), None)  # scripted durations verbatim
-        return action, None
-
-
-_POLICY_CLASSES = {
-    "cascaded": CascadedPolicy,
-    "stochastic": StochasticPolicy,
-    "scripted": ScriptedPolicy,
-}
-
-
-def make_policy(cfg, response=None):
-    if response is None:
-        response = cfg.default_response()
-    return _POLICY_CLASSES[cfg.kind](cfg, response)
-
-
-def cascaded_decide(observation, state, cfg: CascadedConfig, response=None) -> Action:
-    """One fixed-silence-baseline decision (see CascadedPolicy)."""
-    policy = make_policy(cfg, response)
-    mode = state.mode(observation.now_ms // TICK_MS)
-    return policy.decide(observation, state, mode)[0]
-
-
-def stochastic_decide(observation, state, cfg: StochasticConfig, response=None) -> Action:
-    """One stochastic duplex decision (see StochasticPolicy)."""
-    policy = make_policy(cfg, response)
-    mode = state.mode(observation.now_ms // TICK_MS)
-    return policy.decide(observation, state, mode)[0]
+cascaded_decide = stochastic_decide = _decide_once
 
 
 # -------------------------------------------------------------------- engine
@@ -463,6 +428,8 @@ class SimRun:
             )
         if len(self.agents) != 2 or len(self.responses) != 2:
             raise ValidationError("a run needs exactly two agents")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self):
         return {
@@ -483,20 +450,22 @@ class SimRun:
 
     @classmethod
     def from_dict(cls, data) -> "SimRun":
-        agents = []
-        responses = []
-        for entry in data.get("agents", ({"policy": {"kind": "cascaded"}},) * 2):
-            agents.append(policy_config_from_dict(entry["policy"]))
+        _expect_object(data, "run")
+        agents, responses = [], []
+        default = ({"policy": {"kind": "cascaded"}},) * 2
+        for i, entry in enumerate(_field(data, "agents", "", tuple, default)):
+            path = f"agents[{i}]"
+            _expect_object(entry, path)
+            agents.append(policy_config_from_dict(entry.get("policy"), f"{path}.policy"))
             resp = entry.get("response")
-            responses.append(None if resp is None else response_from_dict(resp))
-        opening = data.get("opening_speaker")
+            responses.append(None if resp is None else response_from_dict(resp, f"{path}.response"))
         return cls(
-            seed=int(data["seed"]),
-            duration_ms=int(data.get("duration_ms", 30000)),
+            seed=_field(data, "seed"),
+            duration_ms=_field(data, "duration_ms", default=30000),
             agents=tuple(agents),
             responses=tuple(responses),
-            opening_speaker=None if opening is None else speaker_index(opening),
-            window_ms=int(data.get("window_ms", WINDOW_MS)),
+            opening_speaker=_field(data, "opening_speaker", "", speaker_index, None),
+            window_ms=_field(data, "window_ms", default=WINDOW_MS),
         )
 
 
@@ -510,12 +479,11 @@ class SelfChat:
             AgentState(
                 rng=np.random.default_rng(streams[i]),
                 is_opener=(run.opening_speaker == i),
+                response=run.responses[i] or run.agents[i].default_response(),
             )
             for i in (0, 1)
         )
-        self.policies = tuple(
-            make_policy(run.agents[i], run.responses[i]) for i in (0, 1)
-        )
+        self.policies = run.agents
         self.completed: tuple[list, list] = ([], [])
         self.actions: tuple[list, list] = ([], [])
         self.last_committed_end: list[int | None] = [None, None]

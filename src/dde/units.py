@@ -12,7 +12,7 @@ from itertools import groupby
 
 from . import _kernels
 from .errors import ValidationError
-from .segments import FRAME_MS
+from .segments import FRAME_MS, _expect_object, _field, _units
 
 
 def dedup(seq) -> tuple[int, ...]:
@@ -70,17 +70,28 @@ class BpeVocab:
 
     @classmethod
     def from_dict(cls, data) -> "BpeVocab":
+        _expect_object(data, "vocab")
         return cls(
-            base_alphabet_size=int(data["base_alphabet_size"]),
-            merges=tuple(tuple(m) for m in data.get("merges", ())),
+            base_alphabet_size=_field(data, "base_alphabet_size"),
+            merges=_field(data, "merges", convert=_merges, default=()),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "BpeVocab":
         try:
-            return cls.from_dict(json.loads(text))
-        except (json.JSONDecodeError, KeyError) as exc:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed vocab JSON: {exc}") from exc
+        return cls.from_dict(data)
+
+
+def _merges(value) -> tuple[tuple[int, int, int], ...]:
+    """Merge triples from a JSON list of [left, right, new] lists."""
+    merges = tuple(map(_units, value))
+    for i, merge in enumerate(merges):
+        if len(merge) != 3:
+            raise ValueError(f"entry {i} is not a [left, right, new] triple")
+    return merges
 
 
 def _check_raw(seq, base_alphabet_size: int) -> None:

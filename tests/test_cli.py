@@ -172,6 +172,123 @@ def test_bad_trace_is_an_error_not_a_traceback(tmp_path, capsys, command, case):
     assert "Traceback" not in err
 
 
+def _agents(*policies, response=None):
+    return [{"policy": p, "response": response} for p in policies]
+
+
+CASCADED = {"kind": "cascaded"}
+
+BAD_RUN_CONFIGS = {
+    "no_seed": {"agents": _agents(CASCADED, CASCADED)},
+    "list_top_level": [1],
+    "agents_not_list": {"seed": 1, "agents": 5},
+    "agent_without_policy": {"seed": 1, "agents": [{}, {"policy": CASCADED}]},
+    "eot_not_integer": {
+        "seed": 1, "agents": _agents({"kind": "cascaded", "eot_silence_ms": "x"}, CASCADED),
+    },
+    "scripted_without_steps": {"seed": 1, "agents": _agents({"kind": "scripted"}, CASCADED)},
+    "step_not_a_list": {
+        "seed": 1, "agents": _agents({"kind": "scripted", "steps": [5]}, CASCADED),
+    },
+    "step_too_short": {
+        "seed": 1, "agents": _agents({"kind": "scripted", "steps": [[0]]}, CASCADED),
+    },
+    "step_action_not_a_name": {
+        "seed": 1, "agents": _agents({"kind": "scripted", "steps": [[0, 5]]}, CASCADED),
+    },
+    "step_duration_not_integer": {
+        "seed": 1, "agents": _agents({"kind": "scripted", "steps": [[0, "SPK", "x"]]}, CASCADED),
+    },
+    "corpus_sequence_not_list": {
+        "seed": 1,
+        "agents": _agents(CASCADED, CASCADED, response={"kind": "corpus", "sequences": [5]}),
+    },
+    "boolean_seed": {"seed": True, "agents": _agents(CASCADED, CASCADED)},
+    "negative_seed": {"seed": -1},
+    "fractional_duration": {"seed": 1, "duration_ms": 3200.7},
+    "nan_mean": {
+        "seed": 1, "opening_speaker": "A",
+        "agents": _agents(CASCADED, CASCADED, response={"kind": "lognormal", "mean_ms": "nan"}),
+    },
+    "boolean_probability": {
+        "seed": 1,
+        "agents": _agents({"kind": "stochastic", "p_backchannel_per_tick": True}, CASCADED),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUN_CONFIGS))
+def test_bad_run_config_is_an_error_not_a_traceback(tmp_path, capsys, case):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(BAD_RUN_CONFIGS[case]))
+    assert run_cli("simulate", "--run-config", str(p), "--out", str(tmp_path / "t.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+UNITS_TRACE = {
+    "duration_ms": 640,
+    "channels": [[{"start_ms": 0, "end_ms": 160, "units": [7, 8, 7, 8, 9, 9, 9, 9]}], []],
+}
+GOOD_RATES = {"overlaps_per_min": 5.7, "backchannels_per_min": 2.1, "pauses_per_min": 12.2}
+LABEL = ["label", "--trace", "@trace.json", "--vocab", "@vocab.json", "--out", "@s.jsonl"]
+APPLY = ["tokenize", "apply", "--vocab", "@vocab.json", "--traces", "@trace.json", "--out", "@e.jsonl"]
+EVAL = ["eval-actions", "--gold", "@gold.jsonl", "--predicted", "@pred.jsonl"]
+COMPARE = ["analyze", "--trace", "@trace.json", "--compare", "@ref.json"]
+
+# name -> (files written next to trace.json, gold.jsonl and conv.wav; argv, where
+# "@name" is that file's path). A "pipeline.json" file becomes $DDE_CONFIG.
+BAD_INPUTS = {
+    "vocab_merge_pair_label": ({"vocab.json": {"base_alphabet_size": 10, "merges": [[1, 2]]}}, LABEL),
+    "vocab_merge_pair_apply": ({"vocab.json": {"base_alphabet_size": 10, "merges": [[1, 2]]}}, APPLY),
+    "vocab_list_label": ({"vocab.json": [1]}, LABEL),
+    "vocab_list_apply": ({"vocab.json": [1]}, APPLY),
+    "samples_action_integer": ({"pred.jsonl": [{"agent": "A", "tick_index": 0, "action": 3}]}, EVAL),
+    "samples_tick_string": ({"pred.jsonl": [{"agent": "A", "tick_index": "x", "action": "SIL"}]}, EVAL),
+    "samples_line_list": ({"pred.jsonl": [[1]]}, EVAL),
+    "compare_missing_rate": (
+        {"ref.json": {k: v for k, v in GOOD_RATES.items() if k != "backchannels_per_min"}}, COMPARE,
+    ),
+    "compare_rate_string": ({"ref.json": {**GOOD_RATES, "pauses_per_min": "x"}}, COMPARE),
+    "config_list": ({"pipeline.json": [1]}, ["analyze", "--trace", "@trace.json"]),
+    "config_sim_duration": (
+        {"pipeline.json": {"sim": {"duration_ms": "x"}}}, ["simulate", "--out", "@t.json"],
+    ),
+    "config_bpe_merges": (
+        {"pipeline.json": {"bpe": {"num_merges": "x"}}},
+        ["tokenize", "train", "--traces", "@trace.json", "--out", "@v.json"],
+    ),
+    "config_vad_unknown_field": (
+        {"pipeline.json": {"vad": {"bogus": 1}}}, ["ingest", "--audio", "@conv.wav", "--out", "@t.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, case):
+    files, argv = BAD_INPUTS[case]
+    files = {
+        "trace.json": UNITS_TRACE,
+        "gold.jsonl": [{"agent": "A", "tick_index": 0, "action": "SIL"}],
+        **files,
+    }
+    for name, content in files.items():
+        if name.endswith(".jsonl"):
+            text = "\n".join(json.dumps(rec) for rec in content)
+        else:
+            text = json.dumps(content)
+        (tmp_path / name).write_text(text)
+    write_wav(tmp_path / "conv.wav", (np.zeros(3200, np.int16), np.zeros(3200, np.int16)))
+    if "pipeline.json" in files:
+        monkeypatch.setenv("DDE_CONFIG", str(tmp_path / "pipeline.json"))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 class TestAnalyzeCmd:
     def test_json_format_schema(self, tmp_path, capsys):
         p = tmp_path / "t.json"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,34 @@ class TestResponses:
         assert seg.duration_ms == 320
 
 
+STOCHASTIC_DICT = {
+    "kind": "stochastic", "p_backchannel_per_tick": 0.007, "backchannel_ms": 480,
+    "p_initiate_per_tick_after_gap": 0.25, "min_gap_ticks": 1,
+    "p_stop_on_overlap_per_tick": 0.03, "pause_insertion_rate": 0.46,
+}
+
+RECORD_DICTS = [
+    (UniformResponse(), {"kind": "uniform", "min_ms": 1600, "max_ms": 4000}),
+    (
+        LogNormalResponse(),
+        {"kind": "lognormal", "mean_ms": 2800.0, "sigma": 0.6, "min_ms": 1120, "max_ms": 15000},
+    ),
+    (
+        CorpusResponse(sequences=((1,) * 8, (2,) * 17, (3,) * 5)),
+        {"kind": "corpus", "sequences": [[1] * 8, [2] * 16]},
+    ),
+    (
+        CascadedConfig(),
+        {"kind": "cascaded", "eot_silence_ms": 800, "response_min_ms": 1600, "response_max_ms": 4000},
+    ),
+    (StochasticConfig(), STOCHASTIC_DICT),
+    (
+        ScriptedConfig(steps=((0, "SPK", 2000), (5, "STP"), (9, "spk", None))),
+        {"kind": "scripted", "steps": [[0, "SPK", 2000], [5, "STP"], [9, "spk", None]]},
+    ),
+]
+
+
 class TestRunConfig:
     def test_roundtrip(self):
         run = stochastic_run(seed=11, duration_ms=48000)
@@ -293,6 +323,68 @@ class TestRunConfig:
         rebuilt = SimRun.from_dict(run.to_dict())
         assert rebuilt.opening_speaker == 0
         assert rebuilt.agents[0].eot_silence_ms == 800
+
+    @pytest.mark.parametrize("record, expected", RECORD_DICTS, ids=lambda r: type(r).__name__)
+    def test_record_dict_format_and_roundtrip(self, record, expected):
+        assert json.dumps(record.to_dict()) == json.dumps(expected)  # key order too
+        assert type(record).from_dict(json.loads(json.dumps(expected)), "record") == record
+
+    def test_roundtrip_with_every_response_kind(self):
+        run = SimRun(
+            seed=4,
+            duration_ms=9600,
+            agents=(ScriptedConfig(steps=((0, "SPK"),)), StochasticConfig()),
+            responses=(CorpusResponse(sequences=((5,) * 16,)), LogNormalResponse(mean_ms=2000.0)),
+            opening_speaker=1,
+            window_ms=4000,
+        )
+        data = run.to_dict()
+        assert list(data) == ["seed", "duration_ms", "opening_speaker", "window_ms", "agents"]
+        assert data == {
+            "seed": 4, "duration_ms": 9600, "opening_speaker": "B", "window_ms": 4000,
+            "agents": [
+                {
+                    "policy": {"kind": "scripted", "steps": [[0, "SPK"]]},
+                    "response": {"kind": "corpus", "sequences": [[5] * 16]},
+                },
+                {
+                    "policy": STOCHASTIC_DICT,
+                    "response": {
+                        "kind": "lognormal", "mean_ms": 2000.0, "sigma": 0.6,
+                        "min_ms": 1120, "max_ms": 15000,
+                    },
+                },
+            ],
+        }
+        assert SimRun.from_dict(json.loads(json.dumps(data))) == run
+        uniform = SimRun(
+            seed=0, agents=(CascadedConfig(), ScriptedConfig(steps=())),
+            responses=(None, UniformResponse(min_ms=320, max_ms=640)),
+        )
+        assert SimRun.from_dict(json.loads(json.dumps(uniform.to_dict()))) == uniform
+
+    def test_absent_fields_take_defaults(self):
+        run = SimRun.from_dict({
+            "seed": 1,
+            "agents": [
+                {"policy": {"kind": "cascaded"}, "response": {"kind": "uniform"}},
+                {"policy": {"kind": "stochastic"}, "response": {"kind": "lognormal"}},
+            ],
+        })
+        assert run == SimRun(
+            seed=1, agents=(CascadedConfig(), StochasticConfig()),
+            responses=(UniformResponse(), LogNormalResponse()),
+        )
+
+    def test_errors_name_the_json_path(self):
+        data = cascaded_run(seed=1).to_dict()
+        data["agents"][1]["policy"]["eot_silence_ms"] = 12.5
+        with pytest.raises(ValidationError, match=r"^agents\[1\]\.policy\.eot_silence_ms: "):
+            SimRun.from_dict(data)
+
+    def test_scripted_steps_are_checked_on_construction(self):
+        with pytest.raises(ValidationError, match=r"^steps\[1\]: "):
+            ScriptedConfig(steps=((0, "SPK", 2000), (3, "SPK", 1.5)))
 
 
 class TestDecideWrappers:
