@@ -58,10 +58,8 @@ from .simulate import (
     SimRun,
     StochasticConfig,
     UniformResponse,
-    cascaded_decide,
     cascaded_run,
     run_selfchat,
-    stochastic_decide,
     stochastic_run,
 )
 from .units import (
@@ -111,7 +109,6 @@ __all__ = [
     "bpe_train",
     "build_samples",
     "build_trace",
-    "cascaded_decide",
     "cascaded_run",
     "classification_report",
     "conversation_report",
@@ -126,7 +123,6 @@ __all__ = [
     "read_trace",
     "run_selfchat",
     "speaker_index",
-    "stochastic_decide",
     "stochastic_run",
     "turn_structure",
     "unit_error_rate",

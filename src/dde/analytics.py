@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._schema import Record
 from .errors import MissingInputError, ValidationError
 from .labeler import Action
 from .segments import FRAME_MS, ConversationTrace, frame_grid, speaker_index
@@ -93,11 +94,6 @@ def turn_structure(trace: ConversationTrace, speaker) -> TurnStructure:
     )
 
 
-def _turn_structures(trace: ConversationTrace):
-    """Both speakers' TurnStructures, computed once per report."""
-    return turn_structure(trace, 0), turn_structure(trace, 1)
-
-
 def _overlap_intervals(trace: ConversationTrace):
     """Maximal intervals of simultaneous speech, via a two-pointer sweep."""
     a, b = trace.bounds(0), trace.bounds(1)
@@ -115,17 +111,16 @@ def _overlap_intervals(trace: ConversationTrace):
     return out
 
 
-def cross_channel_events(trace: ConversationTrace) -> dict:
+def cross_channel_events(trace: ConversationTrace, *, structures=None) -> dict:
     """Overlaps, backchannels and gaps between the two speakers.
 
     Gaps pair each turn with the latest-ending earlier turn: positive silence
     after a different speaker's turn is a gap (from, to, duration); anything
     else (same speaker resuming, or a turn swallowed by a longer one) is not.
+    `structures`, both speakers' TurnStructures, is computed when not given.
     """
-    return _cross_channel_events(trace, _turn_structures(trace))
-
-
-def _cross_channel_events(trace: ConversationTrace, structures) -> dict:
+    if structures is None:
+        structures = turn_structure(trace, 0), turn_structure(trace, 1)
     backchannels = sorted(
         [(sp, iv) for sp in (0, 1) for iv in structures[sp].backchannel_ipus],
         key=lambda x: x[1],
@@ -151,7 +146,7 @@ def _cross_channel_events(trace: ConversationTrace, structures) -> dict:
 
 
 @dataclass(frozen=True)
-class NaturalnessStats:
+class NaturalnessStats(Record):
     """Speech-style statistics; fields stay None without their inputs."""
 
     wpm: float | None = None          # words per minute of annotated speech
@@ -165,15 +160,12 @@ class NaturalnessStats:
     mean_f0_hz: float | None = None
     estd: float | None = None         # frame-RMS standard deviation over speech
 
-    def to_dict(self):
-        return {k: v for k, v in self.__dict__.items()}
-
     def all_absent(self) -> bool:
         return all(v is None for v in self.__dict__.values())
 
 
 @dataclass(frozen=True)
-class ConversationReport:
+class ConversationReport(Record):
     """Per-minute conversational dynamics of one trace."""
 
     duration_ms: int
@@ -183,19 +175,6 @@ class ConversationReport:
     avg_gap_ms: float | None
     counts: dict = field(default_factory=dict)
     naturalness: NaturalnessStats | None = None
-
-    def to_dict(self):
-        return {
-            "duration_ms": self.duration_ms,
-            "overlaps_per_min": self.overlaps_per_min,
-            "backchannels_per_min": self.backchannels_per_min,
-            "pauses_per_min": self.pauses_per_min,
-            "avg_gap_ms": self.avg_gap_ms,
-            "counts": dict(self.counts),
-            "naturalness": None
-            if self.naturalness is None
-            else self.naturalness.to_dict(),
-        }
 
 
 def _annotation_rates(trace: ConversationTrace):
@@ -277,18 +256,17 @@ def _audio_stats(trace: ConversationTrace, audio):
 
 
 def naturalness_report(
-    trace: ConversationTrace, audio=None, require=()
+    trace: ConversationTrace, audio=None, require=(), *, structures=None
 ) -> NaturalnessStats:
     """Compute whichever naturalness metrics the available inputs allow.
 
     Word/event rates need segment annotations; pitch/energy spread needs the
     per-speaker audio. `require` names fields that must come out non-None,
-    otherwise MissingInputError is raised.
+    otherwise MissingInputError is raised. `structures`, both speakers'
+    TurnStructures, is computed when not given.
     """
-    return _naturalness_report(trace, _turn_structures(trace), audio, require)
-
-
-def _naturalness_report(trace: ConversationTrace, structures, audio, require=()):
+    if structures is None:
+        structures = turn_structure(trace, 0), turn_structure(trace, 1)
     wpm, event_rates = _annotation_rates(trace)
     any_turn, silence_ms, pause_lengths = _silence_stats(structures)
     spm_s = None
@@ -324,11 +302,11 @@ def conversation_report(trace: ConversationTrace, audio=None) -> ConversationRep
     """Overlap/backchannel/pause rates per minute plus average gap latency."""
     if trace.duration_ms <= 0:
         raise ValidationError("cannot analyze a zero-duration trace")
-    structures = _turn_structures(trace)
-    events = _cross_channel_events(trace, structures)
+    structures = turn_structure(trace, 0), turn_structure(trace, 1)
+    events = cross_channel_events(trace, structures=structures)
     per_min = 60000.0 / trace.duration_ms
     gaps = events["gaps"]
-    naturalness = _naturalness_report(trace, structures, audio=audio)
+    naturalness = naturalness_report(trace, audio, structures=structures)
     return ConversationReport(
         duration_ms=trace.duration_ms,
         overlaps_per_min=len(events["overlaps"]) * per_min,

@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import analytics, labeler, segments, simulate, units, vad
+from ._schema import expect_object, finite_float, loads, number, one_of, read_field, section
 from .errors import DuplexError, ValidationError
-from .segments import _expect_object, _field, _read_record
 
 ENV_CONFIG = "DDE_CONFIG"
 
@@ -26,23 +26,9 @@ def _load_pipeline_config():
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fp:
-        cfg = json.load(fp)
-    _expect_object(cfg, f"${ENV_CONFIG}")
+        cfg = loads(fp.read(), f"${ENV_CONFIG}")
+    expect_object(cfg, f"${ENV_CONFIG}")
     return cfg
-
-
-def _section(cfg, key) -> dict:
-    """The pipeline config's `key` object, {} when absent."""
-    section = cfg.get(key, {})
-    _expect_object(section, key)
-    return section
-
-
-def _number(value):
-    """A JSON number as written (5 stays 5); booleans and strings are errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {json.dumps(value)}")
-    return value
 
 
 def _fail(message: str) -> int:
@@ -62,19 +48,24 @@ def _tick_ms_guard(value: str) -> int:
 # ------------------------------------------------------------------ simulate
 
 def _make_run(args, cfg) -> simulate.SimRun:
-    sim_cfg = _section(cfg, "sim")
+    sim_cfg = section(cfg, "sim")
     if args.run_config:
         run = simulate.read_run_config(args.run_config)
         if args.seed is not None:
             run = dataclasses.replace(run, seed=args.seed)
         return run
-    seed = args.seed if args.seed is not None else _field(sim_cfg, "seed", "sim", default=0)
+    seed = args.seed if args.seed is not None else read_field(sim_cfg, "seed", "sim", default=0)
     duration_ms = (
-        int(args.duration_s * 1000)
+        read_field(
+            {"--duration-s": args.duration_s}, "--duration-s",
+            convert=lambda s: int(finite_float(s) * 1000),
+        )
         if args.duration_s is not None
-        else _field(sim_cfg, "duration_ms", "sim", default=30000)
+        else read_field(sim_cfg, "duration_ms", "sim", default=30000)
     )
-    policy = args.policy or sim_cfg.get("policy", "cascaded")
+    policy = args.policy or read_field(
+        sim_cfg, "policy", "sim", one_of("cascaded", "stochastic"), "cascaded"
+    )
     if policy == "cascaded":
         agent = simulate.CascadedConfig(
             eot_silence_ms=args.eot_silence_ms,
@@ -82,11 +73,9 @@ def _make_run(args, cfg) -> simulate.SimRun:
             response_max_ms=args.response_max_ms,
         )
         opening = 0
-    elif policy == "stochastic":
+    else:
         agent = simulate.StochasticConfig()
         opening = None
-    else:
-        raise DuplexError(f"unknown policy {policy!r}")
     if args.opening_speaker is not None:
         opening = (
             None
@@ -125,7 +114,7 @@ def cmd_label(args, cfg) -> int:
     window_ms = (
         args.window_ms
         if args.window_ms is not None
-        else _field(cfg, "window_ms", default=segments.WINDOW_MS)
+        else read_field(cfg, "window_ms", default=segments.WINDOW_MS)
     )
     speakers = [0, 1] if args.speaker == "both" else [segments.speaker_index(args.speaker)]
     all_samples = []
@@ -170,7 +159,7 @@ def _mean_report(reports):
 
 
 def cmd_analyze(args, cfg) -> int:
-    fmt = args.format or cfg.get("report_format", "table")
+    fmt = args.format or read_field(cfg, "report_format", "", one_of("json", "table"), "table")
     paths = _trace_paths(args.trace)
     rows = []
     for path in paths:
@@ -184,17 +173,17 @@ def cmd_analyze(args, cfg) -> int:
         rows.append(("mean", _mean_report([r for _, r in rows])))
     if args.compare:
         with open(args.compare, "r", encoding="utf-8") as fp:
-            ref = json.load(fp)
-        _expect_object(ref, "compare")
+            ref = loads(fp.read(), "compare report")
+        expect_object(ref, "compare")
         rows.append(
             (
                 Path(args.compare).stem,
                 analytics.ConversationReport(
-                    duration_ms=_field(ref, "duration_ms", default=0),
-                    overlaps_per_min=_field(ref, "overlaps_per_min", convert=_number),
-                    backchannels_per_min=_field(ref, "backchannels_per_min", convert=_number),
-                    pauses_per_min=_field(ref, "pauses_per_min", convert=_number),
-                    avg_gap_ms=_field(ref, "avg_gap_ms", convert=_number, default=None),
+                    duration_ms=read_field(ref, "duration_ms", default=0),
+                    overlaps_per_min=read_field(ref, "overlaps_per_min", convert=number),
+                    backchannels_per_min=read_field(ref, "backchannels_per_min", convert=number),
+                    pauses_per_min=read_field(ref, "pauses_per_min", convert=number),
+                    avg_gap_ms=read_field(ref, "avg_gap_ms", convert=number, default=None),
                 ),
             )
         )
@@ -214,7 +203,7 @@ def cmd_analyze(args, cfg) -> int:
 # -------------------------------------------------------------------- ingest
 
 def cmd_ingest(args, cfg) -> int:
-    vad_cfg_data = dict(_section(cfg, "vad"))
+    vad_cfg_data = dict(section(cfg, "vad"))
     unknown = sorted(set(vad_cfg_data) - {f.name for f in dataclasses.fields(vad.VadConfig)})
     if unknown:
         raise ValidationError(f"vad.{unknown[0]}: unknown field")
@@ -225,7 +214,7 @@ def cmd_ingest(args, cfg) -> int:
     ):
         if value is not None:
             vad_cfg_data[key] = value
-    vad_cfg = _read_record(vad.VadConfig, vad_cfg_data, "vad")
+    vad_cfg = vad.VadConfig.from_dict(vad_cfg_data, "vad")
     if args.audio:
         a, b = vad.load_conversation_audio(stereo_path=args.audio)
     else:
@@ -255,16 +244,16 @@ def _collect_unit_sequences(paths):
 
 
 def cmd_tokenize_train(args, cfg) -> int:
-    bpe_cfg = _section(cfg, "bpe")
+    bpe_cfg = section(cfg, "bpe")
     num_merges = (
         args.num_merges
         if args.num_merges is not None
-        else _field(bpe_cfg, "num_merges", "bpe", default=0)
+        else read_field(bpe_cfg, "num_merges", "bpe", default=0)
     )
     base = (
         args.base_alphabet_size
         if args.base_alphabet_size is not None
-        else _field(bpe_cfg, "base_alphabet_size", "bpe", default=500)
+        else read_field(bpe_cfg, "base_alphabet_size", "bpe", default=500)
     )
     paths = [p for arg in args.traces for p in _trace_paths(arg)]
     corpus = _collect_unit_sequences(paths)
@@ -416,9 +405,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_pipeline_config()
         return args.func(args, cfg)
-    except DuplexError as exc:
-        return _fail(str(exc))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DuplexError, OSError) as exc:
         return _fail(str(exc))
 
 

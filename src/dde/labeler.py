@@ -21,11 +21,9 @@ import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+from ._schema import expect_object, loads, read_field, string
 from .errors import ValidationError
-from .segments import (
-    TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace, _expect_object, _field,
-    speaker_index, window,
-)
+from .segments import TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace, speaker_index, window
 from .units import BpeVocab, bpe_encode, dedup
 
 PAD_ID = 0
@@ -204,18 +202,9 @@ def read_actions_jsonl(path) -> dict[tuple[str, int], Action]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"malformed samples line: {exc}") from exc
+            rec = loads(line, "samples line")
             where = f"{path}:{n}"
-            _expect_object(rec, where)
-            key = (_field(rec, "agent", where, _str), _field(rec, "tick_index", where))
-            out[key] = _field(rec, "action", where, Action.from_name)
+            expect_object(rec, where)
+            key = (read_field(rec, "agent", where, string), read_field(rec, "tick_index", where))
+            out[key] = read_field(rec, "action", where, Action.from_name)
     return out
-
-
-def _str(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {json.dumps(value)}")
-    return value

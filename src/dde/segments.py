@@ -8,13 +8,13 @@ a channel are sorted, non-overlapping and separated by at least 1ms.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left, bisect_right
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._schema import Record, expect_object, loads, read_field, unit_ids
 from .errors import ValidationError
 
 FRAME_MS = 20      # atomic activity/audio frame
@@ -24,117 +24,26 @@ WINDOW_MS = 20000  # default trailing context window
 SPEAKER_NAMES = ("A", "B")
 
 
-_REQUIRED = object()
-
-
-def _expect_object(data, path) -> None:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
-
-
-def _int(value) -> int:
-    """An integer from a JSON number or numeric string: 20, 20.0 and "20" read
-    as 20; booleans and non-integral numbers are errors, not 1 or truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
-
-
-def _float(value) -> float:
-    """A float from a JSON number or numeric string; booleans, NaN and the
-    infinities are errors, not 1.0 or a value no parameter can take."""
-    if isinstance(value, bool) or not math.isfinite(float(value)):
-        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _as_is(value):
-    return value
-
-
-def _units(value) -> tuple[int, ...]:
-    """Unit ids from a JSON list; a string is an error, not a list of digits."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError("expected a list")
-    if set(map(type, value)) <= {int}:
-        return tuple(value)
-    return tuple(map(_int, value))
-
-
-def _field(data, key, path="", convert=_int, default=_REQUIRED):
-    """convert(data[key]); an absent or null key gives `default`. Bad values
-    raise ValidationError naming the JSON path, e.g. channels[0][3].end_ms."""
-    name = f"{path}.{key}" if path else key
-    value = data.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ValidationError(f"{name}: missing")
-        return default
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name}: {exc}") from None
-
-
-_READERS = {"int": _int, "float": _float}
-
-
-def _read_record(cls, data, path):
-    """Dataclass `cls` with each field read from `data` by _field: `int` and
-    `float` annotations through _int and _float, other types as given (cls
-    validates them). Absent fields take their default; unknown keys are
-    ignored. Errors name the JSON path."""
-    _expect_object(data, path)
-    kwargs = {
-        f.name: _field(
-            data, f.name, path, _READERS.get(f.type, _as_is),
-            _REQUIRED if f.default is MISSING else f.default,
-        )
-        for f in fields(cls)
-    }
-    try:
-        return cls(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
 def speaker_index(speaker) -> int:
-    """Map 'A'/'B'/0/1 to a channel index."""
-    if speaker in (0, 1):
-        return speaker
+    """Map 'A'/'B' or 0/1 to a channel index. Numbers read as integers do:
+    1.0 is 1, and true or 0.5 is no speaker."""
     if isinstance(speaker, str):
         s = speaker.strip().upper()
         if s in SPEAKER_NAMES:
             return SPEAKER_NAMES.index(s)
+    elif not isinstance(speaker, bool) and speaker in (0, 1):
+        return int(speaker)
     raise ValidationError(f"unknown speaker {speaker!r}, expected A/B or 0/1")
 
 
 @dataclass(frozen=True)
-class EventCounts:
+class EventCounts(Record):
     """Per-segment counts of annotated speech events."""
 
     fillers: int = 0
     repetitions: int = 0
     laughs: int = 0
     breaths: int = 0
-
-    def to_dict(self):
-        return {
-            "fillers": self.fillers,
-            "repetitions": self.repetitions,
-            "laughs": self.laughs,
-            "breaths": self.breaths,
-        }
-
-    @classmethod
-    def from_dict(cls, data, path="events") -> "EventCounts":
-        _expect_object(data, path)
-        return cls(
-            fillers=_field(data, "fillers", path, default=0),
-            repetitions=_field(data, "repetitions", path, default=0),
-            laughs=_field(data, "laughs", path, default=0),
-            breaths=_field(data, "breaths", path, default=0),
-        )
 
     def __add__(self, other: "EventCounts") -> "EventCounts":
         return EventCounts(
@@ -195,13 +104,13 @@ class SpeechSegment:
 
     @classmethod
     def from_dict(cls, data, path="segment") -> "SpeechSegment":
-        _expect_object(data, path)
+        expect_object(data, path)
         events = data.get("events")
         fields = dict(
-            start_ms=_field(data, "start_ms", path),
-            end_ms=_field(data, "end_ms", path),
-            units=_field(data, "units", path, _units, None),
-            words=_field(data, "words", path, default=None),
+            start_ms=read_field(data, "start_ms", path),
+            end_ms=read_field(data, "end_ms", path),
+            units=read_field(data, "units", path, unit_ids, None),
+            words=read_field(data, "words", path, default=None),
             events=None if events is None else EventCounts.from_dict(events, f"{path}.events"),
         )
         try:
@@ -266,7 +175,7 @@ class ConversationTrace:
 
     @classmethod
     def from_dict(cls, data) -> "ConversationTrace":
-        _expect_object(data, "trace")
+        expect_object(data, "trace")
         chans = data.get("channels")
         if not isinstance(chans, list) or len(chans) != 2:
             raise ValidationError("trace JSON needs a 2-element 'channels' list")
@@ -280,15 +189,11 @@ class ConversationTrace:
                 SpeechSegment.from_dict(s, f"channels[{ci}][{si}]")
                 for si, s in enumerate(items)
             ))
-        return cls(channels=tuple(channels), duration_ms=_field(data, "duration_ms"))
+        return cls(channels=tuple(channels), duration_ms=read_field(data, "duration_ms"))
 
     @classmethod
     def from_json(cls, text: str) -> "ConversationTrace":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed trace JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(loads(text, "trace JSON"))
 
 
 class ChannelBounds:

@@ -15,12 +15,12 @@ policies may schedule arbitrary-millisecond durations.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._schema import Record, expect_object, integer, loads, read_field, unit_ids
 from .errors import PolicyContractViolation, ValidationError
 from .labeler import Action
 from .segments import (
@@ -30,11 +30,6 @@ from .segments import (
     WINDOW_MS,
     ConversationTrace,
     SpeechSegment,
-    _expect_object,
-    _field,
-    _int,
-    _read_record,
-    _units,
     build_trace,
     speaker_index,
     window,
@@ -53,30 +48,18 @@ def _quantize_ms(ms: float) -> int:
 
 # ------------------------------------------------------------ config records
 
-def _plain(value):
-    """value with its tuples, nested ones too, as lists (the JSON form)."""
-    return [_plain(v) for v in value] if isinstance(value, tuple) else value
-
-
-class _Record:
+class _Record(Record):
     """A frozen config dataclass whose JSON form is its `kind` plus its fields.
     A policy record's decide(obs, state, mode) returns (action, payload), an
     SPK's payload being (duration_ms, units or None), drawn by state.response."""
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            **{f.name: _plain(getattr(self, f.name)) for f in fields(self)},
-        }
-
-    @classmethod
-    def from_dict(cls, data, path):
-        return _read_record(cls, data, path)
+        return {"kind": self.kind, **super().to_dict()}
 
 
 def _from_kind(records, data, path):
     """The record of the class whose `kind` data names."""
-    _expect_object(data, path)
+    expect_object(data, path)
     kind = data.get("kind")
     if not (isinstance(kind, str) and kind in records):
         raise ValidationError(f"{path}.kind: unknown kind {kind!r}, expected {sorted(records)}")
@@ -137,7 +120,7 @@ class CorpusResponse(_Record):
 
     def __post_init__(self):
         try:
-            seqs = [_units(seq) for seq in self.sequences]
+            seqs = [unit_ids(seq) for seq in self.sequences]
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"sequences: {exc}") from None
         usable = tuple(
@@ -320,8 +303,8 @@ class ScriptedConfig(_Record):
                 step = tuple(raw)
                 if len(step) not in (2, 3):
                     raise ValueError("expected [tick, action] or [tick, action, duration_ms]")
-                dur = _int(step[2]) if len(step) == 3 and step[2] is not None else None
-                table[_int(step[0])] = (Action.from_name(step[1]), dur)
+                dur = integer(step[2]) if len(step) == 3 and step[2] is not None else None
+                table[integer(step[0])] = (Action.from_name(step[1]), dur)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"steps[{i}]: {exc}") from None
             steps.append(step)
@@ -397,17 +380,6 @@ class AgentState:
 _LEGAL = {"Listening": (Action.SIL, Action.SPK), "Speaking": (Action.CON, Action.STP)}
 
 
-def _decide_once(observation, state, cfg, response=None) -> Action:
-    """One decision of policy `cfg` in the state's current mode. `response`
-    replaces the state's generator; without either, the policy's default draws."""
-    if response is not None or state.response is None:
-        state.response = response or cfg.default_response()
-    return cfg.decide(observation, state, state.mode(observation.now_ms // TICK_MS))[0]
-
-
-cascaded_decide = stochastic_decide = _decide_once
-
-
 # -------------------------------------------------------------------- engine
 
 @dataclass(frozen=True)
@@ -450,22 +422,22 @@ class SimRun:
 
     @classmethod
     def from_dict(cls, data) -> "SimRun":
-        _expect_object(data, "run")
+        expect_object(data, "run")
         agents, responses = [], []
         default = ({"policy": {"kind": "cascaded"}},) * 2
-        for i, entry in enumerate(_field(data, "agents", "", tuple, default)):
+        for i, entry in enumerate(read_field(data, "agents", "", tuple, default)):
             path = f"agents[{i}]"
-            _expect_object(entry, path)
+            expect_object(entry, path)
             agents.append(policy_config_from_dict(entry.get("policy"), f"{path}.policy"))
             resp = entry.get("response")
             responses.append(None if resp is None else response_from_dict(resp, f"{path}.response"))
         return cls(
-            seed=_field(data, "seed"),
-            duration_ms=_field(data, "duration_ms", default=30000),
+            seed=read_field(data, "seed"),
+            duration_ms=read_field(data, "duration_ms", default=30000),
             agents=tuple(agents),
             responses=tuple(responses),
-            opening_speaker=_field(data, "opening_speaker", "", speaker_index, None),
-            window_ms=_field(data, "window_ms", default=WINDOW_MS),
+            opening_speaker=read_field(data, "opening_speaker", "", speaker_index, None),
+            window_ms=read_field(data, "window_ms", default=WINDOW_MS),
         )
 
 
@@ -483,7 +455,6 @@ class SelfChat:
             )
             for i in (0, 1)
         )
-        self.policies = run.agents
         self.completed: tuple[list, list] = ([], [])
         self.actions: tuple[list, list] = ([], [])
         self.last_committed_end: list[int | None] = [None, None]
@@ -575,12 +546,10 @@ class SelfChat:
             self._commit_if_done(agent, now)
         observations = [self._observation(agent) for agent in (0, 1)]
         emitted = []
-        for agent in (0, 1):
+        for agent, policy in enumerate(self.run.agents):
             state = self.states[agent]
             mode = state.mode(self.tick)
-            action, payload = self.policies[agent].decide(
-                observations[agent], state, mode
-            )
+            action, payload = policy.decide(observations[agent], state, mode)
             action = Action(action)
             if action not in _LEGAL[mode]:
                 raise PolicyContractViolation(self.tick, "AB"[agent], mode, action)
@@ -636,8 +605,4 @@ def stochastic_run(seed: int, duration_ms: int = 30000, cfg: StochasticConfig | 
 
 def read_run_config(path) -> SimRun:
     with open(path, "r", encoding="utf-8") as fp:
-        try:
-            data = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed run config: {exc}") from exc
-    return SimRun.from_dict(data)
+        return SimRun.from_dict(loads(fp.read(), "run config"))

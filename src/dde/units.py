@@ -12,7 +12,8 @@ from itertools import groupby
 
 from . import _kernels
 from .errors import ValidationError
-from .segments import FRAME_MS, _expect_object, _field, _units
+from ._schema import expect_object, loads, read_field, unit_ids
+from .segments import FRAME_MS
 
 
 def dedup(seq) -> tuple[int, ...]:
@@ -70,24 +71,20 @@ class BpeVocab:
 
     @classmethod
     def from_dict(cls, data) -> "BpeVocab":
-        _expect_object(data, "vocab")
+        expect_object(data, "vocab")
         return cls(
-            base_alphabet_size=_field(data, "base_alphabet_size"),
-            merges=_field(data, "merges", convert=_merges, default=()),
+            base_alphabet_size=read_field(data, "base_alphabet_size"),
+            merges=read_field(data, "merges", convert=_merges, default=()),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "BpeVocab":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed vocab JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(loads(text, "vocab JSON"))
 
 
 def _merges(value) -> tuple[tuple[int, int, int], ...]:
     """Merge triples from a JSON list of [left, right, new] lists."""
-    merges = tuple(map(_units, value))
+    merges = tuple(map(unit_ids, value))
     for i, merge in enumerate(merges):
         if len(merge) != 3:
             raise ValueError(f"entry {i} is not a [left, right, new] triple")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._schema import Record
 from .errors import ValidationError
 from .segments import FRAME_MS, ConversationTrace, build_trace, SpeechSegment
 
@@ -24,7 +25,7 @@ _EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class VadConfig:
+class VadConfig(Record):
     frame_ms: int = FRAME_MS
     energy_threshold_db: float = 10.0  # margin above the noise floor
     min_speech_ms: int = 100           # shorter detections are dropped
@@ -99,13 +100,22 @@ def vad_from_samples(pcm, cfg: VadConfig | None = None) -> ConversationTrace:
 
 
 def read_wav(path):
-    """Read a PCM16 WAV file -> (samples[n] or samples[n, ch], sample_rate)."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getsampwidth() != 2:
-            raise ValidationError(f"{path}: expected 16-bit PCM")
-        rate = wf.getframerate()
-        n_channels = wf.getnchannels()
-        raw = wf.readframes(wf.getnframes())
+    """Read a PCM16 WAV file -> (samples[n] or samples[n, ch], sample_rate).
+
+    A file cut short inside its data keeps its whole frames; one that is no
+    WAV, or ends inside its header, is a ValidationError.
+    """
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getsampwidth() != 2:
+                raise ValidationError(f"{path}: expected 16-bit PCM")
+            rate = wf.getframerate()
+            n_channels = wf.getnchannels()
+            raw = wf.readframes(wf.getnframes())
+    except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside its header
+        reason = str(exc) or "it ends inside its header"
+        raise ValidationError(f"{path}: not a WAV file: {reason}") from None
+    raw = raw[: len(raw) - len(raw) % (2 * n_channels)]
     samples = np.frombuffer(raw, dtype="<i2")
     if n_channels > 1:
         samples = samples.reshape(-1, n_channels)

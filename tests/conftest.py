@@ -1,5 +1,8 @@
 """Shared generators for randomized suites."""
 
+import io
+import wave
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,17 @@ def random_trace(
 def random_unaligned_trace(rng: np.random.Generator, max_duration_ms: int = 30000):
     """Arbitrary-millisecond boundaries (valid, just not frame-aligned)."""
     return random_trace(rng, max_duration_ms=max_duration_ms, align_ms=1)
+
+
+def wav_bytes(n_channels=2, n_samples=3200) -> bytes:
+    """A silent 16kHz PCM16 WAV file."""
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
+        wf.setnchannels(n_channels)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(bytes(2 * n_channels * n_samples))
+    return buf.getvalue()
 
 
 @pytest.fixture

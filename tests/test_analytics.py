@@ -203,6 +203,25 @@ class TestConversationReport:
         assert conversation_report(t) == expected
         assert calls == [0, 1]
 
+    def test_report_goes_through_the_public_entry_points(self, monkeypatch, rng):
+        t = random_trace(rng, max_duration_ms=15000)
+        expected = conversation_report(t)
+        calls = []
+        for name in ("cross_channel_events", "naturalness_report"):
+            real = getattr(analytics, name)
+            monkeypatch.setattr(
+                analytics, name,
+                lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k),
+            )
+        assert conversation_report(t) == expected
+        assert calls == ["cross_channel_events", "naturalness_report"]
+
+    def test_given_structures_are_used(self, rng):
+        t = random_trace(rng, max_duration_ms=15000)
+        structures = turn_structure(t, 0), turn_structure(t, 1)
+        assert cross_channel_events(t, structures=structures) == cross_channel_events(t)
+        assert naturalness_report(t, structures=structures) == naturalness_report(t)
+
     def test_rates_invariant_under_duplication(self, rng):
         for _ in range(20):
             t = random_trace(rng, max_duration_ms=15000)

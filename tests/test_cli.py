@@ -7,7 +7,7 @@ from dde import build_trace, SpeechSegment, labeler, read_trace, window
 from dde.cli import main
 from dde.vad import write_wav
 
-from conftest import random_trace
+from conftest import random_trace, wav_bytes
 
 
 def run_cli(*argv):
@@ -141,6 +141,7 @@ class TestLabelCmd:
         assert run_cli("label", "--trace", str(p), "--out", str(tmp_path / "s.jsonl")) != 0
 
 
+# a str is the file's text as it stands, anything else is written as JSON
 BAD_TRACES = {
     "no_duration": {"channels": [[], []]},
     "list_top_level": [[], []],
@@ -155,6 +156,8 @@ BAD_TRACES = {
     },
     "boolean_start": {"duration_ms": 1000, "channels": [[{"start_ms": True, "end_ms": 20}], []]},
     "fractional_end": {"duration_ms": 1000, "channels": [[], [{"start_ms": 0, "end_ms": 19.9}]]},
+    "integer_over_digit_limit": '{"duration_ms": ' + "9" * 5000 + ', "channels": [[], []]}',
+    "nested_past_recursion_limit": "[" * 100000,
 }
 
 
@@ -162,7 +165,8 @@ BAD_TRACES = {
 @pytest.mark.parametrize("case", sorted(BAD_TRACES))
 def test_bad_trace_is_an_error_not_a_traceback(tmp_path, capsys, command, case):
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(BAD_TRACES[case]))
+    content = BAD_TRACES[case]
+    p.write_text(content if isinstance(content, str) else json.dumps(content))
     argv = [command, "--trace", str(p)]
     if command == "label":
         argv += ["--out", str(tmp_path / "s.jsonl")]
@@ -214,6 +218,7 @@ BAD_RUN_CONFIGS = {
         "seed": 1,
         "agents": _agents({"kind": "stochastic", "p_backchannel_per_tick": True}, CASCADED),
     },
+    "boolean_opening_speaker": {"seed": 1, "opening_speaker": True},
 }
 
 
@@ -236,9 +241,16 @@ LABEL = ["label", "--trace", "@trace.json", "--vocab", "@vocab.json", "--out", "
 APPLY = ["tokenize", "apply", "--vocab", "@vocab.json", "--traces", "@trace.json", "--out", "@e.jsonl"]
 EVAL = ["eval-actions", "--gold", "@gold.jsonl", "--predicted", "@pred.jsonl"]
 COMPARE = ["analyze", "--trace", "@trace.json", "--compare", "@ref.json"]
+ANALYZE = ["analyze", "--trace", "@trace.json"]
+SIMULATE = ["simulate", "--out", "@t.json"]
+INGEST_STEREO = ["ingest", "--audio", "@bad.wav", "--out", "@t.json"]
+INGEST_MONO = ["ingest", "--audio-a", "@conv.wav", "--audio-b", "@bad.wav", "--out", "@t.json"]
+NOT_A_WAV = {"bad.wav": {"duration_ms": 640}}
+WAV_HEADER_ONLY = {"bad.wav": wav_bytes()[:40]}
 
 # name -> (files written next to trace.json, gold.jsonl and conv.wav; argv, where
-# "@name" is that file's path). A "pipeline.json" file becomes $DDE_CONFIG.
+# "@name" is that file's path). A "pipeline.json" file becomes $DDE_CONFIG;
+# bytes are written as they are, anything else as JSON.
 BAD_INPUTS = {
     "vocab_merge_pair_label": ({"vocab.json": {"base_alphabet_size": 10, "merges": [[1, 2]]}}, LABEL),
     "vocab_merge_pair_apply": ({"vocab.json": {"base_alphabet_size": 10, "merges": [[1, 2]]}}, APPLY),
@@ -251,10 +263,17 @@ BAD_INPUTS = {
         {"ref.json": {k: v for k, v in GOOD_RATES.items() if k != "backchannels_per_min"}}, COMPARE,
     ),
     "compare_rate_string": ({"ref.json": {**GOOD_RATES, "pauses_per_min": "x"}}, COMPARE),
-    "config_list": ({"pipeline.json": [1]}, ["analyze", "--trace", "@trace.json"]),
-    "config_sim_duration": (
-        {"pipeline.json": {"sim": {"duration_ms": "x"}}}, ["simulate", "--out", "@t.json"],
-    ),
+    "config_list": ({"pipeline.json": [1]}, ANALYZE),
+    "config_report_format_xml": ({"pipeline.json": {"report_format": "xml"}}, ANALYZE),
+    "config_report_format_number": ({"pipeline.json": {"report_format": 5}}, ANALYZE),
+    "config_report_format_list": ({"pipeline.json": {"report_format": ["json"]}}, ANALYZE),
+    "simulate_duration_nan": ({}, [*SIMULATE, "--duration-s", "nan"]),
+    "simulate_duration_inf": ({}, [*SIMULATE, "--duration-s", "inf"]),
+    "wav_not_a_wav_stereo": (NOT_A_WAV, INGEST_STEREO),
+    "wav_not_a_wav_mono": (NOT_A_WAV, INGEST_MONO),
+    "wav_header_only_stereo": (WAV_HEADER_ONLY, INGEST_STEREO),
+    "wav_header_only_mono": (WAV_HEADER_ONLY, INGEST_MONO),
+    "config_sim_duration": ({"pipeline.json": {"sim": {"duration_ms": "x"}}}, SIMULATE),
     "config_bpe_merges": (
         {"pipeline.json": {"bpe": {"num_merges": "x"}}},
         ["tokenize", "train", "--traces", "@trace.json", "--out", "@v.json"],
@@ -274,11 +293,12 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, ca
         **files,
     }
     for name, content in files.items():
-        if name.endswith(".jsonl"):
-            text = "\n".join(json.dumps(rec) for rec in content)
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        elif name.endswith(".jsonl"):
+            (tmp_path / name).write_text("\n".join(json.dumps(rec) for rec in content))
         else:
-            text = json.dumps(content)
-        (tmp_path / name).write_text(text)
+            (tmp_path / name).write_text(json.dumps(content))
     write_wav(tmp_path / "conv.wav", (np.zeros(3200, np.int16), np.zeros(3200, np.int16)))
     if "pipeline.json" in files:
         monkeypatch.setenv("DDE_CONFIG", str(tmp_path / "pipeline.json"))

@@ -10,6 +10,7 @@ from dde import (
     ValidationError,
     build_trace,
     frame_grid,
+    speaker_index,
     window,
 )
 from conftest import random_trace, random_unaligned_trace
@@ -101,6 +102,18 @@ class TestSegmentValidation:
     def test_event_counts_roundtrip(self):
         e = EventCounts(fillers=2, laughs=1)
         assert EventCounts.from_dict(e.to_dict()) == e
+
+
+class TestSpeakerIndex:
+    @pytest.mark.parametrize("speaker", [1, 1.0, "b", " B "])
+    def test_speaker_b_forms(self, speaker):
+        index = speaker_index(speaker)
+        assert index == 1 and type(index) is int
+
+    @pytest.mark.parametrize("speaker", [True, False, 0.5, 2, "1", None, "C"])
+    def test_non_speakers_rejected(self, speaker):
+        with pytest.raises(ValidationError, match="unknown speaker"):
+            speaker_index(speaker)
 
 
 class TestFrameGrid:

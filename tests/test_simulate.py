@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from dde import (
     SelfChat,
     SimRun,
     StochasticConfig,
+    TICK_MS,
     ValidationError,
     cascaded_run,
     conversation_report,
@@ -89,8 +91,6 @@ class TestEngineBasics:
         assert [(s.start_ms, s.end_ms) for s in trace.channels[0]] == [(0, 1600)]
 
     def test_observation_context_matches_window(self):
-        run = scripted_run([(0, "SPK", 1600)], duration_ms=3200)
-        chat = SelfChat(run)
         seen = {}
 
         class Spy:
@@ -98,7 +98,10 @@ class TestEngineBasics:
                 seen[chat.tick] = obs.context.to_dict()
                 return (Action.CON if mode == "Speaking" else Action.SIL), None
 
-        chat.policies = (chat.policies[0], Spy())
+        run = scripted_run([(0, "SPK", 1600)], duration_ms=3200)
+        chat = SelfChat(dataclasses.replace(
+            run, agents=(run.agents[0], Spy()), responses=(None, UniformResponse()),
+        ))
         for _ in range(chat.n_ticks):
             chat.step()
         assert seen[0] == {"duration_ms": 0, "channels": [[], []]}
@@ -382,12 +385,24 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match=r"^agents\[1\]\.policy\.eot_silence_ms: "):
             SimRun.from_dict(data)
 
+    @pytest.mark.parametrize("value, index", [(1.0, 1), ("b", 1), (0, 0)])
+    def test_opening_speaker_forms(self, value, index):
+        run = SimRun.from_dict({"seed": 1, "opening_speaker": value})
+        assert run.opening_speaker == index
+        assert run.to_dict()["opening_speaker"] == "AB"[index]
+
+    def test_boolean_opening_speaker_rejected(self):
+        with pytest.raises(ValidationError, match=r"^opening_speaker: unknown speaker True"):
+            SimRun.from_dict({"seed": 1, "opening_speaker": True})
+
     def test_scripted_steps_are_checked_on_construction(self):
         with pytest.raises(ValidationError, match=r"^steps\[1\]: "):
             ScriptedConfig(steps=((0, "SPK", 2000), (3, "SPK", 1.5)))
 
 
 class TestDecideWrappers:
+    """A policy's decide() at one tick, in the state's current mode."""
+
     def _obs(self, now_ms, other_last_end=None, mutual_silence=None,
              other_speaking=False, own_last_end=None):
         from dde.simulate import Observation
@@ -400,53 +415,54 @@ class TestDecideWrappers:
             mutual_silence_ms=mutual_silence,
         )
 
-    def _state(self, seed=0, **kw):
+    def _state(self, cfg, seed=0, **kw):
         from dde.simulate import AgentState
-        return AgentState(rng=np.random.default_rng(seed), **kw)
+        return AgentState(rng=np.random.default_rng(seed), response=cfg.default_response(), **kw)
+
+    def _decide(self, cfg, obs, state):
+        return cfg.decide(obs, state, state.mode(obs.now_ms // TICK_MS))[0]
 
     def test_cascaded_fires_at_threshold(self):
-        from dde import cascaded_decide
-        state = self._state()
+        cfg = CascadedConfig()
+        state = self._state(cfg)
         obs = self._obs(10800, other_last_end=10000, mutual_silence=800)
-        assert cascaded_decide(obs, state, CascadedConfig()) is Action.SPK
+        assert self._decide(cfg, obs, state) is Action.SPK
 
     def test_cascaded_below_threshold_stays_silent(self):
-        from dde import cascaded_decide
-        state = self._state()
+        cfg = CascadedConfig()
+        state = self._state(cfg)
         obs = self._obs(10640, other_last_end=10000, mutual_silence=640)
-        assert cascaded_decide(obs, state, CascadedConfig()) is Action.SIL
+        assert self._decide(cfg, obs, state) is Action.SIL
 
     def test_cascaded_keeps_speaking_until_planned_end(self):
-        from dde import cascaded_decide
-        state = self._state(utterance_start_ms=0, planned_end_ms=1600)
+        cfg = CascadedConfig()
+        state = self._state(cfg, utterance_start_ms=0, planned_end_ms=1600)
         obs = self._obs(640, mutual_silence=0)
-        assert cascaded_decide(obs, state, CascadedConfig()) is Action.CON
+        assert self._decide(cfg, obs, state) is Action.CON
 
     def test_cascaded_answers_each_turn_once(self):
-        from dde import cascaded_decide
-        state = self._state()
+        cfg = CascadedConfig()
+        state = self._state(cfg)
         obs = self._obs(10800, other_last_end=10000, mutual_silence=800)
-        assert cascaded_decide(obs, state, CascadedConfig()) is Action.SPK
+        assert self._decide(cfg, obs, state) is Action.SPK
         obs2 = self._obs(10960, other_last_end=10000, mutual_silence=960)
-        assert cascaded_decide(obs2, state, CascadedConfig()) is Action.SIL
+        assert self._decide(cfg, obs2, state) is Action.SIL
 
     def test_stochastic_backchannel_certain(self):
-        from dde import stochastic_decide
         cfg = StochasticConfig(p_backchannel_per_tick=1.0)
-        state = self._state()
+        state = self._state(cfg)
         obs = self._obs(1600, other_speaking=True, mutual_silence=0,
                         other_last_end=None)
-        assert stochastic_decide(obs, state, cfg) is Action.SPK
+        assert self._decide(cfg, obs, state) is Action.SPK
 
     def test_stochastic_all_zero_probabilities_silent(self):
-        from dde import stochastic_decide
         cfg = StochasticConfig(
             p_backchannel_per_tick=0.0,
             p_initiate_per_tick_after_gap=0.0,
             p_stop_on_overlap_per_tick=0.0,
             pause_insertion_rate=0.0,
         )
-        state = self._state()
+        state = self._state(cfg)
         for now in (0, 1600, 16000):
             obs = self._obs(now, other_speaking=(now == 1600), mutual_silence=now or None)
-            assert stochastic_decide(obs, state, cfg) is Action.SIL
+            assert self._decide(cfg, obs, state) is Action.SIL

@@ -123,6 +123,14 @@ class TestWavIO:
         assert np.array_equal(ra, a)
         assert np.array_equal(rb, b)
 
+    def test_data_cut_inside_a_frame_keeps_whole_frames(self, tmp_path):
+        a, b = tone(440.0, 1000), silence(1000)
+        path = tmp_path / "conv.wav"
+        write_wav(path, (a, b))
+        path.write_bytes(path.read_bytes()[:-3])  # the last frame loses 3 of 4 bytes
+        ra, rb = load_conversation_audio(stereo_path=path)
+        assert np.array_equal(ra, a[:-1]) and np.array_equal(rb, b[:-1])
+
     def test_requires_exactly_one_source(self, tmp_path):
         with pytest.raises(ValidationError):
             load_conversation_audio()
