@@ -3,7 +3,8 @@
 Every reader here answers a bad value with ValidationError naming its JSON
 path, e.g. `channels[0][3].end_ms: expected an integer, got 19.9`, so that
 each entry point (traces, run configs, vocabularies, samples, reports and
-$DDE_CONFIG) rejects bad input the same way.
+$DDE_CONFIG) rejects bad input the same way. The file readers answer a file
+that is not UTF-8 text with a ValidationError naming the file.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from functools import cache
 
@@ -28,6 +30,32 @@ def loads(text: str, what: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+@contextmanager
+def _utf8_text(path):
+    """The file as UTF-8 text; bytes that are not UTF-8 raise ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            yield fp
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} (0x{bad:02x})") from None
+
+
+def read_json(path, what: str):
+    """The JSON document in file `path`, decoded by loads."""
+    with _utf8_text(path) as fp:
+        return loads(fp.read(), what)
+
+
+def read_json_lines(path, what: str):
+    """(line number, JSON value) per non-blank line of file `path`, streamed."""
+    with _utf8_text(path) as fp:
+        for n, line in enumerate(fp, 1):
+            line = line.strip()
+            if line:
+                yield n, loads(line, what)
 
 
 def expect_object(data, path) -> None:

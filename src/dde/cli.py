@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, labeler, segments, simulate, units, vad
-from ._schema import expect_object, finite_float, loads, number, one_of, read_field, section
+from ._schema import expect_object, finite_float, number, one_of, read_field, read_json, section
 from .errors import DuplexError, ValidationError
 
 ENV_CONFIG = "DDE_CONFIG"
@@ -25,8 +25,7 @@ def _load_pipeline_config():
     path = os.environ.get(ENV_CONFIG)
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fp:
-        cfg = loads(fp.read(), f"${ENV_CONFIG}")
+    cfg = read_json(path, f"${ENV_CONFIG}")
     expect_object(cfg, f"${ENV_CONFIG}")
     return cfg
 
@@ -47,13 +46,16 @@ def _tick_ms_guard(value: str) -> int:
 
 # ------------------------------------------------------------------ simulate
 
+# --policy name -> the library's run builder; the first is the default
+RUNS = {"cascaded": simulate.cascaded_run, "stochastic": simulate.stochastic_run}
+
+
 def _make_run(args, cfg) -> simulate.SimRun:
+    """The --run-config run, or RUNS[policy](seed, duration_ms) from flags, else `sim`."""
     sim_cfg = section(cfg, "sim")
     if args.run_config:
         run = simulate.read_run_config(args.run_config)
-        if args.seed is not None:
-            run = dataclasses.replace(run, seed=args.seed)
-        return run
+        return run if args.seed is None else dataclasses.replace(run, seed=args.seed)
     seed = args.seed if args.seed is not None else read_field(sim_cfg, "seed", "sim", default=0)
     duration_ms = (
         read_field(
@@ -61,33 +63,10 @@ def _make_run(args, cfg) -> simulate.SimRun:
             convert=lambda s: int(finite_float(s) * 1000),
         )
         if args.duration_s is not None
-        else read_field(sim_cfg, "duration_ms", "sim", default=30000)
+        else read_field(sim_cfg, "duration_ms", "sim", default=simulate.SimRun.duration_ms)
     )
-    policy = args.policy or read_field(
-        sim_cfg, "policy", "sim", one_of("cascaded", "stochastic"), "cascaded"
-    )
-    if policy == "cascaded":
-        agent = simulate.CascadedConfig(
-            eot_silence_ms=args.eot_silence_ms,
-            response_min_ms=args.response_min_ms,
-            response_max_ms=args.response_max_ms,
-        )
-        opening = 0
-    else:
-        agent = simulate.StochasticConfig()
-        opening = None
-    if args.opening_speaker is not None:
-        opening = (
-            None
-            if args.opening_speaker.lower() == "none"
-            else segments.speaker_index(args.opening_speaker)
-        )
-    return simulate.SimRun(
-        seed=seed,
-        duration_ms=duration_ms,
-        agents=(agent, agent),
-        opening_speaker=opening,
-    )
+    policy = args.policy or read_field(sim_cfg, "policy", "sim", one_of(*RUNS), next(iter(RUNS)))
+    return RUNS[policy](seed, duration_ms)
 
 
 def cmd_simulate(args, cfg) -> int:
@@ -109,8 +88,7 @@ def cmd_label(args, cfg) -> int:
     trace = segments.read_trace(args.trace)
     vocab = None
     if args.vocab:
-        with open(args.vocab, "r", encoding="utf-8") as fp:
-            vocab = units.BpeVocab.from_json(fp.read())
+        vocab = units.BpeVocab.from_dict(read_json(args.vocab, "vocab JSON"))
     window_ms = (
         args.window_ms
         if args.window_ms is not None
@@ -172,8 +150,7 @@ def cmd_analyze(args, cfg) -> int:
     if len(rows) > 1:
         rows.append(("mean", _mean_report([r for _, r in rows])))
     if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fp:
-            ref = loads(fp.read(), "compare report")
+        ref = read_json(args.compare, "compare report")
         expect_object(ref, "compare")
         rows.append(
             (
@@ -271,8 +248,7 @@ def cmd_tokenize_train(args, cfg) -> int:
 
 
 def cmd_tokenize_apply(args, cfg) -> int:
-    with open(args.vocab, "r", encoding="utf-8") as fp:
-        vocab = units.BpeVocab.from_json(fp.read())
+    vocab = units.BpeVocab.from_dict(read_json(args.vocab, "vocab JSON"))
     paths = [p for arg in args.traces for p in _trace_paths(arg)]
     n = 0
     with open(args.out, "w", encoding="utf-8") as out:
@@ -338,15 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a seeded self-chat and write the trace")
-    p.add_argument("--policy", choices=["cascaded", "stochastic"])
+    p.add_argument("--policy", choices=list(RUNS))
     p.add_argument("--seed", type=int)
     p.add_argument("--duration-s", type=float)
-    cascaded = simulate.CascadedConfig()
-    p.add_argument("--eot-silence-ms", type=int, default=cascaded.eot_silence_ms)
-    p.add_argument("--response-min-ms", type=int, default=cascaded.response_min_ms)
-    p.add_argument("--response-max-ms", type=int, default=cascaded.response_max_ms)
-    p.add_argument("--opening-speaker", help="A, B, or none")
-    p.add_argument("--run-config", help="JSON SimRun file (overrides other flags)")
+    p.add_argument(
+        "--run-config",
+        help="JSON SimRun file; replaces --policy and --duration-s, --seed still applies",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

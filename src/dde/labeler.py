@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from ._schema import expect_object, loads, read_field, string
+from ._schema import expect_object, read_field, read_json_lines, string
 from .errors import ValidationError
 from .segments import TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace, speaker_index, window
 from .units import BpeVocab, bpe_encode, dedup
@@ -197,14 +197,9 @@ def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> N
 def read_actions_jsonl(path) -> dict[tuple[str, int], Action]:
     """(agent, tick_index) -> action, as needed for prediction scoring."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        for n, line in enumerate(fp, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = loads(line, "samples line")
-            where = f"{path}:{n}"
-            expect_object(rec, where)
-            key = (read_field(rec, "agent", where, string), read_field(rec, "tick_index", where))
-            out[key] = read_field(rec, "action", where, Action.from_name)
+    for n, rec in read_json_lines(path, "samples line"):
+        where = f"{path}:{n}"
+        expect_object(rec, where)
+        key = (read_field(rec, "agent", where, string), read_field(rec, "tick_index", where))
+        out[key] = read_field(rec, "action", where, Action.from_name)
     return out

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._schema import Record, expect_object, loads, read_field, unit_ids
+from ._schema import Record, expect_object, loads, read_field, read_json, read_json_lines, unit_ids
 from .errors import ValidationError
 
 FRAME_MS = 20      # atomic activity/audio frame
@@ -372,8 +372,7 @@ def window(trace: ConversationTrace, end_ms: int, width_ms: int = WINDOW_MS) -> 
 
 
 def read_trace(path) -> ConversationTrace:
-    with open(path, "r", encoding="utf-8") as fp:
-        return ConversationTrace.from_json(fp.read())
+    return ConversationTrace.from_dict(read_json(path, "trace JSON"))
 
 
 def write_trace(trace: ConversationTrace, path, indent=2) -> None:
@@ -384,10 +383,4 @@ def write_trace(trace: ConversationTrace, path, indent=2) -> None:
 
 def read_traces_jsonl(path) -> list[ConversationTrace]:
     """One conversation per line."""
-    traces = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                traces.append(ConversationTrace.from_json(line))
-    return traces
+    return [ConversationTrace.from_dict(doc) for _, doc in read_json_lines(path, "trace JSON")]

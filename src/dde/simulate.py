@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._schema import Record, expect_object, integer, loads, read_field, unit_ids
+from ._schema import Record, expect_object, integer, read_field, read_json, unit_ids
 from .errors import PolicyContractViolation, ValidationError
 from .labeler import Action
 from .segments import (
@@ -402,6 +402,8 @@ class SimRun:
             raise ValidationError("a run needs exactly two agents")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        if self.window_ms <= 0:
+            raise ValidationError(f"window_ms must be positive, got {self.window_ms}")
 
     def to_dict(self):
         return {
@@ -422,22 +424,26 @@ class SimRun:
 
     @classmethod
     def from_dict(cls, data) -> "SimRun":
+        """Absent or null fields take the defaults declared above."""
         expect_object(data, "run")
-        agents, responses = [], []
-        default = ({"policy": {"kind": "cascaded"}},) * 2
-        for i, entry in enumerate(read_field(data, "agents", "", tuple, default)):
-            path = f"agents[{i}]"
-            expect_object(entry, path)
-            agents.append(policy_config_from_dict(entry.get("policy"), f"{path}.policy"))
-            resp = entry.get("response")
-            responses.append(None if resp is None else response_from_dict(resp, f"{path}.response"))
+        entries = read_field(data, "agents", "", tuple, None)
+        if entries is None:
+            agents, responses = cls.agents, cls.responses
+        else:
+            agents, responses = [], []
+            for i, entry in enumerate(entries):
+                path = f"agents[{i}]"
+                expect_object(entry, path)
+                agents.append(policy_config_from_dict(entry.get("policy"), f"{path}.policy"))
+                resp = entry.get("response")
+                responses.append(None if resp is None else response_from_dict(resp, f"{path}.response"))
         return cls(
             seed=read_field(data, "seed"),
-            duration_ms=read_field(data, "duration_ms", default=30000),
+            duration_ms=read_field(data, "duration_ms", default=cls.duration_ms),
             agents=tuple(agents),
             responses=tuple(responses),
-            opening_speaker=read_field(data, "opening_speaker", "", speaker_index, None),
-            window_ms=read_field(data, "window_ms", default=WINDOW_MS),
+            opening_speaker=read_field(data, "opening_speaker", "", speaker_index, cls.opening_speaker),
+            window_ms=read_field(data, "window_ms", default=cls.window_ms),
         )
 
 
@@ -583,7 +589,7 @@ def run_selfchat(run: SimRun) -> ConversationTrace:
     return chat.finish()
 
 
-def cascaded_run(seed: int, duration_ms: int = 30000) -> SimRun:
+def cascaded_run(seed: int, duration_ms: int = SimRun.duration_ms) -> SimRun:
     """Both sides on the fixed-silence baseline, speaker A opening."""
     return SimRun(
         seed=seed,
@@ -593,7 +599,9 @@ def cascaded_run(seed: int, duration_ms: int = 30000) -> SimRun:
     )
 
 
-def stochastic_run(seed: int, duration_ms: int = 30000, cfg: StochasticConfig | None = None) -> SimRun:
+def stochastic_run(
+    seed: int, duration_ms: int = SimRun.duration_ms, cfg: StochasticConfig | None = None
+) -> SimRun:
     cfg = cfg or StochasticConfig()
     return SimRun(
         seed=seed,
@@ -604,5 +612,4 @@ def stochastic_run(seed: int, duration_ms: int = 30000, cfg: StochasticConfig | 
 
 
 def read_run_config(path) -> SimRun:
-    with open(path, "r", encoding="utf-8") as fp:
-        return SimRun.from_dict(loads(fp.read(), "run config"))
+    return SimRun.from_dict(read_json(path, "run config"))

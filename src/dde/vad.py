@@ -112,7 +112,8 @@ def read_wav(path):
             rate = wf.getframerate()
             n_channels = wf.getnchannels()
             raw = wf.readframes(wf.getnframes())
-    except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside its header
+    # EOFError, or RuntimeError for a chunk longer than the file: it ends inside its header
+    except (wave.Error, EOFError, RuntimeError) as exc:
         reason = str(exc) or "it ends inside its header"
         raise ValidationError(f"{path}: not a WAV file: {reason}") from None
     raw = raw[: len(raw) - len(raw) % (2 * n_channels)]

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from dde import build_trace, SpeechSegment, labeler, read_trace, window
+from dde import build_trace, SpeechSegment, labeler, read_trace, window, write_trace
 from dde.cli import main
+from dde.simulate import cascaded_run, run_selfchat, stochastic_run
 from dde.vad import write_wav
 
 from conftest import random_trace, wav_bytes
@@ -68,6 +70,33 @@ class TestSimulateCmd:
     def test_tick_ms_guard(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("--tick-ms", "100", "simulate", "--out", "x.json")
+
+    @pytest.mark.parametrize(
+        "policy, builder",
+        [("cascaded", cascaded_run), ("stochastic", stochastic_run), (None, cascaded_run)],
+    )
+    def test_policy_runs_the_library_builder(self, tmp_path, monkeypatch, policy, builder):
+        expected = tmp_path / "expected.json"
+        write_trace(run_selfchat(builder(5, 30000)), expected)
+        by_flags = tmp_path / "flags.json"
+        flags = [] if policy is None else ["--policy", policy]
+        assert run_cli(
+            "simulate", *flags, "--seed", "5", "--duration-s", "30", "--out", str(by_flags),
+        ) == 0
+        cfg = tmp_path / "pipeline.json"
+        sim = {"seed": 5, "duration_ms": 30000}
+        cfg.write_text(json.dumps({"sim": sim if policy is None else {**sim, "policy": policy}}))
+        monkeypatch.setenv("DDE_CONFIG", str(cfg))
+        by_config = tmp_path / "config.json"
+        assert run_cli("simulate", "--out", str(by_config)) == 0
+        assert by_flags.read_bytes() == expected.read_bytes()
+        assert by_config.read_bytes() == expected.read_bytes()
+
+    def test_help_lists_five_options(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("simulate", "--help")
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--help", "--policy", "--seed", "--duration-s", "--run-config", "--out"}
 
 
 class TestLabelCmd:
@@ -219,6 +248,8 @@ BAD_RUN_CONFIGS = {
         "agents": _agents({"kind": "stochastic", "p_backchannel_per_tick": True}, CASCADED),
     },
     "boolean_opening_speaker": {"seed": 1, "opening_speaker": True},
+    "zero_window": {"seed": 1, "window_ms": 0},
+    "negative_window": {"seed": 1, "window_ms": -5},
 }
 
 
@@ -247,6 +278,20 @@ INGEST_STEREO = ["ingest", "--audio", "@bad.wav", "--out", "@t.json"]
 INGEST_MONO = ["ingest", "--audio-a", "@conv.wav", "--audio-b", "@bad.wav", "--out", "@t.json"]
 NOT_A_WAV = {"bad.wav": {"duration_ms": 640}}
 WAV_HEADER_ONLY = {"bad.wav": wav_bytes()[:40]}
+# the fmt chunk claims 65296 bytes, more than the whole file holds
+WAV_CHUNK_PAST_END = {"bad.wav": wav_bytes()[:17] + b"\xff" + wav_bytes()[18:]}
+
+
+def _latin1(name, doc):
+    """{name: doc with a "note": "café" field, saved as Latin-1, not UTF-8}."""
+    def dump(rec):
+        return json.dumps({**rec, "note": "café"}, ensure_ascii=False)
+
+    text = "\n".join(map(dump, doc)) if name.endswith(".jsonl") else dump(doc)
+    return {name: text.encode("latin-1")}
+
+
+VOCAB = {"base_alphabet_size": 10, "merges": [[7, 8, 10]]}
 
 # name -> (files written next to trace.json, gold.jsonl and conv.wav; argv, where
 # "@name" is that file's path). A "pipeline.json" file becomes $DDE_CONFIG;
@@ -273,6 +318,8 @@ BAD_INPUTS = {
     "wav_not_a_wav_mono": (NOT_A_WAV, INGEST_MONO),
     "wav_header_only_stereo": (WAV_HEADER_ONLY, INGEST_STEREO),
     "wav_header_only_mono": (WAV_HEADER_ONLY, INGEST_MONO),
+    "wav_chunk_past_end_stereo": (WAV_CHUNK_PAST_END, INGEST_STEREO),
+    "wav_chunk_past_end_mono": (WAV_CHUNK_PAST_END, INGEST_MONO),
     "config_sim_duration": ({"pipeline.json": {"sim": {"duration_ms": "x"}}}, SIMULATE),
     "config_bpe_merges": (
         {"pipeline.json": {"bpe": {"num_merges": "x"}}},
@@ -281,6 +328,28 @@ BAD_INPUTS = {
     "config_vad_unknown_field": (
         {"pipeline.json": {"vad": {"bogus": 1}}}, ["ingest", "--audio", "@conv.wav", "--out", "@t.json"],
     ),
+    "non_utf8_trace_analyze": (_latin1("trace.json", UNITS_TRACE), ANALYZE),
+    "non_utf8_trace_label": (
+        _latin1("trace.json", UNITS_TRACE), ["label", "--trace", "@trace.json", "--out", "@s.jsonl"],
+    ),
+    "non_utf8_trace_train": (
+        _latin1("trace.json", UNITS_TRACE),
+        ["tokenize", "train", "--traces", "@trace.json", "--out", "@v.json"],
+    ),
+    "non_utf8_traces_jsonl": (
+        _latin1("convs.jsonl", [UNITS_TRACE, UNITS_TRACE]), ["analyze", "--trace", "@convs.jsonl"],
+    ),
+    "non_utf8_vocab_label": (_latin1("vocab.json", VOCAB), LABEL),
+    "non_utf8_vocab_apply": (_latin1("vocab.json", VOCAB), APPLY),
+    "non_utf8_run_config": (
+        _latin1("run.json", {"seed": 1, "duration_ms": 1600}),
+        ["simulate", "--run-config", "@run.json", "--out", "@t.json"],
+    ),
+    "non_utf8_compare": (_latin1("ref.json", GOOD_RATES), COMPARE),
+    "non_utf8_samples": (
+        _latin1("pred.jsonl", [{"agent": "A", "tick_index": 0, "action": "SIL"}]), EVAL,
+    ),
+    "non_utf8_config": (_latin1("pipeline.json", {"report_format": "json"}), ANALYZE),
 }
 
 
@@ -307,6 +376,15 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_non_utf8_error_names_the_file(tmp_path, capsys):
+    p = tmp_path / "trace.json"
+    p.write_bytes(b'{"duration_ms": 640, "channels": [[], []], "note": "caf\xe9"}')
+    assert run_cli("analyze", "--trace", str(p)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {p}: not UTF-8 text: invalid continuation byte (0xe9)\n"
+    )
 
 
 class TestAnalyzeCmd:

@@ -1,10 +1,12 @@
-"""The JSON boundary: record round trips, private-name imports, and a fuzz of
-every CLI input through `dde.cli.main`."""
+"""The JSON boundary: record round trips, private-name imports, the names the
+benchmark tracer patches, streamed JSON lines, and a fuzz of every CLI input
+through `dde.cli.main`."""
 
 import ast
 import contextlib
 import copy
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import dde
-from dde._schema import Record
+from dde._schema import Record, read_json_lines
 from dde.cli import main
 from dde.errors import ValidationError
 from dde.simulate import ScriptedConfig
@@ -27,6 +29,7 @@ from dde.simulate import ScriptedConfig
 from conftest import wav_bytes
 
 SRC = Path(dde.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
 
 
 # ------------------------------------------------------------- round trips
@@ -136,6 +139,34 @@ def test_no_module_imports_a_private_name_of_another(path):
     assert private == []
 
 
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # executed from source, so that no bytecode is written next to it
+    spans = types.ModuleType("spans")
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), spans.__dict__)
+    missing = [
+        f"dde.{module}.{attr}"
+        for module, attr, _, _ in spans.PATCHES
+        if not hasattr(importlib.import_module(f"dde.{module}"), attr)
+    ]
+    assert len(spans.PATCHES) > 20
+    assert missing == []
+
+
+# ------------------------------------------------------------ file readers
+
+def test_json_lines_stream_until_a_non_utf8_byte(tmp_path):
+    # past the first 8 KiB the file is decoded while its lines are consumed
+    p = tmp_path / "doc.jsonl"
+    p.write_bytes(b'{"a": 1}\r\n\n' * 2000 + b'{"a": "\xff"}\n')
+    seen = []
+    with pytest.raises(ValidationError, match=r"doc\.jsonl: not UTF-8 text: "):
+        for item in read_json_lines(p, "doc line"):
+            seen.append(item)
+    # lines before the bad byte's chunk were yielded before it was read
+    assert 0 < len(seen) < 2000
+    assert seen == [(2 * i + 1, {"a": 1}) for i in range(len(seen))]
+
+
 # --------------------------------------------------------------- CLI fuzz
 
 SEGMENT = {
@@ -237,15 +268,19 @@ MUTATIONS = [
 
 @st.composite
 def mutated_inputs(draw):
-    """All input files, one of them mutated at a JSON path or truncated."""
+    """All input files, one of them mutated at a JSON path, truncated, or with
+    one byte replaced by 0xff, which is never UTF-8."""
     files = {name: _serialize(name, doc) for name, doc in JSON_INPUTS.items()}
     files.update(WAV_INPUTS)
-    if draw(st.booleans()):
+    how = draw(st.sampled_from(["json path", "truncate", "0xff"]))
+    if how == "json path":
         name, path, value = draw(st.sampled_from(MUTATIONS))
         files[name] = _serialize(name, _set(JSON_INPUTS[name], path, value))
     else:
         name = draw(st.sampled_from(sorted(files)))
-        files[name] = files[name][: draw(st.integers(0, len(files[name]) - 1))]
+        at = draw(st.integers(0, len(files[name]) - 1))
+        tail = b"" if how == "truncate" else b"\xff" + files[name][at + 1:]
+        files[name] = files[name][:at] + tail
     return name, files
 
 
