@@ -35,15 +35,6 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _tick_ms_guard(value: str) -> int:
-    ms = int(value)
-    if ms != segments.TICK_MS:
-        raise argparse.ArgumentTypeError(
-            f"tick-ms is fixed at {segments.TICK_MS} (read-only)"
-        )
-    return ms
-
-
 # ------------------------------------------------------------------ simulate
 
 # --policy name -> the library's run builder; the first is the default
@@ -248,32 +239,28 @@ def cmd_tokenize_train(args, cfg) -> int:
 
 
 def cmd_tokenize_apply(args, cfg) -> int:
+    """Encode every trace before opening --out, so an error leaves it untouched."""
     vocab = units.BpeVocab.from_dict(read_json(args.vocab, "vocab JSON"))
     paths = [p for arg in args.traces for p in _trace_paths(arg)]
-    n = 0
+    lines = []
+    for path in paths:
+        trace = segments.read_trace(path)
+        for ci, ch in enumerate(trace.channels):
+            for si, seg in enumerate(ch):
+                if seg.units is None:
+                    continue
+                encoded = units.bpe_encode(vocab, units.dedup(seg.units))
+                record = {
+                    "trace": str(path),
+                    "speaker": "AB"[ci],
+                    "segment_index": si,
+                    "start_ms": seg.start_ms,
+                    "tokens": list(encoded),
+                }
+                lines.append(json.dumps(record, sort_keys=True) + "\n")
     with open(args.out, "w", encoding="utf-8") as out:
-        for path in paths:
-            trace = segments.read_trace(path)
-            for ci, ch in enumerate(trace.channels):
-                for si, seg in enumerate(ch):
-                    if seg.units is None:
-                        continue
-                    encoded = units.bpe_encode(vocab, units.dedup(seg.units))
-                    out.write(
-                        json.dumps(
-                            {
-                                "trace": str(path),
-                                "speaker": "AB"[ci],
-                                "segment_index": si,
-                                "start_ms": seg.start_ms,
-                                "tokens": list(encoded),
-                            },
-                            sort_keys=True,
-                        )
-                    )
-                    out.write("\n")
-                    n += 1
-    print(f"wrote {args.out}: {n} encoded sequences")
+        out.writelines(lines)
+    print(f"wrote {args.out}: {len(lines)} encoded sequences")
     return 0
 
 
@@ -304,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dde",
         description="Full-duplex dialogue engine: simulate, label, tokenize, analyze.",
-    )
-    parser.add_argument(
-        "--tick-ms",
-        type=_tick_ms_guard,
-        default=segments.TICK_MS,
-        help="decision interval; fixed at 160 (read-only)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -232,9 +232,6 @@ class ChannelBounds:
         return i >= 0 and self.ends[i] > t
 
 
-EMPTY_TRACE = ConversationTrace(channels=((), ()), duration_ms=0)
-
-
 def _combine(a: SpeechSegment, b: SpeechSegment) -> SpeechSegment:
     """Union of two same-channel segments with b.start <= a.end (sorted input).
 

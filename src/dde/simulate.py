@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from ._schema import Record, expect_object, integer, read_field, read_json, unit
 from .errors import PolicyContractViolation, ValidationError
 from .labeler import Action
 from .segments import (
-    EMPTY_TRACE,
     FRAME_MS,
     TICK_MS,
     WINDOW_MS,
@@ -162,6 +162,11 @@ class CascadedConfig(_Record):
     def __post_init__(self):
         if self.eot_silence_ms < 0:
             raise ValidationError("eot_silence_ms must be non-negative")
+        if not 0 < self.response_min_ms <= self.response_max_ms:
+            raise ValidationError(
+                "need 0 < response_min_ms <= response_max_ms, got "
+                f"{self.response_min_ms} and {self.response_max_ms}"
+            )
 
     def default_response(self):
         return UniformResponse(self.response_min_ms, self.response_max_ms)
@@ -214,60 +219,46 @@ class StochasticConfig(_Record):
     def default_response(self):
         return LogNormalResponse()
 
-    def _plan(self, state: AgentState):
+    def _plan(self, state: AgentState, tick_index: int):
         """Draw a response and split it into bursts separated by 320ms pauses.
 
+        Returns the first burst and queues the rest as (start tick, burst):
+        each starts PAUSE_TICKS after the previous one ends unless cancelled.
         Cut points keep every burst at least MIN_BURST_TICKS long, so split
         bursts never masquerade as backchannels.
         """
         total_ms, units = state.response.draw(state.rng)
         n_ticks = total_ms // TICK_MS
-        cuts = []
-        prev = 0
+        cuts = [0]
         for k in range(MIN_BURST_TICKS, n_ticks - MIN_BURST_TICKS + 1):
-            if k - prev >= MIN_BURST_TICKS and state.rng.random() < self.pause_insertion_rate:
+            if k - cuts[-1] >= MIN_BURST_TICKS and state.rng.random() < self.pause_insertion_rate:
                 cuts.append(k)
-                prev = k
+        cuts.append(n_ticks)
         bursts = []
-        prev = 0
-        for cut in cuts + [n_ticks]:
-            burst_ms = (cut - prev) * TICK_MS
-            if units is not None:
-                burst_units = units[prev * FRAMES_PER_TICK : cut * FRAMES_PER_TICK]
-            else:
-                burst_units = None
-            bursts.append((burst_ms, burst_units))
-            prev = cut
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            burst_units = None if units is None else units[lo * FRAMES_PER_TICK : hi * FRAMES_PER_TICK]
+            bursts.append((tick_index + lo + i * PAUSE_TICKS, ((hi - lo) * TICK_MS, burst_units)))
         state.pending_bursts = bursts[1:]
-        return bursts[0]
-
-    def _start_burst(self, state: AgentState, tick_index: int, burst):
-        burst_ms, _units = burst
-        end_tick = tick_index + burst_ms // TICK_MS
-        state.resume_tick = end_tick + PAUSE_TICKS if state.pending_bursts else None
-        return Action.SPK, burst
+        return bursts[0][1]
 
     def decide(self, obs: Observation, state: AgentState, mode: str):
         if mode == "Speaking":
             if obs.other_speaking and state.rng.random() < self.p_stop_on_overlap_per_tick:
                 state.pending_bursts = []
-                state.resume_tick = None
                 return Action.STP, None
             return Action.CON, None
         tick_index = obs.now_ms // TICK_MS
-        if state.resume_tick is not None:
+        if state.pending_bursts:  # mid-response pause
             if obs.other_speaking:  # floor was taken mid-pause: yield
                 state.pending_bursts = []
-                state.resume_tick = None
                 return Action.SIL, None
-            if tick_index >= state.resume_tick and state.pending_bursts:
-                return self._start_burst(state, tick_index, state.pending_bursts.pop(0))
-            if not state.pending_bursts:
-                state.resume_tick = None
-            return Action.SIL, None
+            start_tick, burst = state.pending_bursts[0]
+            if tick_index < start_tick:
+                return Action.SIL, None
+            del state.pending_bursts[0]
+            return Action.SPK, burst
         if state.is_opener and obs.mutual_silence_ms is None:
-            state.pending_bursts = []
-            return self._start_burst(state, tick_index, self._plan(state))
+            return Action.SPK, self._plan(state, tick_index)
         if state.planned_end_ms is not None and state.planned_end_ms > obs.now_ms:
             return Action.SIL, None  # own utterance tail still in flight
         if obs.other_speaking and state.rng.random() < self.p_backchannel_per_tick:
@@ -281,7 +272,7 @@ class StochasticConfig(_Record):
             or obs.now_ms - obs.own_last_end_ms >= SELF_RESUME_MS
         )
         if long_enough and floor_open and state.rng.random() < self.p_initiate_per_tick_after_gap:
-            return self._start_burst(state, tick_index, self._plan(state))
+            return Action.SPK, self._plan(state, tick_index)
         return Action.SIL, None
 
 
@@ -303,8 +294,13 @@ class ScriptedConfig(_Record):
                 step = tuple(raw)
                 if len(step) not in (2, 3):
                     raise ValueError("expected [tick, action] or [tick, action, duration_ms]")
+                tick = integer(step[0])
                 dur = integer(step[2]) if len(step) == 3 and step[2] is not None else None
-                table[integer(step[0])] = (Action.from_name(step[1]), dur)
+                if tick < 0:
+                    raise ValueError(f"tick must be non-negative, got {tick}")
+                if dur is not None and dur <= 0:
+                    raise ValueError(f"duration_ms must be positive, got {dur}")
+                table[tick] = (Action.from_name(step[1]), dur)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"steps[{i}]: {exc}") from None
             steps.append(step)
@@ -362,8 +358,7 @@ class AgentState:
     utterance_units: tuple[int, ...] | None = None
     # policy scratch
     answered_end_ms: int | None = None     # cascaded: other-turn already answered
-    pending_bursts: list = field(default_factory=list)
-    resume_tick: int | None = None
+    pending_bursts: list = field(default_factory=list)  # stochastic: queued (start tick, burst)
     response: object = None                # the agent's response generator (draw(rng))
 
     def mode(self, tick_index: int) -> str:
@@ -470,61 +465,50 @@ class SelfChat:
     def n_ticks(self) -> int:
         return self.run.duration_ms // TICK_MS
 
-    def _visible_segments(self, agent: int, horizon_ms: int):
-        segs = list(self.completed[agent])
-        st = self.states[agent]
-        if st.utterance_start_ms is not None:
-            end = min(st.planned_end_ms, horizon_ms)
-            if end > st.utterance_start_ms:
-                segs.append((st.utterance_start_ms, end, st.utterance_units))
-        return [(s, min(e, horizon_ms), u) for s, e, u in segs if s < horizon_ms]
-
-    def _visible_end(self, ch: int, now_ms: int):
-        """Latest audible instant on a channel as of now_ms (O(1))."""
-        end = self.last_committed_end[ch]
-        st = self.states[ch]
-        if st.utterance_start_ms is not None and st.utterance_start_ms < now_ms:
-            live = min(st.planned_end_ms, now_ms)
-            end = live if end is None else max(end, live)
-        return end
-
-    def _observation(self, agent: int) -> Observation:
+    def _observations(self) -> tuple[Observation, Observation]:
+        """Both agents' views at the start of this tick, after _commit_if_done:
+        every live utterance then began at an earlier tick and ends after now."""
         now = self.tick * TICK_MS
-        other = 1 - agent
-        other_state = self.states[other]
-        other_speaking = (
-            other_state.utterance_start_ms is not None
-            and other_state.utterance_start_ms < now
-            and other_state.planned_end_ms > now
+        live = [st.utterance_start_ms is not None for st in self.states]
+        ends = self.last_committed_end
+        if any(live):
+            mutual_silence = 0
+        else:
+            last = max((e for e in ends if e is not None), default=None)
+            mutual_silence = None if last is None else now - last
+        context = partial(self._context, now)
+        return tuple(
+            Observation(
+                now_ms=now,
+                other_speaking=live[1 - agent],
+                other_has_spoken=ends[1 - agent] is not None,
+                other_last_end_ms=ends[1 - agent],
+                own_last_end_ms=ends[agent],
+                mutual_silence_ms=mutual_silence,
+                _window=context,
+            )
+            for agent in (0, 1)
         )
-        other_last_end = self.last_committed_end[other]
-        ends = [self._visible_end(0, now), self._visible_end(1, now)]
-        last_activity = max((e for e in ends if e is not None), default=None)
-        mutual_silence = None if last_activity is None else now - last_activity
-        engine = self
 
-        def build_window():
-            if now == 0:
-                return EMPTY_TRACE
-            trace = engine._trace_until(now)
-            return window(trace, now, engine.run.window_ms)
-
-        return Observation(
-            now_ms=now,
-            other_speaking=other_speaking,
-            other_has_spoken=other_last_end is not None,
-            other_last_end_ms=other_last_end,
-            own_last_end_ms=self.last_committed_end[agent],
-            mutual_silence_ms=mutual_silence,
-            _window=build_window,
-        )
+    def _context(self, now_ms: int) -> ConversationTrace:
+        trace = self._trace_until(now_ms)
+        return window(trace, now_ms, self.run.window_ms) if now_ms else trace
 
     def _trace_until(self, horizon_ms: int) -> ConversationTrace:
+        """Committed and live speech cut at horizon_ms; units survive a cut
+        only when it lies on the frame grid."""
         events = []
-        for agent in (0, 1):
-            for s, e, units in self._visible_segments(agent, horizon_ms):
+        for agent, st in enumerate(self.states):
+            utterances = self.completed[agent]
+            if st.utterance_start_ms is not None:
+                live = (st.utterance_start_ms, st.planned_end_ms, st.utterance_units)
+                utterances = [*utterances, live]
+            for s, e, units in utterances:
+                if s >= horizon_ms:
+                    continue
+                e = min(e, horizon_ms)
                 if units is not None:
-                    units = units[: (e - s) // FRAME_MS]
+                    units = units[: (e - s) // FRAME_MS] if (e - s) % FRAME_MS == 0 else None
                 events.append((agent, SpeechSegment(s, e, units=units)))
         return build_trace(events, horizon_ms)
 
@@ -550,7 +534,7 @@ class SelfChat:
         tick_end = now + TICK_MS
         for agent in (0, 1):
             self._commit_if_done(agent, now)
-        observations = [self._observation(agent) for agent in (0, 1)]
+        observations = self._observations()
         emitted = []
         for agent, policy in enumerate(self.run.agents):
             state = self.states[agent]
@@ -567,9 +551,6 @@ class SelfChat:
                 state.utterance_units = units
             elif action is Action.STP:
                 state.planned_end_ms = tick_end
-                if state.utterance_units is not None:
-                    keep = (tick_end - state.utterance_start_ms) // FRAME_MS
-                    state.utterance_units = state.utterance_units[:keep]
             emitted.append(action)
             self.actions[agent].append(action)
         self.tick += 1

@@ -67,6 +67,31 @@ class TestSimulateCmd:
         assert run_cli("simulate", "--run-config", str(cfg_path), "--out", str(out)) == 0
         assert read_trace(out).duration_ms == 32000
 
+    @pytest.mark.parametrize(
+        "duration_ms, units", [(3010, None), (3020, [5] * 151)], ids=["off_grid", "on_grid"]
+    )
+    def test_corpus_speech_cut_at_the_run_end(self, tmp_path, duration_ms, units):
+        """A cut off the 20ms grid drops the cut segment's units; on it, they are trimmed."""
+        cfg = {
+            "seed": 1,
+            "duration_ms": duration_ms,
+            "agents": [
+                {
+                    "policy": {"kind": "scripted", "steps": [[0, "SPK"]]},
+                    "response": {"kind": "corpus", "sequences": [[5] * 200]},
+                },
+                {"policy": {"kind": "scripted", "steps": []}},
+            ],
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "t.json"
+        assert run_cli("simulate", "--run-config", str(cfg_path), "--out", str(out)) == 0
+        expected = {"start_ms": 0, "end_ms": duration_ms}
+        if units is not None:
+            expected["units"] = units
+        assert json.loads(out.read_text())["channels"] == [[expected], []]
+
     def test_tick_ms_guard(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("--tick-ms", "100", "simulate", "--out", "x.json")
@@ -250,6 +275,24 @@ BAD_RUN_CONFIGS = {
     "boolean_opening_speaker": {"seed": 1, "opening_speaker": True},
     "zero_window": {"seed": 1, "window_ms": 0},
     "negative_window": {"seed": 1, "window_ms": -5},
+    "scripted_zero_duration": {
+        "seed": 1, "agents": _agents({"kind": "scripted", "steps": [[0, "SPK", 0]]}, CASCADED),
+    },
+    "scripted_negative_duration": {
+        "seed": 1, "agents": _agents({"kind": "scripted", "steps": [[2, "SPK", -160]]}, CASCADED),
+    },
+    "scripted_negative_tick": {
+        "seed": 1, "agents": _agents({"kind": "scripted", "steps": [[-1, "SPK"]]}, CASCADED),
+    },
+    "cascaded_zero_response_min": {
+        "seed": 1, "agents": _agents(CASCADED, {"kind": "cascaded", "response_min_ms": 0}),
+    },
+    "cascaded_response_min_over_max": {
+        "seed": 1,
+        "agents": _agents(
+            CASCADED, {"kind": "cascaded", "response_min_ms": 3000, "response_max_ms": 2000},
+        ),
+    },
 }
 
 
@@ -493,6 +536,30 @@ class TestTokenizeCmd:
         assert len(lines) == 2
         assert lines[0]["speaker"] == "A"
         assert all(isinstance(tok, int) for rec in lines for tok in rec["tokens"])
+
+    @pytest.mark.parametrize("second", ["malformed", "unit_outside_alphabet"])
+    @pytest.mark.parametrize("earlier", [None, "earlier content\n"], ids=["absent", "present"])
+    def test_apply_error_leaves_out_untouched(self, tmp_path, capsys, second, earlier):
+        first = self._trace_with_units(tmp_path)
+        bad = tmp_path / "u.json"
+        if second == "malformed":
+            bad.write_text('{"duration_ms": 640, "channels": [')
+        else:
+            bad.write_text(build_trace([("A", seg(0, 160, units=(7,) * 7 + (10,)))], 640).to_json())
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps(VOCAB))
+        out = tmp_path / "e.jsonl"
+        if earlier is not None:
+            out.write_text(earlier)
+        assert run_cli(
+            "tokenize", "apply", "--vocab", str(vocab),
+            "--traces", str(first), str(bad), "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        if earlier is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == earlier
 
     def test_train_without_units_fails(self, tmp_path):
         p = tmp_path / "t.json"

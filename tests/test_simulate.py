@@ -5,21 +5,25 @@ import numpy as np
 import pytest
 
 from dde import (
+    FRAME_MS,
     Action,
     CascadedConfig,
     PolicyContractViolation,
     ScriptedConfig,
     SelfChat,
     SimRun,
+    SpeechSegment,
     StochasticConfig,
     TICK_MS,
     ValidationError,
+    build_trace,
     cascaded_run,
     conversation_report,
     cross_channel_events,
     label_sequence,
     run_selfchat,
     stochastic_run,
+    window,
 )
 from dde.simulate import CorpusResponse, LogNormalResponse, UniformResponse
 
@@ -107,6 +111,137 @@ class TestEngineBasics:
         assert seen[0] == {"duration_ms": 0, "channels": [[], []]}
         # at tick 12 the observation covers [0, 1920): A's utterance clipped
         assert seen[12]["channels"][0] == [{"start_ms": 0, "end_ms": 1600}]
+
+
+POLICY_KINDS = ("cascaded", "stochastic", "scripted")
+
+
+def _random_agent(rng, kind, n_ticks):
+    """A (policy, response) pair of `kind` with random settings."""
+    if kind == "cascaded":
+        lo = int(rng.integers(1, 3000))
+        policy = CascadedConfig(
+            int(rng.choice([0, 160, 800, 1200])), lo, lo + int(rng.integers(0, 3000))
+        )
+    elif kind == "stochastic":
+        def p():
+            return float(rng.choice([0.0, 1.0, rng.random(), rng.random() / 10]))
+
+        policy = StochasticConfig(p(), int(rng.integers(1, 1500)), p(), int(rng.integers(0, 4)), p(), p())
+    else:
+        steps = tuple(
+            (
+                int(rng.integers(0, n_ticks + 1)),
+                str(rng.choice(["SPK", "SPK", "SPK", "SPK", "STP", "CON"])),
+                None if rng.random() < 0.4 else int(rng.integers(1, 5000)),
+            )
+            for _ in range(int(rng.integers(0, 10)))
+        )
+        policy = ScriptedConfig(steps=steps)
+    response = [
+        None,
+        UniformResponse(160, int(rng.integers(160, 4000))),
+        LogNormalResponse(mean_ms=float(rng.uniform(300, 4000))),
+        CorpusResponse(sequences=tuple(
+            tuple(int(u) for u in rng.integers(0, 50, int(rng.integers(8, 250))))
+            for _ in range(3)
+        )),
+    ][int(rng.integers(4))]
+    return policy, response
+
+
+class TestObservationOracle:
+    """Every Observation equals a plain scan of the engine's history: the
+    committed utterances plus the live (planned, uncommitted) ones."""
+
+    FIELDS = (
+        "now_ms", "other_speaking", "other_has_spoken",
+        "other_last_end_ms", "own_last_end_ms", "mutual_silence_ms",
+    )
+
+    @staticmethod
+    def _scan(done, live, now, agent):
+        said = [done[ch] + live[ch] for ch in (0, 1)]
+        last_end = [max((e for _, e, _ in done[ch]), default=None) for ch in (0, 1)]
+        heard_ends = [min(e, now) for ch in (0, 1) for s, e, _ in said[ch] if s < now]
+        return {
+            "now_ms": now,
+            "other_speaking": any(s <= now < e for s, e, _ in said[1 - agent]),
+            "other_has_spoken": bool(done[1 - agent]),
+            "other_last_end_ms": last_end[1 - agent],
+            "own_last_end_ms": last_end[agent],
+            "mutual_silence_ms": now - max(heard_ends) if heard_ends else None,
+        }
+
+    @staticmethod
+    def _heard(done, live, now, window_ms):
+        """window(build_trace(everything begun before now, cut at now))."""
+        events = []
+        for ch in (0, 1):
+            for s, e, units in done[ch] + live[ch]:
+                if s < now:
+                    e = min(e, now)
+                    units = None if units is None else units[: (e - s) // FRAME_MS]
+                    events.append((ch, SpeechSegment(s, e, units=units)))
+        trace = build_trace(events, now)
+        return window(trace, now, window_ms) if now else trace
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_observations_match_a_scan_of_the_history(self, kind):
+        rng = np.random.default_rng(POLICY_KINDS.index(kind))
+        oracle = self
+        checked = contexts = 0
+
+        class Checked:
+            def __init__(self, policy, agent):
+                self.policy, self.agent = policy, agent
+
+            def default_response(self):
+                return self.policy.default_response()
+
+            def decide(self, obs, state, mode):
+                nonlocal checked, contexts
+                if history["now"] != obs.now_ms:  # A decides first: the state B observed too
+                    history.update(
+                        now=obs.now_ms,
+                        done=[list(c) for c in chat.completed],
+                        live=[
+                            [] if st.utterance_start_ms is None
+                            else [(st.utterance_start_ms, st.planned_end_ms, st.utterance_units)]
+                            for st in chat.states
+                        ],
+                    )
+                done, live, now = history["done"], history["live"], obs.now_ms
+                assert {f: getattr(obs, f) for f in oracle.FIELDS} == oracle._scan(
+                    done, live, now, self.agent
+                )
+                checked += 1
+                if rng.random() < 0.3:
+                    expected = oracle._heard(done, live, now, chat.run.window_ms)
+                    assert obs.context.to_dict() == expected.to_dict()
+                    contexts += 1
+                return self.policy.decide(obs, state, mode)
+
+        for _ in range(20):
+            duration_ms = int(rng.integers(160, 16000))
+            n_ticks = duration_ms // TICK_MS
+            kinds = (kind, POLICY_KINDS[int(rng.integers(3))])
+            pairs = [_random_agent(rng, k, n_ticks) for k in kinds]
+            chat = SelfChat(SimRun(
+                seed=int(rng.integers(1000)),
+                duration_ms=duration_ms,
+                agents=tuple(Checked(policy, i) for i, (policy, _) in enumerate(pairs)),
+                responses=tuple(response for _, response in pairs),
+                opening_speaker=[None, 0, 1][int(rng.integers(3))],
+                window_ms=int(rng.integers(1, 25000)),
+            ))
+            history = {"now": None}
+            try:
+                for _ in range(chat.n_ticks):
+                    chat.step()
+            except PolicyContractViolation:  # a random script may break the contract
+                pass
+        assert checked > 500 and contexts > 150
 
 
 class TestCascaded:
@@ -394,6 +529,28 @@ class TestRunConfig:
     def test_boolean_opening_speaker_rejected(self):
         with pytest.raises(ValidationError, match=r"^opening_speaker: unknown speaker True"):
             SimRun.from_dict({"seed": 1, "opening_speaker": True})
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ({"kind": "scripted", "steps": [[0, "SPK", 0]]},
+             "steps[0]: duration_ms must be positive, got 0"),
+            ({"kind": "scripted", "steps": [[0, "SPK"], [4, "SPK", -160]]},
+             "steps[1]: duration_ms must be positive, got -160"),
+            ({"kind": "scripted", "steps": [[-1, "SPK"]]},
+             "steps[0]: tick must be non-negative, got -1"),
+            ({"kind": "cascaded", "response_min_ms": 0},
+             "need 0 < response_min_ms <= response_max_ms, got 0 and 4000"),
+            ({"kind": "cascaded", "response_min_ms": 3000, "response_max_ms": 2000},
+             "need 0 < response_min_ms <= response_max_ms, got 3000 and 2000"),
+        ],
+        ids=["zero_duration", "negative_duration", "negative_tick", "zero_min", "min_over_max"],
+    )
+    def test_bad_policy_settings_rejected_at_load(self, policy, message):
+        data = {"seed": 1, "agents": [{"policy": {"kind": "cascaded"}}, {"policy": policy}]}
+        with pytest.raises(ValidationError) as err:
+            SimRun.from_dict(data)
+        assert str(err.value) == f"agents[1].policy: {message}"
 
     def test_scripted_steps_are_checked_on_construction(self):
         with pytest.raises(ValidationError, match=r"^steps\[1\]: "):
