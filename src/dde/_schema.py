@@ -63,6 +63,15 @@ def expect_object(data, path) -> None:
         raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
 
 
+def expect_known_keys(data, known, path="") -> None:
+    """Reject object `data` if it has a key outside `known`, naming the first
+    such key in sorted order by its JSON path, e.g. `vad.bogus: unknown field`."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        name = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ValidationError(f"{name}: unknown field")
+
+
 def integer(value) -> int:
     """An integer from a JSON number or numeric string: 20, 20.0 and "20" read
     as 20; booleans and non-integral numbers are errors, not 1 or truncated."""

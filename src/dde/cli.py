@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from . import analytics, labeler, segments, simulate, units, vad
-from ._schema import expect_object, finite_float, number, one_of, read_field, read_json, section
+from ._schema import expect_known_keys, expect_object, finite_float, integer, number, one_of
+from ._schema import read_field, read_json, section
 from .errors import DuplexError, ValidationError
 
 ENV_CONFIG = "DDE_CONFIG"
@@ -35,6 +36,21 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _setting(args, flag, cfg, key, read=integer, default=None, read_flag=None):
+    """--flag's value, through read_flag or else `read`, when given; else the
+    value at the dotted $DDE_CONFIG path `key` through `read`; else `default`.
+    Errors name the flag or the path; a section on the path must always be an object."""
+    parent, _, name = key.rpartition(".")
+    data = section(cfg, parent) if parent else cfg
+    value = getattr(args, flag)
+    if value is None:
+        return read_field(data, name, parent, read, default)
+    try:
+        return (read_flag or read)(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"--{flag.replace('_', '-')}: {exc}") from None
+
+
 # ------------------------------------------------------------------ simulate
 
 # --policy name -> the library's run builder; the first is the default
@@ -42,21 +58,17 @@ RUNS = {"cascaded": simulate.cascaded_run, "stochastic": simulate.stochastic_run
 
 
 def _make_run(args, cfg) -> simulate.SimRun:
-    """The --run-config run, or RUNS[policy](seed, duration_ms) from flags, else `sim`."""
-    sim_cfg = section(cfg, "sim")
+    """The --run-config run with --seed applied, else RUNS[policy](seed, duration_ms)."""
     if args.run_config:
+        section(cfg, "sim")  # must be an object even though the run config wins
         run = simulate.read_run_config(args.run_config)
         return run if args.seed is None else dataclasses.replace(run, seed=args.seed)
-    seed = args.seed if args.seed is not None else read_field(sim_cfg, "seed", "sim", default=0)
-    duration_ms = (
-        read_field(
-            {"--duration-s": args.duration_s}, "--duration-s",
-            convert=lambda s: int(finite_float(s) * 1000),
-        )
-        if args.duration_s is not None
-        else read_field(sim_cfg, "duration_ms", "sim", default=simulate.SimRun.duration_ms)
+    seed = _setting(args, "seed", cfg, "sim.seed", default=0)
+    duration_ms = _setting(
+        args, "duration_s", cfg, "sim.duration_ms", default=simulate.SimRun.duration_ms,
+        read_flag=lambda s: int(finite_float(s) * 1000),
     )
-    policy = args.policy or read_field(sim_cfg, "policy", "sim", one_of(*RUNS), next(iter(RUNS)))
+    policy = _setting(args, "policy", cfg, "sim.policy", one_of(*RUNS), next(iter(RUNS)))
     return RUNS[policy](seed, duration_ms)
 
 
@@ -80,11 +92,7 @@ def cmd_label(args, cfg) -> int:
     vocab = None
     if args.vocab:
         vocab = units.BpeVocab.from_dict(read_json(args.vocab, "vocab JSON"))
-    window_ms = (
-        args.window_ms
-        if args.window_ms is not None
-        else read_field(cfg, "window_ms", default=segments.WINDOW_MS)
-    )
+    window_ms = _setting(args, "window_ms", cfg, "window_ms", default=segments.WINDOW_MS)
     speakers = [0, 1] if args.speaker == "both" else [segments.speaker_index(args.speaker)]
     all_samples = []
     for sp in speakers:
@@ -128,7 +136,7 @@ def _mean_report(reports):
 
 
 def cmd_analyze(args, cfg) -> int:
-    fmt = args.format or read_field(cfg, "report_format", "", one_of("json", "table"), "table")
+    fmt = _setting(args, "format", cfg, "report_format", one_of("json", "table"), "table")
     paths = _trace_paths(args.trace)
     rows = []
     for path in paths:
@@ -171,18 +179,11 @@ def cmd_analyze(args, cfg) -> int:
 # -------------------------------------------------------------------- ingest
 
 def cmd_ingest(args, cfg) -> int:
-    vad_cfg_data = dict(section(cfg, "vad"))
-    unknown = sorted(set(vad_cfg_data) - {f.name for f in dataclasses.fields(vad.VadConfig)})
-    if unknown:
-        raise ValidationError(f"vad.{unknown[0]}: unknown field")
-    for key, value in (
-        ("energy_threshold_db", args.energy_threshold_db),
-        ("min_speech_ms", args.min_speech_ms),
-        ("min_gap_ms", args.min_gap_ms),
-    ):
-        if value is not None:
-            vad_cfg_data[key] = value
-    vad_cfg = vad.VadConfig.from_dict(vad_cfg_data, "vad")
+    vad_cfg_data = section(cfg, "vad")
+    expect_known_keys(vad_cfg_data, [f.name for f in dataclasses.fields(vad.VadConfig)], "vad")
+    flags = ("energy_threshold_db", "min_speech_ms", "min_gap_ms")  # VadConfig.from_dict reads them
+    resolved = {name: _setting(args, name, cfg, f"vad.{name}", lambda v: v) for name in flags}
+    vad_cfg = vad.VadConfig.from_dict({**vad_cfg_data, **resolved}, "vad")
     if args.audio:
         a, b = vad.load_conversation_audio(stereo_path=args.audio)
     else:
@@ -200,31 +201,21 @@ def cmd_ingest(args, cfg) -> int:
 
 # ------------------------------------------------------------------ tokenize
 
-def _collect_unit_sequences(paths):
-    seqs = []
+def _unit_segments(trace_args):
+    """(path, speaker letter, segment index, segment) per unit-annotated segment
+    of the --traces files, read one at a time once every argument is expanded."""
+    paths = [p for arg in trace_args for p in _trace_paths(arg)]
     for path in paths:
-        trace = segments.read_trace(path)
-        for ch in trace.channels:
-            for seg in ch:
+        for ci, ch in enumerate(segments.read_trace(path).channels):
+            for si, seg in enumerate(ch):
                 if seg.units is not None:
-                    seqs.append(units.dedup(seg.units))
-    return seqs
+                    yield path, "AB"[ci], si, seg
 
 
 def cmd_tokenize_train(args, cfg) -> int:
-    bpe_cfg = section(cfg, "bpe")
-    num_merges = (
-        args.num_merges
-        if args.num_merges is not None
-        else read_field(bpe_cfg, "num_merges", "bpe", default=0)
-    )
-    base = (
-        args.base_alphabet_size
-        if args.base_alphabet_size is not None
-        else read_field(bpe_cfg, "base_alphabet_size", "bpe", default=500)
-    )
-    paths = [p for arg in args.traces for p in _trace_paths(arg)]
-    corpus = _collect_unit_sequences(paths)
+    num_merges = _setting(args, "num_merges", cfg, "bpe.num_merges", default=0)
+    base = _setting(args, "base_alphabet_size", cfg, "bpe.base_alphabet_size", default=500)
+    corpus = [units.dedup(seg.units) for *_, seg in _unit_segments(args.traces)]
     if not corpus:
         raise DuplexError("no unit-annotated segments found in the given traces")
     vocab = units.bpe_train(corpus, num_merges=num_merges, base_alphabet_size=base)
@@ -241,23 +232,12 @@ def cmd_tokenize_train(args, cfg) -> int:
 def cmd_tokenize_apply(args, cfg) -> int:
     """Encode every trace before opening --out, so an error leaves it untouched."""
     vocab = units.BpeVocab.from_dict(read_json(args.vocab, "vocab JSON"))
-    paths = [p for arg in args.traces for p in _trace_paths(arg)]
     lines = []
-    for path in paths:
-        trace = segments.read_trace(path)
-        for ci, ch in enumerate(trace.channels):
-            for si, seg in enumerate(ch):
-                if seg.units is None:
-                    continue
-                encoded = units.bpe_encode(vocab, units.dedup(seg.units))
-                record = {
-                    "trace": str(path),
-                    "speaker": "AB"[ci],
-                    "segment_index": si,
-                    "start_ms": seg.start_ms,
-                    "tokens": list(encoded),
-                }
-                lines.append(json.dumps(record, sort_keys=True) + "\n")
+    for path, speaker, si, seg in _unit_segments(args.traces):
+        tokens = list(units.bpe_encode(vocab, units.dedup(seg.units)))
+        record = {"trace": str(path), "speaker": speaker, "segment_index": si,
+                  "start_ms": seg.start_ms, "tokens": tokens}
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
     with open(args.out, "w", encoding="utf-8") as out:
         out.writelines(lines)
     print(f"wrote {args.out}: {len(lines)} encoded sequences")

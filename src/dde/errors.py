@@ -22,5 +22,5 @@ class PolicyContractViolation(DuplexError, RuntimeError):
         self.mode = mode
         self.action = action
         super().__init__(
-            f"agent {agent} emitted {action} while {mode} at tick {tick_index}"
+            f"agent {agent} emitted {action.name} while {mode} at tick {tick_index}"
         )

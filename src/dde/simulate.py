@@ -16,12 +16,13 @@ policies may schedule arbitrary-millisecond durations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
-from ._schema import Record, expect_object, integer, read_field, read_json, unit_ids
+from ._schema import Record, expect_known_keys, expect_object, integer, read_field, read_json, unit_ids
+from .analytics import BACKCHANNEL_MAX_MS, PAUSE_MIN_MS, TURN_JOIN_MS
 from .errors import PolicyContractViolation, ValidationError
 from .labeler import Action
 from .segments import (
@@ -35,9 +36,9 @@ from .segments import (
     window,
 )
 
-PAUSE_TICKS = 2       # inserted mid-response pauses: 320ms, a countable within-turn pause
-MIN_BURST_TICKS = 7   # split bursts stay over the 1s backchannel cutoff
-SELF_RESUME_MS = 480  # a speaker re-initiating sooner would merge into its own turn
+PAUSE_TICKS = PAUSE_MIN_MS // TICK_MS + 1  # the shortest counted pause; 320ms < TURN_JOIN_MS
+MIN_BURST_TICKS = BACKCHANNEL_MAX_MS // TICK_MS + 1  # split bursts stay over the backchannel cutoff
+SELF_RESUME_MS = math.ceil(TURN_JOIN_MS / TICK_MS) * TICK_MS  # sooner would join one's own turn
 FRAMES_PER_TICK = TICK_MS // FRAME_MS
 
 
@@ -58,12 +59,14 @@ class _Record(Record):
 
 
 def _from_kind(records, data, path):
-    """The record of the class whose `kind` data names."""
+    """The record of the class whose `kind` data names; other keys must be its fields."""
     expect_object(data, path)
     kind = data.get("kind")
     if not (isinstance(kind, str) and kind in records):
         raise ValidationError(f"{path}.kind: unknown kind {kind!r}, expected {sorted(records)}")
-    return records[kind].from_dict(data, path)
+    cls = records[kind]
+    expect_known_keys(data, ["kind", *(f.name for f in fields(cls))], path)
+    return cls.from_dict(data, path)
 
 
 # ------------------------------------------------------------ response draws
@@ -95,7 +98,7 @@ class LogNormalResponse(_Record):
 
     mean_ms: float = 2800.0
     sigma: float = 0.6
-    min_ms: int = 1120
+    min_ms: int = MIN_BURST_TICKS * TICK_MS
     max_ms: int = 15000
 
     kind = "lognormal"
@@ -421,6 +424,7 @@ class SimRun:
     def from_dict(cls, data) -> "SimRun":
         """Absent or null fields take the defaults declared above."""
         expect_object(data, "run")
+        expect_known_keys(data, ("seed", "duration_ms", "opening_speaker", "window_ms", "agents"))
         entries = read_field(data, "agents", "", tuple, None)
         if entries is None:
             agents, responses = cls.agents, cls.responses
@@ -429,6 +433,7 @@ class SimRun:
             for i, entry in enumerate(entries):
                 path = f"agents[{i}]"
                 expect_object(entry, path)
+                expect_known_keys(entry, ("policy", "response"), path)
                 agents.append(policy_config_from_dict(entry.get("policy"), f"{path}.policy"))
                 resp = entry.get("response")
                 responses.append(None if resp is None else response_from_dict(resp, f"{path}.response"))

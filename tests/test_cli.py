@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +294,17 @@ BAD_RUN_CONFIGS = {
             CASCADED, {"kind": "cascaded", "response_min_ms": 3000, "response_max_ms": 2000},
         ),
     },
+    "unknown_run_key": {"seed": 1, "duraton_ms": 5000},
+    "unknown_policy_key": {
+        "seed": 1, "agents": _agents({"kind": "cascaded", "eot_silense_ms": 600}, CASCADED),
+    },
+    "unknown_agent_key": {
+        "seed": 1,
+        "agents": [{"policy": CASCADED, "respons": {"kind": "uniform"}}, {"policy": CASCADED}],
+    },
+    "unknown_response_key": {
+        "seed": 1, "agents": _agents(CASCADED, CASCADED, response={"kind": "uniform", "min_m": 320}),
+    },
 }
 
 
@@ -304,6 +316,22 @@ def test_bad_run_config_is_an_error_not_a_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "case, path",
+    [
+        ("unknown_run_key", "duraton_ms"),
+        ("unknown_policy_key", "agents[0].policy.eot_silense_ms"),
+        ("unknown_agent_key", "agents[0].respons"),
+        ("unknown_response_key", "agents[0].response.min_m"),
+    ],
+)
+def test_unknown_run_config_key_is_named(tmp_path, capsys, case, path):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(BAD_RUN_CONFIGS[case]))
+    assert run_cli("simulate", "--run-config", str(p), "--out", str(tmp_path / "t.json")) == 1
+    assert capsys.readouterr().err == f"error: {path}: unknown field\n"
 
 
 UNITS_TRACE = {
@@ -599,6 +627,79 @@ class TestEvalActionsCmd:
         assert run_cli("eval-actions", "--gold", str(gold), "--predicted", str(pred)) != 0
 
 
+def _vad_channels():
+    """Two seconds of stereo PCM16 over a 400 Hz floor of amplitude 10 (each
+    20ms frame holds eight whole periods, so every floor frame has the same
+    energy). Speaker A has a tone 15.6 dB over the floor at [200, 700) ms, a
+    loud one after a 60 ms gap at [760, 1260) and a 60 ms loud blip at 1500;
+    the energy threshold decides the first, min_gap_ms the gap and
+    min_speech_ms the blip."""
+    tone = np.sin(2 * np.pi * 400 * np.arange(32000) / 16000)
+    amplitude = np.full(32000, 10.0)
+    for start_ms, end_ms, level in ((200, 700, 60.0), (760, 1260, 1000.0), (1500, 1560, 1000.0)):
+        amplitude[16 * start_ms : 16 * end_ms] = level
+    return np.round(amplitude * tone).astype(np.int16), np.round(10.0 * tone).astype(np.int16)
+
+
+# (7, 8) occurs five times and, once merged, two more pairs occur twice
+BPE_TRACE = {
+    "duration_ms": 640,
+    "channels": [
+        [{"start_ms": 0, "end_ms": 160, "units": [7, 8, 7, 8, 9, 9, 9, 9]}],
+        [{"start_ms": 320, "end_ms": 480, "units": [7, 8, 9, 9, 7, 8, 7, 8]}],
+    ],
+}
+TRAIN = ["tokenize", "train", "--traces", "@units.json", "--out", "@v.json"]
+INGEST = ["ingest", "--audio", "@vad.wav", "--out", "@t.json"]
+
+# $DDE_CONFIG key -> (argv, its value in the config, the same value as flags,
+# another value as flags); each value changes the command's output
+SETTINGS = {
+    "sim.seed": (SIMULATE, 7, ["--seed", "7"], ["--seed", "9"]),
+    "sim.duration_ms": (SIMULATE, 3200, ["--duration-s", "3.2"], ["--duration-s", "4.8"]),
+    "sim.policy": (SIMULATE, "stochastic", ["--policy", "stochastic"], ["--policy", "cascaded"]),
+    "window_ms": (
+        ["label", "--trace", "@trace.json", "--out", "@s.jsonl"], 800,
+        ["--window-ms", "800"], ["--window-ms", "1600"],
+    ),
+    "bpe.num_merges": (TRAIN, 1, ["--num-merges", "1"], ["--num-merges", "2"]),
+    "bpe.base_alphabet_size": (
+        TRAIN, 12, ["--base-alphabet-size", "12"], ["--base-alphabet-size", "20"],
+    ),
+    "report_format": ([*ANALYZE, "--out", "@r.txt"], "json", ["--format", "json"], ["--format", "table"]),
+    "vad.energy_threshold_db": (
+        INGEST, 20.0, ["--energy-threshold-db", "20"], ["--energy-threshold-db", "5"],
+    ),
+    "vad.min_speech_ms": (INGEST, 40, ["--min-speech-ms", "40"], ["--min-speech-ms", "200"]),
+    "vad.min_gap_ms": (INGEST, 40, ["--min-gap-ms", "40"], ["--min-gap-ms", "200"]),
+}
+
+# name -> ($DDE_CONFIG document or None, argv, the whole error text after "error: ")
+SETTING_ERRORS = {
+    "duration_nan": (
+        None, [*SIMULATE, "--duration-s", "nan"], "--duration-s: expected a finite number, got NaN",
+    ),
+    "sim_policy": (
+        {"sim": {"policy": "x"}}, SIMULATE, 'sim.policy: expected one of cascaded, stochastic, got "x"',
+    ),
+    # a section that is not an object is an error even where flags or a run config win
+    "sim_not_object": (
+        {"sim": []}, ["simulate", "--run-config", "@run.json", "--out", "@t.json"],
+        "sim: expected a JSON object, got list",
+    ),
+    "bpe_not_object": (
+        {"bpe": 5}, [*TRAIN, "--num-merges", "1", "--base-alphabet-size", "10"],
+        "bpe: expected a JSON object, got int",
+    ),
+    "vad_not_object": (
+        {"vad": "x"},
+        [*INGEST, "--energy-threshold-db", "10", "--min-speech-ms", "100", "--min-gap-ms", "100"],
+        "vad: expected a JSON object, got str",
+    ),
+    "vad_unknown_field": ({"vad": {"bogus": 1}}, INGEST, "vad.bogus: unknown field"),
+}
+
+
 class TestPipelineConfigEnv:
     def test_env_config_supplies_defaults(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "pipeline.json"
@@ -617,6 +718,51 @@ class TestPipelineConfigEnv:
         p.write_text(build_trace([], 60000).to_json())
         assert run_cli("analyze", "--trace", str(p), "--format", "table") == 0
         assert "overlaps/min" in capsys.readouterr().out
+
+    @staticmethod
+    def _inputs(tmp_path):
+        """Write the files SETTINGS and SETTING_ERRORS use; return a function
+        that replaces each "@name" in an argv with that file's path."""
+        (tmp_path / "trace.json").write_text(json.dumps(UNITS_TRACE))
+        (tmp_path / "units.json").write_text(json.dumps(BPE_TRACE))
+        (tmp_path / "run.json").write_text(json.dumps({"seed": 1, "duration_ms": 1600}))
+        write_wav(tmp_path / "vad.wav", _vad_channels())
+        return lambda argv: [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+
+    @pytest.mark.parametrize("key", sorted(SETTINGS))
+    def test_env_config_sets_and_flag_overrides(self, tmp_path, monkeypatch, capsys, key):
+        argv, value, same, other = SETTINGS[key]
+        paths = self._inputs(tmp_path)
+        argv = paths(argv)
+        out = Path(argv[argv.index("--out") + 1])
+        parent, _, name = key.rpartition(".")
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({parent: {name: value}} if parent else {name: value}))
+
+        def run(flags, config):
+            if config:
+                monkeypatch.setenv("DDE_CONFIG", str(cfg))
+            else:
+                monkeypatch.delenv("DDE_CONFIG", raising=False)
+            assert run_cli(*argv, *flags) == 0
+            return capsys.readouterr().out, out.read_bytes()
+
+        by_config = run([], config=True)
+        assert by_config == run(same, config=False)
+        assert by_config != run([], config=False)
+        assert run(other, config=True) == run(other, config=False) != by_config
+
+    @pytest.mark.parametrize("case", sorted(SETTING_ERRORS))
+    def test_setting_error_text(self, tmp_path, monkeypatch, capsys, case):
+        config, argv, message = SETTING_ERRORS[case]
+        paths = self._inputs(tmp_path)
+        if config is None:
+            monkeypatch.delenv("DDE_CONFIG", raising=False)
+        else:
+            (tmp_path / "pipeline.json").write_text(json.dumps(config))
+            monkeypatch.setenv("DDE_CONFIG", str(tmp_path / "pipeline.json"))
+        assert run_cli(*paths(argv)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestJsonlBatch:

@@ -25,7 +25,10 @@ from dde import (
     stochastic_run,
     window,
 )
-from dde.simulate import CorpusResponse, LogNormalResponse, UniformResponse
+from dde.analytics import BACKCHANNEL_MAX_MS, PAUSE_MIN_MS, TURN_JOIN_MS
+from dde.simulate import (
+    MIN_BURST_TICKS, PAUSE_TICKS, SELF_RESUME_MS, CorpusResponse, LogNormalResponse, UniformResponse,
+)
 
 
 def scripted_run(steps_a, steps_b=(), duration_ms=30000, seed=0):
@@ -66,6 +69,13 @@ class TestEngineBasics:
         assert err.value.tick_index == 0
         assert err.value.agent == "A"
 
+    def test_contract_violation_message_names_the_action(self):
+        chat = SelfChat(scripted_run([(0, "CON")], duration_ms=1600))
+        with pytest.raises(PolicyContractViolation) as err:
+            chat.step()
+        assert str(err.value) == "agent A emitted CON while Listening at tick 0"
+        assert err.value.action is Action.CON
+
     def test_illegal_stop_while_listening(self):
         chat = SelfChat(scripted_run([(3, "STP")], duration_ms=1600))
         with pytest.raises(PolicyContractViolation):
@@ -79,6 +89,12 @@ class TestEngineBasics:
         with pytest.raises(PolicyContractViolation):
             for _ in range(chat.n_ticks):
                 chat.step()
+
+    def test_timing_constants_meet_the_analytics_definitions(self):
+        assert (PAUSE_TICKS, MIN_BURST_TICKS, SELF_RESUME_MS) == (2, 7, 480)
+        assert PAUSE_MIN_MS < PAUSE_TICKS * TICK_MS < TURN_JOIN_MS
+        assert LogNormalResponse().min_ms == MIN_BURST_TICKS * TICK_MS > BACKCHANNEL_MAX_MS
+        assert SELF_RESUME_MS >= TURN_JOIN_MS and SELF_RESUME_MS % TICK_MS == 0
 
     def test_duration_must_cover_a_tick(self):
         with pytest.raises(ValidationError):
