@@ -153,10 +153,9 @@ def _reader(hint, default):
     if typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 1:
         hint = args[0]
         default = None if default is MISSING else default
+    read = {int: integer, float: finite_float, tuple[int, ...]: unit_ids}.get(hint, _as_is)
     if isinstance(hint, type) and issubclass(hint, Record):
         read = hint
-    else:
-        read = {int: integer, float: finite_float}.get(hint, _as_is)
     return read, _REQUIRED if default is MISSING else default
 
 
@@ -167,10 +166,11 @@ def _plan(cls):
 
 
 def read_record(cls, data, path):
-    """Dataclass `cls` with each field read from `data` by read_field: `int`
-    and `float` fields through integer and finite_float, nested records by
-    their own from_dict, other types as given (cls validates them). Absent
-    fields take their default; unknown keys are ignored."""
+    """Dataclass `cls` with each field read from `data` by read_field: `int`,
+    `float` and `tuple[int, ...]` fields through integer, finite_float and
+    unit_ids, nested records by their own from_dict, other types as given
+    (cls validates them). Absent fields take their default; unknown keys are
+    ignored."""
     expect_object(data, path)
     kwargs = {}
     for name, read, default in _plan(cls):

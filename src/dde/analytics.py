@@ -16,7 +16,7 @@ Terminology used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from . import _kernels
 from ._schema import Record
 from .errors import MissingInputError, ValidationError
 from .labeler import Action
-from .segments import FRAME_MS, ConversationTrace, frame_grid, speaker_index
+from .segments import ConversationTrace, EventCounts, frame_grid, join_spans, speaker_index
+from .vad import FRAME_SAMPLES, SAMPLE_RATE
 
 TURN_JOIN_MS = 400       # silences under this merge IPUs into one turn
 PAUSE_MIN_MS = 200       # within-turn silences over this count as pauses
@@ -34,19 +35,7 @@ PITCH_FMIN_HZ = 60.0
 PITCH_FMAX_HZ = 400.0
 PITCH_WINDOW_MS = 30     # autocorrelation analysis window per 20ms frame
 VOICING_THRESHOLD = 0.6
-_SAMPLE_RATE = 16000
 _PCM_SCALE = 32768.0
-
-
-def _group_turns(intervals):
-    """Merge consecutive intervals separated by silence < TURN_JOIN_MS."""
-    turns = []
-    for start, end in intervals:
-        if turns and start - turns[-1][1] < TURN_JOIN_MS:
-            turns[-1] = (turns[-1][0], end)
-        else:
-            turns.append((start, end))
-    return turns
 
 
 @dataclass(frozen=True)
@@ -68,7 +57,7 @@ def turn_structure(trace: ConversationTrace, speaker) -> TurnStructure:
     """
     si = speaker_index(speaker)
     own = list(trace.bounds(si).spans())
-    other_spans = _group_turns(trace.bounds(1 - si).spans())
+    other_spans = join_spans(trace.bounds(1 - si).spans(), TURN_JOIN_MS)
     # the other's turn spans are sorted and disjoint, so only the last one
     # starting at or before an IPU can contain it; own IPUs come in start order
     backchannels, main = [], []
@@ -80,7 +69,7 @@ def turn_structure(trace: ConversationTrace, speaker) -> TurnStructure:
             backchannels.append((s, e))
         else:
             main.append((s, e))
-    turns = _group_turns(main)
+    turns = join_spans(main, TURN_JOIN_MS)
     pauses = []
     for prev, cur in zip(main, main[1:]):
         gap = cur[0] - prev[1]
@@ -141,7 +130,6 @@ def cross_channel_events(trace: ConversationTrace, *, structures=None) -> dict:
         "backchannels": backchannels,
         "gaps": gaps,
         "pauses": [(sp, iv) for sp in (0, 1) for iv in structures[sp].pauses],
-        "turn_structures": structures,
     }
 
 
@@ -178,27 +166,23 @@ class ConversationReport(Record):
 
 
 def _annotation_rates(trace: ConversationTrace):
-    word_ms = words = 0
-    event_ms = 0
-    event_totals = {"fillers": 0, "repetitions": 0, "laughs": 0, "breaths": 0}
-    have_events = False
+    """Words per minute of word-annotated speech, and fillers, repetitions,
+    laughs and breaths per minute of event-annotated speech; None without any."""
+    word_ms = words = event_ms = 0
+    events = EventCounts()
     for ch in trace.channels:
         for seg in ch:
             if seg.words is not None:
                 words += seg.words
                 word_ms += seg.duration_ms
             if seg.events is not None:
-                have_events = True
+                events += seg.events
                 event_ms += seg.duration_ms
-                for k in event_totals:
-                    event_totals[k] += getattr(seg.events, k)
-    wpm = words * 60000.0 / word_ms if word_ms else None
-    rates = {}
-    for key, out in (
-        ("fillers", "fwpm"), ("repetitions", "rpm"), ("laughs", "lpm"), ("breaths", "bpm")
-    ):
-        rates[out] = event_totals[key] * 60000.0 / event_ms if have_events and event_ms else None
-    return wpm, rates
+
+    def per_min(count, ms):
+        return count * 60000.0 / ms if ms else None
+
+    return per_min(words, word_ms), [per_min(n, event_ms) for n in astuple(events)]
 
 
 def _silence_stats(structures):
@@ -219,24 +203,23 @@ def _audio_stats(trace: ConversationTrace, audio):
     if len(audio) != 2:
         raise ValidationError("audio must hold one sample array per speaker")
     grid = frame_grid(trace)
-    frame_len = _SAMPLE_RATE * FRAME_MS // 1000
-    lag_min = int(_SAMPLE_RATE / PITCH_FMAX_HZ)
-    lag_max = int(math.ceil(_SAMPLE_RATE / PITCH_FMIN_HZ))
-    window_len = _SAMPLE_RATE * PITCH_WINDOW_MS // 1000
+    lag_min = int(SAMPLE_RATE / PITCH_FMAX_HZ)
+    lag_max = int(math.ceil(SAMPLE_RATE / PITCH_FMIN_HZ))
+    window_len = SAMPLE_RATE * PITCH_WINDOW_MS // 1000
     rms_all = []
     f0_all = []
     for ch, samples in enumerate(audio):
         samples = np.asarray(samples, dtype=np.float64) / _PCM_SCALE
-        n_frames = min(samples.size // frame_len, grid.n_frames)
+        n_frames = min(samples.size // FRAME_SAMPLES, grid.n_frames)
         if n_frames == 0:
             continue
         active = grid.frames[ch, :n_frames]
         if not active.any():
             continue
-        rms = _kernels.frame_rms(samples[: n_frames * frame_len], frame_len)
+        rms = _kernels.frame_rms(samples[: n_frames * FRAME_SAMPLES], FRAME_SAMPLES)
         rms_all.append(rms[active])
         f0, strength = _kernels.f0_frames(
-            samples, _SAMPLE_RATE, frame_len, window_len, lag_min, lag_max
+            samples, SAMPLE_RATE, FRAME_SAMPLES, window_len, lag_min, lag_max
         )
         f0 = f0[:n_frames]
         strength = strength[:n_frames]
@@ -267,7 +250,7 @@ def naturalness_report(
     """
     if structures is None:
         structures = turn_structure(trace, 0), turn_structure(trace, 1)
-    wpm, event_rates = _annotation_rates(trace)
+    wpm, (fwpm, rpm, lpm, bpm) = _annotation_rates(trace)
     any_turn, silence_ms, pause_lengths = _silence_stats(structures)
     spm_s = None
     mean_pause_s = None
@@ -280,10 +263,7 @@ def naturalness_report(
         estd, pstd, mean_f0 = _audio_stats(trace, audio)
     stats = NaturalnessStats(
         wpm=wpm,
-        fwpm=event_rates["fwpm"],
-        rpm=event_rates["rpm"],
-        lpm=event_rates["lpm"],
-        bpm=event_rates["bpm"],
+        fwpm=fwpm, rpm=rpm, lpm=lpm, bpm=bpm,
         spm_s=spm_s,
         mean_pause_s=mean_pause_s,
         pstd_hz=pstd,

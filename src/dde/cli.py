@@ -28,6 +28,10 @@ def _load_pipeline_config():
         return {}
     cfg = read_json(path, f"${ENV_CONFIG}")
     expect_object(cfg, f"${ENV_CONFIG}")
+    expect_known_keys(cfg, CONFIG_KEYS)
+    for key, known in CONFIG_KEYS.items():
+        if known and isinstance(cfg.get(key), dict):  # a non-object fails where it is read
+            expect_known_keys(cfg[key], known, key)
     return cfg
 
 
@@ -55,6 +59,15 @@ def _setting(args, flag, cfg, key, read=integer, default=None, read_flag=None):
 
 # --policy name -> the library's run builder; the first is the default
 RUNS = {"cascaded": simulate.cascaded_run, "stochastic": simulate.stochastic_run}
+
+# $DDE_CONFIG's keys: each section's own keys, or None for a plain value
+CONFIG_KEYS = {
+    "sim": ("seed", "duration_ms", "policy"),
+    "bpe": ("num_merges", "base_alphabet_size"),
+    "vad": tuple(f.name for f in dataclasses.fields(vad.VadConfig)),
+    "window_ms": None,
+    "report_format": None,
+}
 
 
 def _make_run(args, cfg) -> simulate.SimRun:
@@ -179,11 +192,9 @@ def cmd_analyze(args, cfg) -> int:
 # -------------------------------------------------------------------- ingest
 
 def cmd_ingest(args, cfg) -> int:
-    vad_cfg_data = section(cfg, "vad")
-    expect_known_keys(vad_cfg_data, [f.name for f in dataclasses.fields(vad.VadConfig)], "vad")
-    flags = ("energy_threshold_db", "min_speech_ms", "min_gap_ms")  # VadConfig.from_dict reads them
-    resolved = {name: _setting(args, name, cfg, f"vad.{name}", lambda v: v) for name in flags}
-    vad_cfg = vad.VadConfig.from_dict({**vad_cfg_data, **resolved}, "vad")
+    flags = {"energy_threshold_db": finite_float, "min_speech_ms": integer, "min_gap_ms": integer}
+    resolved = {name: _setting(args, name, cfg, f"vad.{name}", read) for name, read in flags.items()}
+    vad_cfg = vad.VadConfig.from_dict({**section(cfg, "vad"), **resolved}, "vad")
     if args.audio:
         a, b = vad.load_conversation_audio(stereo_path=args.audio)
     else:

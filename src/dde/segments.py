@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._schema import Record, expect_object, loads, read_field, read_json, read_json_lines, unit_ids
+from ._schema import Record, expect_object, loads, read_field, read_json, read_json_lines, read_record
 from .errors import ValidationError
 
 FRAME_MS = 20      # atomic activity/audio frame
@@ -104,19 +104,7 @@ class SpeechSegment:
 
     @classmethod
     def from_dict(cls, data, path="segment") -> "SpeechSegment":
-        expect_object(data, path)
-        events = data.get("events")
-        fields = dict(
-            start_ms=read_field(data, "start_ms", path),
-            end_ms=read_field(data, "end_ms", path),
-            units=read_field(data, "units", path, unit_ids, None),
-            words=read_field(data, "words", path, default=None),
-            events=None if events is None else EventCounts.from_dict(events, f"{path}.events"),
-        )
-        try:
-            return cls(**fields)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+        return read_record(cls, data, path)
 
 
 @dataclass(frozen=True)
@@ -232,6 +220,18 @@ class ChannelBounds:
         return i >= 0 and self.ends[i] > t
 
 
+def join_spans(spans, gap_ms: int) -> list[tuple[int, int]]:
+    """Sorted, disjoint (start_ms, end_ms) spans with every silence shorter
+    than gap_ms between consecutive ones bridged."""
+    joined = []
+    for start, end in spans:
+        if joined and start - joined[-1][1] < gap_ms:
+            joined[-1] = (joined[-1][0], end)
+        else:
+            joined.append((start, end))
+    return joined
+
+
 def _combine(a: SpeechSegment, b: SpeechSegment) -> SpeechSegment:
     """Union of two same-channel segments with b.start <= a.end (sorted input).
 
@@ -257,7 +257,7 @@ def _combine(a: SpeechSegment, b: SpeechSegment) -> SpeechSegment:
 
 
 def build_trace(events, duration_ms: int) -> ConversationTrace:
-    """Assemble a validated trace from (speaker, segment) pairs.
+    """Assemble a validated trace from (speaker, SpeechSegment) pairs.
 
     Segments are sorted per channel; same-channel segments that overlap or touch
     are merged into their union. Cross-channel overlap is legal.
@@ -266,8 +266,6 @@ def build_trace(events, duration_ms: int) -> ConversationTrace:
         raise ValidationError("duration must be non-negative")
     per_channel: tuple[list[SpeechSegment], list[SpeechSegment]] = ([], [])
     for speaker, seg in events:
-        if not isinstance(seg, SpeechSegment):
-            seg = SpeechSegment.from_dict(seg)
         if seg.end_ms > duration_ms:
             raise ValidationError(
                 f"segment [{seg.start_ms},{seg.end_ms}) past duration {duration_ms}"

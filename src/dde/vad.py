@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from ._schema import Record
 from .errors import ValidationError
-from .segments import FRAME_MS, ConversationTrace, build_trace, SpeechSegment
+from .segments import FRAME_MS, ConversationTrace, SpeechSegment, build_trace, join_spans
 
 SAMPLE_RATE = 16000
 FRAME_SAMPLES = SAMPLE_RATE * FRAME_MS // 1000  # 320
@@ -34,6 +34,10 @@ class VadConfig(Record):
     def __post_init__(self):
         if self.frame_ms != FRAME_MS:
             raise ValidationError(f"frame_ms is fixed at {FRAME_MS}")
+        if self.energy_threshold_db < 0:
+            raise ValidationError(
+                f"energy_threshold_db must be non-negative, got {self.energy_threshold_db}"
+            )
         if self.min_speech_ms < self.frame_ms:
             raise ValidationError("min_speech_ms must be at least one frame")
         if self.min_gap_ms < 0:
@@ -46,34 +50,20 @@ def _frame_energies_db(samples: np.ndarray) -> np.ndarray:
 
 
 def _active_runs(mask: np.ndarray):
-    """(start, end) index pairs of True runs."""
+    """(start_ms, end_ms) of each run of True frames."""
     padded = np.concatenate(([False], mask, [False]))
     diff = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(diff == 1)
-    ends = np.flatnonzero(diff == -1)
-    return list(zip(starts.tolist(), ends.tolist()))
+    starts = np.flatnonzero(diff == 1) * FRAME_MS
+    ends = np.flatnonzero(diff == -1) * FRAME_MS
+    return zip(starts.tolist(), ends.tolist())
 
 
 def _segment_channel(samples: np.ndarray, cfg: VadConfig):
     energies = _frame_energies_db(samples)
-    if energies.size == 0:
-        return []
     floor = np.percentile(energies, _NOISE_FLOOR_PERCENTILE)
-    speech = energies > floor + cfg.energy_threshold_db
-    runs = _active_runs(speech)
-    # bridge short gaps
-    bridged = []
-    for start, end in runs:
-        if bridged and (start - bridged[-1][1]) * FRAME_MS < cfg.min_gap_ms:
-            bridged[-1] = (bridged[-1][0], end)
-        else:
-            bridged.append((start, end))
-    min_frames = -(-cfg.min_speech_ms // FRAME_MS)  # ceil: keep >= min_speech_ms
-    return [
-        (s * FRAME_MS, e * FRAME_MS)
-        for s, e in bridged
-        if e - s >= min_frames
-    ]
+    spans = join_spans(_active_runs(energies > floor + cfg.energy_threshold_db), cfg.min_gap_ms)
+    min_ms = -(-cfg.min_speech_ms // FRAME_MS) * FRAME_MS  # whole frames, >= min_speech_ms
+    return [(s, e) for s, e in spans if e - s >= min_ms]
 
 
 def vad_from_samples(pcm, cfg: VadConfig | None = None) -> ConversationTrace:

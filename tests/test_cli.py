@@ -697,6 +697,42 @@ SETTING_ERRORS = {
         "vad: expected a JSON object, got str",
     ),
     "vad_unknown_field": ({"vad": {"bogus": 1}}, INGEST, "vad.bogus: unknown field"),
+    # a negative margin makes floor frames speech
+    "vad_negative_threshold": (
+        None, [*INGEST, "--energy-threshold-db", "-3"],
+        "vad: energy_threshold_db must be non-negative, got -3.0",
+    ),
+    "vad_negative_threshold_config": (
+        {"vad": {"energy_threshold_db": -3}}, INGEST,
+        "vad: energy_threshold_db must be non-negative, got -3.0",
+    ),
+    # a flag's bad value names the flag, a config value its key
+    "vad_threshold_flag_nan": (
+        None, [*INGEST, "--energy-threshold-db", "nan"],
+        "--energy-threshold-db: expected a finite number, got NaN",
+    ),
+    "vad_threshold_flag_inf": (
+        {"vad": {"energy_threshold_db": 5}}, [*INGEST, "--energy-threshold-db", "inf"],
+        "--energy-threshold-db: expected a finite number, got Infinity",
+    ),
+    "vad_threshold_config_nan": (
+        {"vad": {"energy_threshold_db": "nan"}}, INGEST,
+        'vad.energy_threshold_db: expected a finite number, got "nan"',
+    ),
+    "vad_min_gap_config_fraction": (
+        {"vad": {"min_gap_ms": 1.5}}, INGEST, "vad.min_gap_ms: expected an integer, got 1.5",
+    ),
+    "vad_min_speech_flag_range": (
+        None, [*INGEST, "--min-speech-ms", "0"], "vad: min_speech_ms must be at least one frame",
+    ),
+    # unknown keys are errors in every $DDE_CONFIG section, whatever the command
+    "unknown_top_level_key": ({"windowms": 800}, SIMULATE, "windowms: unknown field"),
+    "bpe_unknown_field": ({"bpe": {"num_merge": 2}}, TRAIN, "bpe.num_merge: unknown field"),
+    "sim_unknown_field": ({"sim": {"sed": 3}}, SIMULATE, "sim.sed: unknown field"),
+    "vad_unknown_field_any_command": ({"vad": {"bogus": 1}}, TRAIN, "vad.bogus: unknown field"),
+    "unknown_key_before_bad_value": (
+        {"bpe": {"num_merges": "x", "num_merge": 2}}, TRAIN, "bpe.num_merge: unknown field",
+    ),
 }
 
 

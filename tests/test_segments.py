@@ -52,6 +52,21 @@ class TestBuildTrace:
         assert merged.units == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
         assert merged.words == 5
 
+    def test_touching_merge_sums_words_and_events(self):
+        t = build_trace(
+            [
+                ("B", seg(200, 260, units=(9, 9, 9), events=EventCounts(laughs=1))),
+                ("B", seg(100, 200, units=(6, 7, 8, 9, 10), words=3, events=EventCounts(1, 2, 0, 0))),
+                ("B", seg(0, 100, units=(1, 2, 3, 4, 5), words=2, events=EventCounts(fillers=1, breaths=3))),
+            ],
+            300,
+        )
+        # words need both sides annotated; units and events do not stop at the unworded third
+        assert t.channels[1] == (
+            seg(0, 260, units=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 9, 9, 9), events=EventCounts(2, 2, 1, 3)),
+        )
+        assert t.channels[1][0].words is None
+
     def test_partial_overlap_drops_annotations(self):
         t = build_trace(
             [("A", seg(0, 100, units=tuple(range(5)))), ("A", seg(80, 200))], 300

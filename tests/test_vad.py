@@ -3,6 +3,7 @@ import pytest
 
 from dde import ValidationError, VadConfig, vad_from_samples
 from dde.vad import load_conversation_audio, write_wav
+from oracles import _close_gaps
 
 FS = 16000
 
@@ -89,6 +90,45 @@ class TestVad:
             assert s.end_ms % 20 == 0
 
 
+def floor_and_bursts(spans_ms, n_frames):
+    """A 400 Hz floor of amplitude 10 with amplitude-1000 bursts at the given
+    20ms-aligned spans. Each frame holds eight whole periods, so every frame
+    has exactly the floor's energy or the bursts' 40 dB more."""
+    tone = np.sin(2 * np.pi * 400 * np.arange(n_frames * 320) / FS)
+    amplitude = np.full(n_frames * 320, 10.0)
+    for a, b in spans_ms:
+        amplitude[16 * a : 16 * b] = 1000.0
+    return np.round(amplitude * tone).astype(np.int16)
+
+
+def random_bursts(rng, n_frames):
+    """20ms-aligned spans of 1-8 frames, each followed by at least one floor
+    frame, so that over 5% of the frames (the noise-floor percentile) are floor."""
+    spans, f = [], int(rng.integers(0, 12))
+    while True:
+        length = int(rng.integers(1, 9))
+        if f + length >= n_frames:
+            return spans
+        spans.append((20 * f, 20 * (f + length)))
+        f += length + int(rng.integers(1, 13))
+
+
+class TestVadOracle:
+    def test_matches_gap_closing_then_whole_frame_minimum(self, rng):
+        for _ in range(60):
+            n_frames = int(rng.integers(1, 200))
+            bursts = [random_bursts(rng, n_frames) for _ in range(2)]
+            cfg = VadConfig(
+                min_gap_ms=int(rng.integers(0, 300)), min_speech_ms=int(rng.integers(20, 300))
+            )
+            min_ms = -(-cfg.min_speech_ms // 20) * 20
+            t = vad_from_samples([floor_and_bursts(b, n_frames) for b in bursts], cfg)
+            assert t.duration_ms == 20 * n_frames
+            for ch, spans in zip(t.channels, bursts):
+                expected = [(a, b) for a, b in _close_gaps(spans, cfg.min_gap_ms) if b - a >= min_ms]
+                assert [(s.start_ms, s.end_ms) for s in ch] == expected, (spans, cfg)
+
+
 class TestVadConfig:
     def test_rejects_tiny_min_speech(self):
         with pytest.raises(ValidationError):
@@ -97,6 +137,13 @@ class TestVadConfig:
     def test_rejects_negative_gap(self):
         with pytest.raises(ValidationError):
             VadConfig(min_gap_ms=-1)
+
+    def test_rejects_negative_threshold(self):
+        assert VadConfig(energy_threshold_db=0.0).energy_threshold_db == 0.0
+        with pytest.raises(ValidationError, match=r"^energy_threshold_db must be non-negative, got -3.0$"):
+            VadConfig(energy_threshold_db=-3.0)
+        with pytest.raises(ValidationError, match=r"^vad: energy_threshold_db must be non-negative"):
+            VadConfig.from_dict({"energy_threshold_db": -0.5}, "vad")
 
     def test_rejects_nonstandard_frame(self):
         with pytest.raises(ValidationError):
