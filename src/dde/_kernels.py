@@ -38,8 +38,6 @@ def frame_rms(x, frame_len: int) -> np.ndarray:
     """Per-frame RMS of a 1-d signal; trailing partial frame is dropped."""
     x = np.asarray(x, dtype=np.float64)
     n_frames = x.size // frame_len
-    if n_frames == 0:
-        return np.zeros(0)
     frames = x[: n_frames * frame_len].reshape(n_frames, frame_len)
     return np.sqrt(np.mean(frames * frames, axis=1))
 

@@ -74,18 +74,26 @@ def expect_known_keys(data, known, path="") -> None:
 
 def integer(value) -> int:
     """An integer from a JSON number or numeric string: 20, 20.0 and "20" read
-    as 20; booleans and non-integral numbers are errors, not 1 or truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
+    as 20; booleans, non-integral numbers and anything else are errors, not 1
+    or truncated."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}") from None
 
 
 def finite_float(value) -> float:
-    """A float from a JSON number or numeric string; booleans, NaN and the
-    infinities are errors, not 1.0 or a value no parameter can take."""
-    if isinstance(value, bool) or not math.isfinite(float(value)):
-        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
-    return float(value)
+    """A float from a JSON number or numeric string; booleans, NaN, the
+    infinities and anything else are errors, not 1.0 or a value no parameter
+    can take."""
+    try:
+        if isinstance(value, bool) or not math.isfinite(float(value)):
+            raise ValueError
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"expected a finite number, got {json.dumps(value)}") from None
 
 
 def number(value):

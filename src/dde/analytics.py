@@ -211,8 +211,6 @@ def _audio_stats(trace: ConversationTrace, audio):
     for ch, samples in enumerate(audio):
         samples = np.asarray(samples, dtype=np.float64) / _PCM_SCALE
         n_frames = min(samples.size // FRAME_SAMPLES, grid.n_frames)
-        if n_frames == 0:
-            continue
         active = grid.frames[ch, :n_frames]
         if not active.any():
             continue
@@ -227,9 +225,7 @@ def _audio_stats(trace: ConversationTrace, audio):
         f0_all.append(f0[voiced])
     estd = pstd = mean_f0 = None
     if rms_all:
-        pooled = np.concatenate(rms_all)
-        if pooled.size:
-            estd = float(np.std(pooled))
+        estd = float(np.std(np.concatenate(rms_all)))
     if f0_all:
         pooled = np.concatenate(f0_all)
         if pooled.size:
@@ -254,7 +250,7 @@ def naturalness_report(
     any_turn, silence_ms, pause_lengths = _silence_stats(structures)
     spm_s = None
     mean_pause_s = None
-    if any_turn and trace.duration_ms > 0:
+    if any_turn:
         spm_s = (silence_ms / 1000.0) * 60000.0 / trace.duration_ms
         if pause_lengths:
             mean_pause_s = sum(pause_lengths) / len(pause_lengths) / 1000.0

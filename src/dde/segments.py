@@ -262,14 +262,8 @@ def build_trace(events, duration_ms: int) -> ConversationTrace:
     Segments are sorted per channel; same-channel segments that overlap or touch
     are merged into their union. Cross-channel overlap is legal.
     """
-    if duration_ms < 0:
-        raise ValidationError("duration must be non-negative")
     per_channel: tuple[list[SpeechSegment], list[SpeechSegment]] = ([], [])
     for speaker, seg in events:
-        if seg.end_ms > duration_ms:
-            raise ValidationError(
-                f"segment [{seg.start_ms},{seg.end_ms}) past duration {duration_ms}"
-            )
         per_channel[speaker_index(speaker)].append(seg)
     merged_channels = []
     for ch in per_channel:
@@ -310,8 +304,6 @@ def frame_grid(trace: ConversationTrace) -> FrameGrid:
         for seg in ch:
             f_lo = seg.start_ms // FRAME_MS
             f_hi = min((seg.end_ms + FRAME_MS - 1) // FRAME_MS, n_frames)
-            if f_lo >= f_hi:
-                continue
             f = np.arange(f_lo, f_hi)
             lo = np.maximum(seg.start_ms, f * FRAME_MS)
             hi = np.minimum(seg.end_ms, f * FRAME_MS + FRAME_MS)
@@ -320,27 +312,23 @@ def frame_grid(trace: ConversationTrace) -> FrameGrid:
 
 
 def _clip_segment(seg: SpeechSegment, lo: int, hi: int, shift: int):
-    """Clip seg to [lo, hi) and shift left by `shift`; None if empty."""
+    """Clip seg to [lo, hi) and shift left by `shift`; None if empty.
+
+    Units survive iff both cut points and the shifted start lie on the 20ms
+    grid; word/event counts survive iff nothing is cut.
+    """
     ns, ne = max(seg.start_ms, lo), min(seg.end_ms, hi)
     if ns >= ne:
         return None
-    if ns == seg.start_ms and ne == seg.end_ms:
-        units = seg.units if (ns - shift) % FRAME_MS == 0 else None
-        return SpeechSegment(
-            ns - shift, ne - shift, units=units, words=seg.words, events=seg.events
-        )
+    a, b = ns - seg.start_ms, ne - seg.start_ms
     units = None
-    if (
-        seg.units is not None
-        and (ns - seg.start_ms) % FRAME_MS == 0
-        and (ne - seg.start_ms) % FRAME_MS == 0
-        and (ns - shift) % FRAME_MS == 0
-    ):
-        units = seg.units[
-            (ns - seg.start_ms) // FRAME_MS : (ne - seg.start_ms) // FRAME_MS
-        ]
-    # word/event counts no longer describe the clipped span; drop them
-    return SpeechSegment(ns - shift, ne - shift, units=units)
+    if seg.units is not None and a % FRAME_MS == b % FRAME_MS == (ns - shift) % FRAME_MS == 0:
+        units = seg.units[a // FRAME_MS : b // FRAME_MS]
+    whole = (ns, ne) == (seg.start_ms, seg.end_ms)
+    return SpeechSegment(
+        ns - shift, ne - shift, units=units,
+        words=seg.words if whole else None, events=seg.events if whole else None,
+    )
 
 
 def window(trace: ConversationTrace, end_ms: int, width_ms: int = WINDOW_MS) -> ConversationTrace:

@@ -145,10 +145,6 @@ class CorpusResponse(_Record):
 _RESPONSES = {cls.kind: cls for cls in (UniformResponse, LogNormalResponse, CorpusResponse)}
 
 
-def response_from_dict(data, path="response"):
-    return _from_kind(_RESPONSES, data, path)
-
-
 # ----------------------------------------------------------------- policies
 
 @dataclass(frozen=True)
@@ -328,10 +324,6 @@ class ScriptedConfig(_Record):
 _POLICIES = {cls.kind: cls for cls in (CascadedConfig, StochasticConfig, ScriptedConfig)}
 
 
-def policy_config_from_dict(data, path="policy"):
-    return _from_kind(_POLICIES, data, path)
-
-
 @dataclass
 class Observation:
     """What one agent sees at a tick: cheap summaries of the conversation so
@@ -434,9 +426,9 @@ class SimRun:
                 path = f"agents[{i}]"
                 expect_object(entry, path)
                 expect_known_keys(entry, ("policy", "response"), path)
-                agents.append(policy_config_from_dict(entry.get("policy"), f"{path}.policy"))
+                agents.append(_from_kind(_POLICIES, entry.get("policy"), f"{path}.policy"))
                 resp = entry.get("response")
-                responses.append(None if resp is None else response_from_dict(resp, f"{path}.response"))
+                responses.append(None if resp is None else _from_kind(_RESPONSES, resp, f"{path}.response"))
         return cls(
             seed=read_field(data, "seed"),
             duration_ms=read_field(data, "duration_ms", default=cls.duration_ms),

@@ -231,6 +231,41 @@ def test_bad_trace_is_an_error_not_a_traceback(tmp_path, capsys, command, case):
     assert "Traceback" not in err
 
 
+# name -> (trace document, the whole error text of `dde analyze` after "error: ")
+TRACE_ERRORS = {
+    "segment_past_duration": (
+        {"duration_ms": 2000, "channels": [[{"start_ms": 1000, "end_ms": 3000}], []]},
+        "channel 0: segment ends at 3000 past duration 2000",
+    ),
+    "negative_duration": ({"duration_ms": -5, "channels": [[], []]}, "duration must be non-negative"),
+    "touching_segments": (
+        {
+            "duration_ms": 1000,
+            "channels": [[{"start_ms": 0, "end_ms": 100}, {"start_ms": 100, "end_ms": 200}], []],
+        },
+        "channel 0: segment at 100 overlaps or touches previous segment ending at 100",
+    ),
+    # a value the reader cannot read at all is named in the readers' own words
+    "start_not_a_number": (
+        {"duration_ms": 1000, "channels": [[{"start_ms": "x", "end_ms": 20}], []]},
+        'channels[0][0].start_ms: expected an integer, got "x"',
+    ),
+    "end_a_list": (
+        {"duration_ms": 1000, "channels": [[], [{"start_ms": 0, "end_ms": [20]}]]},
+        "channels[1][0].end_ms: expected an integer, got [20]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_ERRORS))
+def test_trace_error_text(tmp_path, capsys, case):
+    doc, message = TRACE_ERRORS[case]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("analyze", "--trace", str(p)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _agents(*policies, response=None):
     return [{"policy": p, "response": response} for p in policies]
 
@@ -732,6 +767,12 @@ SETTING_ERRORS = {
     "vad_unknown_field_any_command": ({"vad": {"bogus": 1}}, TRAIN, "vad.bogus: unknown field"),
     "unknown_key_before_bad_value": (
         {"bpe": {"num_merges": "x", "num_merge": 2}}, TRAIN, "bpe.num_merge: unknown field",
+    ),
+    # a value the reader cannot read at all is named in the readers' own words
+    "sim_seed_config_string": ({"sim": {"seed": "x"}}, SIMULATE, 'sim.seed: expected an integer, got "x"'),
+    "vad_threshold_config_list": (
+        {"vad": {"energy_threshold_db": [1]}}, INGEST,
+        "vad.energy_threshold_db: expected a finite number, got [1]",
     ),
 }
 

@@ -13,6 +13,7 @@ from dde import (
     speaker_index,
     window,
 )
+from dde.segments import FRAME_MS, _clip_segment
 from conftest import random_trace, random_unaligned_trace
 from oracles import ms_activity, scan_window
 
@@ -190,6 +191,51 @@ class TestWindow:
         kept = w.channels[0][0]
         assert (kept.start_ms, kept.end_ms) == (0, 400)
         assert kept.units == units[10:30]
+
+    @staticmethod
+    def _clip_by_frames(s, lo, hi, shift):
+        """The cut rule restated a millisecond and a frame at a time: keep the
+        milliseconds of s inside [lo, hi); units survive iff every source
+        frame touched is kept whole and the shifted start is on the grid;
+        words and events survive iff nothing is cut."""
+        kept = [t for t in range(s.start_ms, s.end_ms) if lo <= t < hi]
+        if not kept:
+            return None
+        ns, ne = kept[0], kept[-1] + 1
+        units = None
+        if s.units is not None:
+            frames = sorted({(t - s.start_ms) // FRAME_MS for t in kept})
+            if len(kept) == FRAME_MS * len(frames) and (ns - shift) % FRAME_MS == 0:
+                units = tuple(s.units[f] for f in frames)
+        whole = len(kept) == s.duration_ms
+        return SpeechSegment(
+            ns - shift, ne - shift, units=units,
+            words=s.words if whole else None, events=s.events if whole else None,
+        )
+
+    def test_clip_segment_matches_per_frame_rule_randomized(self, rng):
+        # segments with and without units, words and events; window edges and
+        # shifts both on and off the 20ms grid
+        def instant(top):
+            t = int(rng.integers(0, top + 1))
+            return t - t % FRAME_MS if rng.random() < 0.5 else t
+
+        for _ in range(1500):
+            if rng.random() < 0.5:
+                start = FRAME_MS * int(rng.integers(0, 30))
+                n = int(rng.integers(1, 30))
+                s = seg(start, start + FRAME_MS * n,
+                        units=tuple(int(u) for u in rng.integers(0, 50, n)))
+            else:
+                start = int(rng.integers(0, 600))
+                s = seg(start, start + int(rng.integers(1, 600)))
+            if rng.random() < 0.5:
+                s = seg(s.start_ms, s.end_ms, units=s.units, words=int(rng.integers(0, 9)),
+                        events=EventCounts(*(int(c) for c in rng.integers(0, 3, 4))))
+            lo = instant(s.end_ms)
+            hi = lo + instant(700) if rng.random() < 0.9 else instant(lo)
+            shift = lo if rng.random() < 0.5 else instant(max(s.start_ms, lo))
+            assert _clip_segment(s, lo, hi, shift) == self._clip_by_frames(s, lo, hi, shift)
 
     def test_end_out_of_range_rejected(self):
         t = build_trace([], 1000)
