@@ -44,31 +44,49 @@ def frame_rms(x, frame_len: int) -> np.ndarray:
 
 # ------------------------------------------------------- autocorrelation F0
 
-def _f0_pick(r: np.ndarray, lag_min: int, fs: float):
-    """Choose a pitch lag from a normalized autocorrelation slice.
+# Full windows are analysed this many frames at a time, which bounds the
+# working arrays of a long call to a few MB.
+_F0_BATCH = 256
 
-    Takes the smallest local maximum within 15% of the global peak (guards
-    against octave-down errors), then refines it with a parabolic fit.
-    Returns (f0_hz, peak_strength); (0, strength) when nothing qualifies.
-    A peak at or below zero means no periodicity: strength is then 0.
+
+def _f0_batch(w: np.ndarray, fs: float, lag_min: int, lag_max: int):
+    """(f0_hz, strength) of each row of w, one analysis window per row.
+
+    Normalized autocorrelation over lags lag_min..lag_max; the pick is the
+    smallest local maximum within 15% of the global peak (guards against
+    octave-down errors), refined with a parabolic fit. With no such interior
+    maximum the global peak's lag is taken unrefined. A peak at or below zero
+    means no periodicity: f0 and strength are then 0, as for windows shorter
+    than lag_max + 8 samples or with no energy.
     """
-    n = r.size
-    best = max(float(r.max()), 0.0) if n else 0.0
-    if n < 3 or best == 0.0:
-        return 0.0, best
-    thresh = 0.85 * best
-    for k in range(1, n - 1):
-        if r[k] >= r[k - 1] and r[k] >= r[k + 1] and r[k] >= thresh:
-            denom = r[k - 1] - 2.0 * r[k] + r[k + 1]
-            delta = 0.0 if denom == 0.0 else 0.5 * (r[k - 1] - r[k + 1]) / denom
-            if delta > 1.0:
-                delta = 1.0
-            elif delta < -1.0:
-                delta = -1.0
-            lag = lag_min + k + delta
-            return fs / lag, float(r[k])
-    k = int(np.argmax(r))
-    return fs / (lag_min + k), best
+    n, m = w.shape
+    if m < lag_max + 8:
+        return np.zeros(n), np.zeros(n)
+    w = w - w.mean(axis=1, keepdims=True)
+    energy = np.cumsum(w * w, axis=1)
+    total = energy[:, -1:]
+    lags = np.arange(lag_min, lag_max + 1)
+    num = np.array([np.correlate(row, row, mode="full")[m - 1 :][lags] for row in w])
+    e_head = energy[:, m - lags - 1]                     # sum w[0:m-lag]^2
+    e_tail = total - energy[:, lags - 1]                 # sum w[lag:m]^2
+    denom = np.sqrt(e_head * e_tail)
+    # a window with no energy has denom 0 at every lag, so r = 0 and best = 0
+    r = np.where(denom > 0.0, num / np.maximum(denom, 1e-300), 0.0)
+    best = np.maximum(r.max(axis=1, initial=0.0), 0.0)
+    if lags.size < 3:  # no interior lag to pick
+        return np.zeros(n), best
+    a, b, c = r[:, :-2], r[:, 1:-1], r[:, 2:]
+    interior = (b >= a) & (b >= c) & (b >= 0.85 * best[:, None])
+    found = interior.any(axis=1)
+    k = np.where(found, interior.argmax(axis=1) + 1, r.argmax(axis=1))
+    rows = np.arange(n)
+    a, b, c = r[rows, k - 1], r[rows, k], r[rows, np.minimum(k + 1, lags.size - 1)]
+    # at an interior maximum b >= a and b >= c, so |a - c| = |(a - b) - (c - b)|
+    # <= |(a - b) + (c - b)| = |parabola|: |delta| <= 0.5 and needs no clamp
+    parabola = a - 2.0 * b + c
+    delta = np.divide(0.5 * (a - c), parabola, out=np.zeros(n), where=found & (parabola != 0.0))
+    f0 = np.where(best > 0.0, fs / (lag_min + k + delta), 0.0)
+    return f0, np.where(found, b, best)
 
 
 def f0_frames(x, fs, frame_len, window_len, lag_min, lag_max):
@@ -80,26 +98,18 @@ def f0_frames(x, fs, frame_len, window_len, lag_min, lag_max):
     """
     x = np.asarray(x, dtype=np.float64)
     n_frames = x.size // frame_len
+    n_full = min(n_frames, max(0, (x.size - window_len) // frame_len + 1))
+    windows = np.lib.stride_tricks.as_strided(
+        x, (n_full, window_len), (frame_len * x.strides[0], x.strides[0]), writeable=False
+    )
+    batches = [windows[lo : lo + _F0_BATCH] for lo in range(0, n_full, _F0_BATCH)]
+    batches += [x[None, f * frame_len :] for f in range(n_full, n_frames)]  # clipped windows
     f0 = np.zeros(n_frames)
     strength = np.zeros(n_frames)
-    for f in range(n_frames):
-        w = x[f * frame_len : f * frame_len + window_len]
-        m = w.size
-        if m < lag_max + 8:
-            continue
-        w = w - w.mean()
-        energy = np.cumsum(w * w)
-        total = energy[-1]
-        if total <= 0.0:
-            continue
-        full = np.correlate(w, w, mode="full")[m - 1 :]  # lag 0..m-1
-        lags = np.arange(lag_min, lag_max + 1)
-        num = full[lags]
-        e_head = energy[m - lags - 1]                    # sum w[0:m-lag]^2
-        e_tail = total - energy[lags - 1]                # sum w[lag:m]^2
-        denom = np.sqrt(e_head * e_tail)
-        r = np.where(denom > 0.0, num / np.maximum(denom, 1e-300), 0.0)
-        f0[f], strength[f] = _f0_pick(r, lag_min, float(fs))
+    lo = 0
+    for w in batches:
+        f0[lo : lo + len(w)], strength[lo : lo + len(w)] = _f0_batch(w, float(fs), lag_min, lag_max)
+        lo += len(w)
     return f0, strength
 
 

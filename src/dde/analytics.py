@@ -25,7 +25,7 @@ from ._schema import Record
 from .errors import MissingInputError, ValidationError
 from .labeler import Action
 from .segments import ConversationTrace, EventCounts, frame_grid, join_spans, speaker_index
-from .vad import FRAME_SAMPLES, SAMPLE_RATE
+from .vad import FRAME_SAMPLES, SAMPLE_RATE, active_runs
 
 TURN_JOIN_MS = 400       # silences under this merge IPUs into one turn
 PAUSE_MIN_MS = 200       # within-turn silences over this count as pauses
@@ -206,6 +206,7 @@ def _audio_stats(trace: ConversationTrace, audio):
     lag_min = int(SAMPLE_RATE / PITCH_FMAX_HZ)
     lag_max = int(math.ceil(SAMPLE_RATE / PITCH_FMIN_HZ))
     window_len = SAMPLE_RATE * PITCH_WINDOW_MS // 1000
+    per_ms = SAMPLE_RATE // 1000
     rms_all = []
     f0_all = []
     for ch, samples in enumerate(audio):
@@ -216,13 +217,14 @@ def _audio_stats(trace: ConversationTrace, audio):
             continue
         rms = _kernels.frame_rms(samples[: n_frames * FRAME_SAMPLES], FRAME_SAMPLES)
         rms_all.append(rms[active])
-        f0, strength = _kernels.f0_frames(
-            samples, SAMPLE_RATE, FRAME_SAMPLES, window_len, lag_min, lag_max
-        )
-        f0 = f0[:n_frames]
-        strength = strength[:n_frames]
-        voiced = active & (strength >= VOICING_THRESHOLD) & (f0 > 0)
-        f0_all.append(f0[voiced])
+        # pitch only on speech: a run's slice yields exactly its frames, each
+        # with the window (clipped at the signal end) the whole channel gives it
+        for start, end in active_runs(active):
+            f0, strength = _kernels.f0_frames(
+                samples[start * per_ms : end * per_ms + window_len - FRAME_SAMPLES],
+                SAMPLE_RATE, FRAME_SAMPLES, window_len, lag_min, lag_max,
+            )
+            f0_all.append(f0[(strength >= VOICING_THRESHOLD) & (f0 > 0)])
     estd = pstd = mean_f0 = None
     if rms_all:
         estd = float(np.std(np.concatenate(rms_all)))

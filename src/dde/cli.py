@@ -55,6 +55,17 @@ def _setting(args, flag, cfg, key, read=integer, default=None, read_flag=None):
         raise ValidationError(f"--{flag.replace('_', '-')}: {exc}") from None
 
 
+def _float_flag(text: str) -> float:
+    """A float flag's value. Text that spells a float, "nan" and "inf" too, is
+    read as that float, so the error shows NaN or Infinity; other text is
+    named as written."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = text
+    return finite_float(value)
+
+
 # ------------------------------------------------------------------ simulate
 
 # --policy name -> the library's run builder; the first is the default
@@ -75,11 +86,13 @@ def _make_run(args, cfg) -> simulate.SimRun:
     if args.run_config:
         section(cfg, "sim")  # must be an object even though the run config wins
         run = simulate.read_run_config(args.run_config)
-        return run if args.seed is None else dataclasses.replace(run, seed=args.seed)
+        if args.seed is None:
+            return run
+        return dataclasses.replace(run, seed=_setting(args, "seed", cfg, "sim.seed"))
     seed = _setting(args, "seed", cfg, "sim.seed", default=0)
     duration_ms = _setting(
         args, "duration_s", cfg, "sim.duration_ms", default=simulate.SimRun.duration_ms,
-        read_flag=lambda s: int(finite_float(s) * 1000),
+        read_flag=lambda s: int(_float_flag(s) * 1000),
     )
     policy = _setting(args, "policy", cfg, "sim.policy", one_of(*RUNS), next(iter(RUNS)))
     return RUNS[policy](seed, duration_ms)
@@ -192,8 +205,13 @@ def cmd_analyze(args, cfg) -> int:
 # -------------------------------------------------------------------- ingest
 
 def cmd_ingest(args, cfg) -> int:
-    flags = {"energy_threshold_db": finite_float, "min_speech_ms": integer, "min_gap_ms": integer}
-    resolved = {name: _setting(args, name, cfg, f"vad.{name}", read) for name, read in flags.items()}
+    resolved = {
+        "energy_threshold_db": _setting(
+            args, "energy_threshold_db", cfg, "vad.energy_threshold_db", finite_float,
+            read_flag=_float_flag,
+        ),
+        **{name: _setting(args, name, cfg, f"vad.{name}") for name in ("min_speech_ms", "min_gap_ms")},
+    }
     vad_cfg = vad.VadConfig.from_dict({**section(cfg, "vad"), **resolved}, "vad")
     if args.audio:
         a, b = vad.load_conversation_audio(stereo_path=args.audio)
@@ -287,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a seeded self-chat and write the trace")
     p.add_argument("--policy", choices=list(RUNS))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--duration-s", type=float)
+    p.add_argument("--seed")
+    p.add_argument("--duration-s")
     p.add_argument(
         "--run-config",
         help="JSON SimRun file; replaces --policy and --duration-s, --seed still applies",
@@ -299,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="build per-tick training samples from a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--speaker", default="both", help="A, B, or both")
-    p.add_argument("--window-ms", type=int, default=None)
+    p.add_argument("--window-ms")
     p.add_argument("--vocab", help="BPE vocab JSON for SPK targets")
     p.add_argument("--inline-context", action="store_true")
     p.add_argument("--out", required=True)
@@ -316,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audio", help="stereo WAV (one channel per speaker)")
     p.add_argument("--audio-a", help="mono WAV for speaker A")
     p.add_argument("--audio-b", help="mono WAV for speaker B")
-    p.add_argument("--energy-threshold-db", type=float)
-    p.add_argument("--min-speech-ms", type=int)
-    p.add_argument("--min-gap-ms", type=int)
+    p.add_argument("--energy-threshold-db")
+    p.add_argument("--min-speech-ms")
+    p.add_argument("--min-gap-ms")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
@@ -326,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     tok = p.add_subparsers(dest="tokenize_command", required=True)
     t = tok.add_parser("train", help="learn merges from unit-annotated traces")
     t.add_argument("--traces", nargs="+", required=True)
-    t.add_argument("--num-merges", type=int)
-    t.add_argument("--base-alphabet-size", type=int)
+    t.add_argument("--num-merges")
+    t.add_argument("--base-alphabet-size")
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_tokenize_train)
     t = tok.add_parser("apply", help="dedup+encode unit-annotated segments")

@@ -49,7 +49,7 @@ def _frame_energies_db(samples: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(rms * rms + _EPS)
 
 
-def _active_runs(mask: np.ndarray):
+def active_runs(mask: np.ndarray):
     """(start_ms, end_ms) of each run of True frames."""
     padded = np.concatenate(([False], mask, [False]))
     diff = np.diff(padded.astype(np.int8))
@@ -61,7 +61,7 @@ def _active_runs(mask: np.ndarray):
 def _segment_channel(samples: np.ndarray, cfg: VadConfig):
     energies = _frame_energies_db(samples)
     floor = np.percentile(energies, _NOISE_FLOOR_PERCENTILE)
-    spans = join_spans(_active_runs(energies > floor + cfg.energy_threshold_db), cfg.min_gap_ms)
+    spans = join_spans(active_runs(energies > floor + cfg.energy_threshold_db), cfg.min_gap_ms)
     min_ms = -(-cfg.min_speech_ms // FRAME_MS) * FRAME_MS  # whole frames, >= min_speech_ms
     return [(s, e) for s, e in spans if e - s >= min_ms]
 

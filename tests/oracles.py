@@ -7,7 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from dde.segments import ConversationTrace, _clip_segment
+from dde import _kernels, analytics
+from dde.segments import ConversationTrace, _clip_segment, frame_grid
+from dde.vad import FRAME_SAMPLES, SAMPLE_RATE
 
 FRAME_MS = 20
 TICK_MS = 160
@@ -251,3 +253,101 @@ def loop_f0_frames(x, fs, frame_len, window_len, lag_min, lag_max):
         f0[f] = fs / (lag_min + chosen + delta)
         strength[f] = r[chosen]
     return f0, strength
+
+
+# The package's F0 kernel and its caller as they were before F0 was computed
+# in batches over speech runs only, kept verbatim: the batched kernel and the
+# run-sliced caller must agree with them bit for bit.
+
+def _frame_loop_f0_pick(r: np.ndarray, lag_min: int, fs: float):
+    """Choose a pitch lag from a normalized autocorrelation slice.
+
+    Takes the smallest local maximum within 15% of the global peak (guards
+    against octave-down errors), then refines it with a parabolic fit.
+    Returns (f0_hz, peak_strength); (0, strength) when nothing qualifies.
+    A peak at or below zero means no periodicity: strength is then 0.
+    """
+    n = r.size
+    best = max(float(r.max()), 0.0) if n else 0.0
+    if n < 3 or best == 0.0:
+        return 0.0, best
+    thresh = 0.85 * best
+    for k in range(1, n - 1):
+        if r[k] >= r[k - 1] and r[k] >= r[k + 1] and r[k] >= thresh:
+            denom = r[k - 1] - 2.0 * r[k] + r[k + 1]
+            delta = 0.0 if denom == 0.0 else 0.5 * (r[k - 1] - r[k + 1]) / denom
+            if delta > 1.0:
+                delta = 1.0
+            elif delta < -1.0:
+                delta = -1.0
+            lag = lag_min + k + delta
+            return fs / lag, float(r[k])
+    k = int(np.argmax(r))
+    return fs / (lag_min + k), best
+
+
+def frame_loop_f0_frames(x, fs, frame_len, window_len, lag_min, lag_max):
+    """Per-frame F0 estimate and voicing strength via normalized autocorrelation.
+
+    The analysis window starts at each frame and extends window_len samples
+    (clipped at the signal end). Returns (f0_hz, strength) arrays, one entry
+    per complete frame; unvoiced/short frames get f0 = 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_frames = x.size // frame_len
+    f0 = np.zeros(n_frames)
+    strength = np.zeros(n_frames)
+    for f in range(n_frames):
+        w = x[f * frame_len : f * frame_len + window_len]
+        m = w.size
+        if m < lag_max + 8:
+            continue
+        w = w - w.mean()
+        energy = np.cumsum(w * w)
+        total = energy[-1]
+        if total <= 0.0:
+            continue
+        full = np.correlate(w, w, mode="full")[m - 1 :]  # lag 0..m-1
+        lags = np.arange(lag_min, lag_max + 1)
+        num = full[lags]
+        e_head = energy[m - lags - 1]                    # sum w[0:m-lag]^2
+        e_tail = total - energy[lags - 1]                # sum w[lag:m]^2
+        denom = np.sqrt(e_head * e_tail)
+        r = np.where(denom > 0.0, num / np.maximum(denom, 1e-300), 0.0)
+        f0[f], strength[f] = _frame_loop_f0_pick(r, lag_min, float(fs))
+    return f0, strength
+
+
+def all_frames_audio_stats(trace, audio):
+    """(estd, pstd_hz, mean_f0_hz) with F0 computed on every frame of each
+    channel and the frames outside speech dropped afterwards."""
+    grid = frame_grid(trace)
+    lag_min = int(SAMPLE_RATE / analytics.PITCH_FMAX_HZ)
+    lag_max = int(math.ceil(SAMPLE_RATE / analytics.PITCH_FMIN_HZ))
+    window_len = SAMPLE_RATE * analytics.PITCH_WINDOW_MS // 1000
+    rms_all = []
+    f0_all = []
+    for ch, samples in enumerate(audio):
+        samples = np.asarray(samples, dtype=np.float64) / analytics._PCM_SCALE
+        n_frames = min(samples.size // FRAME_SAMPLES, grid.n_frames)
+        active = grid.frames[ch, :n_frames]
+        if not active.any():
+            continue
+        rms = _kernels.frame_rms(samples[: n_frames * FRAME_SAMPLES], FRAME_SAMPLES)
+        rms_all.append(rms[active])
+        f0, strength = frame_loop_f0_frames(
+            samples, SAMPLE_RATE, FRAME_SAMPLES, window_len, lag_min, lag_max
+        )
+        f0 = f0[:n_frames]
+        strength = strength[:n_frames]
+        voiced = active & (strength >= analytics.VOICING_THRESHOLD) & (f0 > 0)
+        f0_all.append(f0[voiced])
+    estd = pstd = mean_f0 = None
+    if rms_all:
+        estd = float(np.std(np.concatenate(rms_all)))
+    if f0_all:
+        pooled = np.concatenate(f0_all)
+        if pooled.size:
+            pstd = float(np.std(pooled))
+            mean_f0 = float(np.mean(pooled))
+    return estd, pstd, mean_f0

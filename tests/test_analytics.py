@@ -17,7 +17,7 @@ from dde import (
     turn_structure,
 )
 from conftest import random_trace
-from oracles import sweep_events
+from oracles import _runs, all_frames_audio_stats, sweep_events
 
 
 def seg(a, b, **kw):
@@ -337,6 +337,61 @@ class TestNaturalness:
         assert stats.mean_f0_hz == pytest.approx(220.0, abs=5.0)
         assert stats.pstd_hz is not None and stats.pstd_hz < 5.0
         assert stats.estd is not None and stats.estd < 0.05
+
+
+def _voice(rng, n_samples):
+    """PCM16-range test audio: a tone that glides, with noise."""
+    t = np.arange(n_samples) / 16000
+    tone = np.sin(2 * np.pi * (120.0 + 60.0 * t / t[-1]) * t)
+    return np.round(8000 * tone + 800 * rng.normal(size=n_samples))
+
+
+class TestAudioStatsRunSliced:
+    """Pitch computed on speech runs only equals pitch computed on every frame
+    and masked afterwards, bit for bit."""
+
+    @staticmethod
+    def _stats(masks, n_samples, seed, silent_audio=False):
+        rng = np.random.default_rng(seed)
+        events = [
+            (sp, seg(20 * s, 20 * e)) for sp, mask in enumerate(masks) for s, e in _runs(mask)
+        ]
+        trace = build_trace(events, 20 * len(masks[0]))
+        audio = [np.zeros(n_samples) if silent_audio else _voice(rng, n_samples) for _ in masks]
+        got = analytics._audio_stats(trace, audio)
+        assert got == all_frames_audio_stats(trace, audio)
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 150
+        masks = []
+        for _ in range(2):
+            mask = rng.random(n) < rng.choice([0.3, 0.6, 0.9])
+            mask[0] = mask[-1] = True  # runs at the first and the last frame
+            mask[2], mask[3], mask[4] = False, True, False  # a single-frame run
+            masks.append(mask)
+        # the audio ends 100 samples past the last frame: its window is clipped
+        stats = self._stats(masks, n * 320 + 100, seed)
+        assert None not in stats
+
+    def test_whole_last_window(self):
+        masks = [np.ones(50, bool), np.arange(50) % 3 == 0]
+        self._stats(masks, 50 * 320 + 200, 7)
+
+    def test_audio_shorter_than_the_trace(self):
+        masks = [np.ones(80, bool), np.arange(80) % 7 < 4]
+        self._stats(masks, 60 * 320 + 50, 8)
+
+    def test_silent_channel(self):
+        masks = [np.arange(60) % 5 < 3, np.zeros(60, bool)]
+        estd, pstd, mean_f0 = self._stats(masks, 60 * 320, 9)
+        assert estd is not None and pstd is not None
+
+    def test_speech_over_silent_audio(self):
+        masks = [np.ones(40, bool), np.arange(40) % 2 == 0]
+        assert self._stats(masks, 40 * 320, 10, silent_audio=True) == (0.0, None, None)
 
 
 class TestBackchannelCoverage:

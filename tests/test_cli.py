@@ -774,6 +774,25 @@ SETTING_ERRORS = {
         {"vad": {"energy_threshold_db": [1]}}, INGEST,
         "vad.energy_threshold_db: expected a finite number, got [1]",
     ),
+    # flags are read as text by the same readers, not by argparse (usage text, exit 2)
+    "seed_flag_text": (None, [*SIMULATE, "--seed", "x"], '--seed: expected an integer, got "x"'),
+    "seed_flag_text_with_run_config": (
+        None, ["simulate", "--run-config", "@run.json", "--seed", "x", "--out", "@t.json"],
+        '--seed: expected an integer, got "x"',
+    ),
+    "duration_flag_text": (
+        None, [*SIMULATE, "--duration-s", "x"], '--duration-s: expected a finite number, got "x"',
+    ),
+    "min_gap_flag_fraction": (
+        None, [*INGEST, "--min-gap-ms", "1.5"], '--min-gap-ms: expected an integer, got "1.5"',
+    ),
+    "num_merges_flag_text": (
+        None, [*TRAIN, "--num-merges", "x"], '--num-merges: expected an integer, got "x"',
+    ),
+    "energy_threshold_flag_text": (
+        None, [*INGEST, "--energy-threshold-db", "x"],
+        '--energy-threshold-db: expected a finite number, got "x"',
+    ),
 }
 
 

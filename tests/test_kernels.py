@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from dde import _kernels
-from oracles import loop_f0_frames, loop_frame_rms, recursive_levenshtein
+from oracles import frame_loop_f0_frames, loop_f0_frames, loop_frame_rms, recursive_levenshtein
 
 
 class TestLevenshtein:
@@ -67,6 +68,72 @@ class TestF0Frames:
         f0, strength = _kernels.f0_frames(np.zeros(3200), 16000, 320, 480, 40, 267)
         assert (f0 == 0).all()
         assert (strength == 0).all()
+
+
+F0_ARGS = (16000, 320, 480, 40, 267)  # fs, frame_len, window_len, lag_min, lag_max
+
+
+def _f0_signal(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    t = np.arange(16000) / 16000
+    impulses = np.zeros(3200)
+    impulses[::400] = 1.0
+    impulses[5] = 1.0
+    return {
+        "tone": np.sin(2 * np.pi * 150.0 * t[:4800]) + 0.01 * np.sin(2 * np.pi * 60.0 * t[:4800]),
+        "impulses": impulses,
+        # more frames than one batch of full windows, and a clipped last window
+        "white_noise": rng.normal(size=300 * 320 + 100),
+        "red_noise": np.cumsum(rng.normal(size=8000)),
+        "silence": np.zeros(3200),
+        # the last frame's window is clipped iff size % 320 < 480 - 320
+        "clipped_last_window": rng.normal(size=10 * 320 + 100),
+        "whole_last_window": rng.normal(size=10 * 320 + 200),
+        "shorter_than_a_window": rng.normal(size=400),
+        "shorter_than_a_frame": rng.normal(size=300),
+        # 53 Hz: at some frames the peak sits at lag 40, at others at lag 267,
+        # with no interior local maximum within 15% of it
+        "edge_peaks": np.sin(2 * np.pi * 53.0 * t[:3200]),
+    }[name]
+
+
+class TestBatchedF0:
+    """The batched kernel against the per-frame loop it replaced, bit for bit."""
+
+    # a window shorter than lag_max + 8 = 275 samples is not analysed
+    @pytest.mark.parametrize("window_len", [480, 275, 274])
+    @pytest.mark.parametrize("name", [
+        "tone", "impulses", "white_noise", "red_noise", "silence", "clipped_last_window",
+        "whole_last_window", "shorter_than_a_window", "shorter_than_a_frame", "edge_peaks",
+    ])
+    def test_matches_frame_loop(self, name, window_len):
+        x = _f0_signal(name)
+        args = (F0_ARGS[0], F0_ARGS[1], window_len, *F0_ARGS[3:])
+        f0, strength = _kernels.f0_frames(x, *args)
+        f0_loop, strength_loop = frame_loop_f0_frames(x, *args)
+        assert f0.shape == (x.size // 320,)
+        assert np.array_equal(f0, f0_loop)
+        assert np.array_equal(strength, strength_loop)
+
+    @pytest.mark.parametrize("lag_max", [38, 40, 41, 42])  # 0 to 3 lags from lag_min 40
+    def test_lag_ranges_without_an_interior_lag(self, lag_max):
+        x = _f0_signal("edge_peaks")
+        args = (*F0_ARGS[:4], lag_max)
+        got, want = _kernels.f0_frames(x, *args), frame_loop_f0_frames(x, *args)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert (got[1] > 0).any() == (lag_max >= 40)
+
+    def test_argmax_fallback_at_both_lag_edges(self):
+        # a refined interior pick lies strictly inside (40, 267): |delta| <= 0.5
+        # at lags 41..266, so f0 at exactly fs/40 or fs/267 is the fallback
+        x = _f0_signal("edge_peaks")
+        f0, strength = _kernels.f0_frames(x, *F0_ARGS)
+        at_edge = np.isin(f0, [16000 / 40, 16000 / 267])
+        assert set(f0[at_edge]) == {16000 / 40, 16000 / 267}
+        assert (strength[at_edge] > 0).all()
+        f0_loop, strength_loop = loop_f0_frames(x, *F0_ARGS)
+        assert np.allclose(f0, f0_loop, atol=1e-6)
+        assert np.allclose(strength, strength_loop, atol=1e-9)
 
 
 def test_default_backend_reports():
