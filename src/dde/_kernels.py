@@ -1,4 +1,5 @@
-"""Hot numeric kernels, vectorized with numpy."""
+"""Hot numeric kernels: a bit-parallel edit distance on Python ints, and
+frame energy and F0 vectorized with numpy."""
 
 from __future__ import annotations
 
@@ -8,28 +9,28 @@ import numpy as np
 # ---------------------------------------------------------------- levenshtein
 
 def levenshtein(a, b) -> int:
-    """Unit-cost edit distance between two integer sequences, via a vectorized
-    row DP.
+    """Unit-cost edit distance between two integer sequences, by the
+    bit-parallel DP of Myers (1999) in Hyyro's (2003) form.
 
-    The within-row insertion chain cur[j] = min(base[j], cur[j-1]+1) is a
-    running minimum of base[j]-j shifted back by +j.
+    Bit i of pv (mv) says that the DP column steps +1 (-1) from row i to row
+    i+1; each element of b advances the column once. Row 0 of column j is j,
+    so the distance is len(b) plus the last column's steps.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    n = b.size
-    if a.size == 0:
-        return int(n)
-    if n == 0:
-        return int(a.size)
-    prev = np.arange(n + 1, dtype=np.int64)
-    offsets = np.arange(n + 1, dtype=np.int64)
-    for i in range(1, a.size + 1):
-        cost = (b != a[i - 1]).astype(np.int64)
-        base = np.empty(n + 1, dtype=np.int64)
-        base[0] = i
-        np.minimum(prev[1:] + 1, prev[:-1] + cost, out=base[1:])
-        prev = np.minimum.accumulate(base - offsets) + offsets
-    return int(prev[n])
+    peq = {}                                 # symbol -> bit i set where a[i] is it
+    for i, symbol in enumerate(a):
+        peq[symbol] = peq.get(symbol, 0) | 1 << i
+    mask = (1 << len(a)) - 1
+    pv, mv = mask, 0
+    for symbol in b:
+        eq = peq.get(symbol, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq    # may carry into bit len(a)
+        ph = mv | (mask ^ (xh | pv))
+        mh = pv & xh
+        ph = (ph << 1) | 1                   # row 0 steps +1
+        pv = ((mh << 1) | (mask ^ (xv | ph))) & mask
+        mv = ph & xv
+    return len(b) + pv.bit_count() - mv.bit_count()
 
 
 # -------------------------------------------------------------- frame energy

@@ -84,6 +84,16 @@ def integer(value) -> int:
         raise ValueError(f"expected an integer, got {json.dumps(value)}") from None
 
 
+def at_least(minimum: int):
+    """A reader of integers no smaller than `minimum`."""
+    def read(value):
+        n = integer(value)
+        if n < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {n}")
+        return n
+    return read
+
+
 def finite_float(value) -> float:
     """A float from a JSON number or numeric string; booleans, NaN, the
     infinities and anything else are errors, not 1.0 or a value no parameter

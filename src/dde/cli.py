@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import analytics, labeler, segments, simulate, units, vad
-from ._schema import expect_known_keys, expect_object, finite_float, integer, number, one_of
-from ._schema import read_field, read_json, section
+from ._schema import at_least, expect_known_keys, expect_object, finite_float, integer
+from ._schema import number, one_of, read_field, read_json, section
 from .errors import DuplexError, ValidationError
 
 ENV_CONFIG = "DDE_CONFIG"
@@ -118,7 +118,7 @@ def cmd_label(args, cfg) -> int:
     vocab = None
     if args.vocab:
         vocab = units.BpeVocab.from_dict(read_json(args.vocab, "vocab JSON"))
-    window_ms = _setting(args, "window_ms", cfg, "window_ms", default=segments.WINDOW_MS)
+    window_ms = _setting(args, "window_ms", cfg, "window_ms", at_least(1), segments.WINDOW_MS)
     speakers = [0, 1] if args.speaker == "both" else [segments.speaker_index(args.speaker)]
     all_samples = []
     for sp in speakers:
@@ -242,8 +242,8 @@ def _unit_segments(trace_args):
 
 
 def cmd_tokenize_train(args, cfg) -> int:
-    num_merges = _setting(args, "num_merges", cfg, "bpe.num_merges", default=0)
-    base = _setting(args, "base_alphabet_size", cfg, "bpe.base_alphabet_size", default=500)
+    num_merges = _setting(args, "num_merges", cfg, "bpe.num_merges", at_least(0), 0)
+    base = _setting(args, "base_alphabet_size", cfg, "bpe.base_alphabet_size", at_least(1), 500)
     corpus = [units.dedup(seg.units) for *_, seg in _unit_segments(args.traces)]
     if not corpus:
         raise DuplexError("no unit-annotated segments found in the given traces")

@@ -7,8 +7,10 @@ deduplicated (runs of identical adjacent ids collapse to one).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
+from functools import cached_property
+from itertools import groupby, repeat
 
 from . import _kernels
 from .errors import ValidationError
@@ -55,6 +57,15 @@ class BpeVocab:
                     f"got {new}, expected {known}"
                 )
             known += 1
+
+    @cached_property
+    def _ranks(self) -> dict[tuple[int, int], int]:
+        """(left, right) -> index of the first merge of that pair, built on
+        the first encode."""
+        ranks = {}
+        for rank, (left, right, _) in enumerate(self.merges):
+            ranks.setdefault((left, right), rank)
+        return ranks
 
     @property
     def size(self) -> int:
@@ -124,6 +135,13 @@ def bpe_train(corpus, num_merges: int, base_alphabet_size: int) -> BpeVocab:
     Each round merges the most frequent adjacent pair everywhere (ties go to
     the lexicographically smallest pair) and assigns the next free id.
     Training stops early once no pair occurs twice.
+
+    Pairs are counted once. Each merge then rewrites only the sequences that
+    hold its pair, and recounts in each only the stretch from just before its
+    first merge site to just after its last: the pairs outside it are
+    unchanged. A merge creates only pairs that hold its new id, so any other
+    pair's count can only fall afterwards: a pair counted fewer than twice
+    after a merge can never be chosen, and is dropped.
     """
     if num_merges < 0:
         raise ValidationError("num_merges must be >= 0")
@@ -132,31 +150,54 @@ def bpe_train(corpus, num_merges: int, base_alphabet_size: int) -> BpeVocab:
         seq = list(seq)
         _check_raw(seq, base_alphabet_size)
         seqs.append(seq)
+    counts = Counter(pair for seq in seqs for pair in zip(seq, seq[1:]))
+    touched = list(counts)  # the pairs whose count the last merge changed
     merges = []
-    next_id = base_alphabet_size
-    for _ in range(num_merges):
-        counts: dict[tuple[int, int], int] = {}
-        for seq in seqs:
-            for pair in zip(seq, seq[1:]):
-                counts[pair] = counts.get(pair, 0) + 1
+    for new in range(base_alphabet_size, base_alphabet_size + num_merges):
+        for pair in touched:
+            if counts.get(pair, 2) < 2:
+                counts.pop(pair)
         if not counts:
             break
-        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        (left, right), freq = best
-        if freq < 2:
-            break
-        merges.append((left, right, next_id))
-        seqs = [_merge_pass(seq, left, right, next_id) for seq in seqs]
-        next_id += 1
+        freq = max(counts.values())
+        best = min([pair for pair, n in counts.items() if n == freq])
+        merges.append((*best, new))
+        touched = []
+        for i, seq in enumerate(seqs):
+            if best[0] not in seq or best not in zip(seq, seq[1:]):  # cheap test first
+                continue
+            merged = _merge_pass(seq, *best, new)
+            lo = max(merged.index(new) - 1, 0)
+            tail = merged[::-1].index(new)  # the elements after the last site
+            old = seq[lo : len(seq) - tail + 1]
+            cur = merged[lo : len(merged) - tail + 1]
+            for pair in zip(old, old[1:]):
+                counts[pair] = counts.get(pair, 0) - 1
+            for pair in zip(cur, cur[1:]):
+                counts[pair] = counts.get(pair, 0) + 1
+            touched += zip(old, old[1:])
+            touched += zip(cur, cur[1:])
+            seqs[i] = merged
     return BpeVocab(base_alphabet_size=base_alphabet_size, merges=tuple(merges))
 
 
 def bpe_encode(vocab: BpeVocab, seq) -> tuple[int, ...]:
-    """Apply the vocab's merges in training order, each exhaustively."""
+    """Apply the vocab's merges in training order, each exhaustively.
+
+    Merging the lowest-ranked pair present, repeatedly, gives the same
+    result: a merge only creates pairs holding its new id, and every merge
+    that uses that id ranks later.
+    """
     seq = list(seq)
     _check_raw(seq, vocab.base_alphabet_size)
-    for left, right, new in vocab.merges:
-        seq = _merge_pass(seq, left, right, new)
+    ranks = vocab._ranks
+    absent = len(vocab.merges)
+    while len(seq) > 1:
+        # ranks.get(pair, absent) of each adjacent pair
+        rank = min(map(ranks.get, zip(seq, seq[1:]), repeat(absent)))
+        if rank == absent:
+            break
+        seq = _merge_pass(seq, *vocab.merges[rank])
     return tuple(seq)
 
 

@@ -8,7 +8,9 @@ from functools import lru_cache
 import numpy as np
 
 from dde import _kernels, analytics
+from dde.errors import ValidationError
 from dde.segments import ConversationTrace, _clip_segment, frame_grid
+from dde.units import BpeVocab, _check_raw
 from dde.vad import FRAME_SAMPLES, SAMPLE_RATE
 
 FRAME_MS = 20
@@ -351,3 +353,90 @@ def all_frames_audio_stats(trace, audio):
             pstd = float(np.std(pooled))
             mean_f0 = float(np.mean(pooled))
     return estd, pstd, mean_f0
+
+
+# ------------------------------------------------- BPE and edit distance, as
+# they were before incremental pair counts, lowest-rank-first encoding and the
+# bit-parallel edit distance, kept verbatim (renamed): the package's versions
+# must give the same vocabs, tokens and distances.
+
+def _merge_pass(seq: list[int], left: int, right: int, new: int) -> list[int]:
+    # one exhaustive left-to-right replacement of (left, right) by new
+    out = []
+    i = 0
+    n = len(seq)
+    while i < n:
+        if i + 1 < n and seq[i] == left and seq[i + 1] == right:
+            out.append(new)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
+
+
+def pass_per_merge_bpe_train(corpus, num_merges: int, base_alphabet_size: int) -> BpeVocab:
+    """Greedy BPE over deduplicated unit sequences.
+
+    Each round merges the most frequent adjacent pair everywhere (ties go to
+    the lexicographically smallest pair) and assigns the next free id.
+    Training stops early once no pair occurs twice.
+    """
+    if num_merges < 0:
+        raise ValidationError("num_merges must be >= 0")
+    seqs = []
+    for seq in corpus:
+        seq = list(seq)
+        _check_raw(seq, base_alphabet_size)
+        seqs.append(seq)
+    merges = []
+    next_id = base_alphabet_size
+    for _ in range(num_merges):
+        counts: dict[tuple[int, int], int] = {}
+        for seq in seqs:
+            for pair in zip(seq, seq[1:]):
+                counts[pair] = counts.get(pair, 0) + 1
+        if not counts:
+            break
+        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        (left, right), freq = best
+        if freq < 2:
+            break
+        merges.append((left, right, next_id))
+        seqs = [_merge_pass(seq, left, right, next_id) for seq in seqs]
+        next_id += 1
+    return BpeVocab(base_alphabet_size=base_alphabet_size, merges=tuple(merges))
+
+
+def pass_per_merge_bpe_encode(vocab: BpeVocab, seq) -> tuple[int, ...]:
+    """Apply the vocab's merges in training order, each exhaustively."""
+    seq = list(seq)
+    _check_raw(seq, vocab.base_alphabet_size)
+    for left, right, new in vocab.merges:
+        seq = _merge_pass(seq, left, right, new)
+    return tuple(seq)
+
+
+def row_dp_levenshtein(a, b) -> int:
+    """Unit-cost edit distance between two integer sequences, via a vectorized
+    row DP.
+
+    The within-row insertion chain cur[j] = min(base[j], cur[j-1]+1) is a
+    running minimum of base[j]-j shifted back by +j.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    n = b.size
+    if a.size == 0:
+        return int(n)
+    if n == 0:
+        return int(a.size)
+    prev = np.arange(n + 1, dtype=np.int64)
+    offsets = np.arange(n + 1, dtype=np.int64)
+    for i in range(1, a.size + 1):
+        cost = (b != a[i - 1]).astype(np.int64)
+        base = np.empty(n + 1, dtype=np.int64)
+        base[0] = i
+        np.minimum(prev[1:] + 1, prev[:-1] + cost, out=base[1:])
+        prev = np.minimum.accumulate(base - offsets) + offsets
+    return int(prev[n])

@@ -793,6 +793,33 @@ SETTING_ERRORS = {
         None, [*INGEST, "--energy-threshold-db", "x"],
         '--energy-threshold-db: expected a finite number, got "x"',
     ),
+    # a value out of range is named by its flag or key, before any input is read
+    "num_merges_flag_negative": (
+        None, [*TRAIN, "--num-merges", "-1"], "--num-merges: expected an integer >= 0, got -1",
+    ),
+    "num_merges_config_negative": (
+        {"bpe": {"num_merges": -1}}, TRAIN, "bpe.num_merges: expected an integer >= 0, got -1",
+    ),
+    "base_alphabet_flag_zero": (
+        None, [*TRAIN, "--base-alphabet-size", "0"],
+        "--base-alphabet-size: expected an integer >= 1, got 0",
+    ),
+    "base_alphabet_flag_negative": (
+        None, [*TRAIN, "--base-alphabet-size", "-3"],
+        "--base-alphabet-size: expected an integer >= 1, got -3",
+    ),
+    "base_alphabet_config_zero": (
+        {"bpe": {"base_alphabet_size": 0}}, TRAIN,
+        "bpe.base_alphabet_size: expected an integer >= 1, got 0",
+    ),
+    "window_flag_zero": (
+        None, ["label", "--trace", "@trace.json", "--window-ms", "0", "--out", "@s.jsonl"],
+        "--window-ms: expected an integer >= 1, got 0",
+    ),
+    "window_config_zero": (
+        {"window_ms": 0}, ["label", "--trace", "@trace.json", "--out", "@s.jsonl"],
+        "window_ms: expected an integer >= 1, got 0",
+    ),
 }
 
 

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dde import _kernels
 from oracles import frame_loop_f0_frames, loop_f0_frames, loop_frame_rms, recursive_levenshtein
+from oracles import row_dp_levenshtein
 
 
 class TestLevenshtein:
@@ -138,3 +141,31 @@ class TestBatchedF0:
 
 def test_default_backend_reports():
     assert _kernels.backend() == "numpy"
+
+
+class TestBitParallelLevenshtein:
+    """The bit-parallel edit distance against the row DP it replaced."""
+
+    @pytest.mark.parametrize("alphabet", [1, 2, 6, 500])
+    def test_lengths_around_a_word(self, rng, alphabet):
+        # a's bit vectors are len(a) bits long: none, one, and either side of 64
+        for n, m in itertools.product([0, 1, 2, 63, 64, 65], repeat=2):
+            a = rng.integers(0, alphabet, size=n)
+            b = rng.integers(0, alphabet, size=m)
+            assert _kernels.levenshtein(a, b) == row_dp_levenshtein(a, b)
+            assert _kernels.levenshtein(b.tolist(), a.tolist()) == row_dp_levenshtein(b, a)
+
+    def test_random_lengths(self, rng):
+        for _ in range(300):
+            k = int(rng.integers(1, 7))
+            a = rng.integers(0, k, size=rng.integers(0, 150)).tolist()
+            b = rng.integers(0, k, size=rng.integers(0, 150)).tolist()
+            assert _kernels.levenshtein(a, b) == row_dp_levenshtein(a, b)
+
+    def test_3000_by_3000(self, rng):
+        a = rng.integers(0, 500, size=3000)
+        b = a.copy()
+        edits = rng.choice(3000, size=450, replace=False)
+        b[edits] = rng.integers(0, 500, size=450)
+        b = np.delete(b, rng.choice(3000, size=40, replace=False))
+        assert _kernels.levenshtein(a.tolist(), b.tolist()) == row_dp_levenshtein(a, b)

@@ -12,7 +12,7 @@ from dde import (
     unit_error_rate,
     units_duration_ms,
 )
-from oracles import recursive_levenshtein
+from oracles import pass_per_merge_bpe_encode, pass_per_merge_bpe_train, recursive_levenshtein
 
 raw_seqs = st.lists(st.integers(min_value=0, max_value=19), max_size=60)
 
@@ -167,3 +167,74 @@ class TestUnitErrorRate:
             b = rng.integers(0, 5, size=rng.integers(0, 12)).tolist()
             expected = recursive_levenshtein(a, b) / len(a)
             assert unit_error_rate(a, b) == expected
+
+
+# alphabets of 1 to 6 ids: merged ids soon form runs such as N N N, whose
+# (N, N) pairs overlap, and many pairs tie on their count
+small_corpora = st.integers(min_value=1, max_value=6).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.lists(st.integers(0, k - 1), max_size=30).map(dedup), max_size=8),
+        st.lists(st.lists(st.integers(0, k - 1), max_size=40).map(dedup), max_size=4),
+    )
+)
+
+
+class TestBpeOracleEquivalence:
+    """Incremental training and lowest-rank-first encoding against the
+    pass-per-merge code they replaced: equal vocabs and token tuples."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(small_corpora, st.integers(min_value=0, max_value=25))
+    def test_small_alphabets(self, case, num_merges):
+        k, corpus, unseen = case
+        vocab = bpe_train(corpus, num_merges, k)
+        assert vocab == pass_per_merge_bpe_train(corpus, num_merges, k)
+        for seq in corpus + unseen:
+            assert bpe_encode(vocab, seq) == pass_per_merge_bpe_encode(vocab, seq)
+
+    @pytest.mark.parametrize("corpus,num_merges", [
+        ([], 3),                                   # the empty corpus
+        ([[], [0], [1]], 3),                       # sequences of length 0 and 1
+        ([[0, 1, 0, 1, 0, 1, 0, 1, 0]], 4),        # (0, 1) -> 4 leaves 4 4 4 4 0
+        ([[1, 2, 3, 1, 2, 3], [3, 1]], 5),         # ties on every count
+        ([[0, 1, 2, 0, 1, 2, 0, 1], [2, 0, 2, 1]], 1000),  # stops long before 1000
+    ])
+    def test_edge_corpora(self, corpus, num_merges):
+        vocab = bpe_train(corpus, num_merges, 4)
+        assert vocab == pass_per_merge_bpe_train(corpus, num_merges, 4)
+        assert len(vocab.merges) < num_merges
+        for seq in corpus:
+            assert bpe_encode(vocab, seq) == pass_per_merge_bpe_encode(vocab, seq)
+
+    def test_larger_corpus_and_foreign_sequences(self, rng):
+        def corpus(n):
+            return [dedup(rng.integers(0, 40, size=rng.integers(0, 80)).tolist()) for _ in range(n)]
+
+        train, other = corpus(120), corpus(60)
+        vocab = bpe_train(train, 150, 40)
+        assert vocab == pass_per_merge_bpe_train(train, 150, 40)
+        assert len(vocab.merges) == 150
+        for seq in train + other:
+            assert bpe_encode(vocab, seq) == pass_per_merge_bpe_encode(vocab, seq)
+
+    def test_hand_vocabs(self):
+        # a pair merged twice (the second never applies), a merge of two
+        # merged ids, and merges of pairs the sequence does not hold
+        vocabs = [
+            BpeVocab(4, ((1, 2, 4), (1, 2, 5), (4, 4, 6), (0, 3, 7))),
+            BpeVocab(4, ((2, 1, 4), (4, 2, 5), (1, 5, 6), (6, 4, 7), (3, 3, 8))),
+        ]
+        seqs = [(), (1,), (1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1, 2, 0, 3), (0, 3, 0, 3)]
+        for vocab in vocabs:
+            for seq in seqs:
+                assert bpe_encode(vocab, seq) == pass_per_merge_bpe_encode(vocab, seq)
+        assert bpe_encode(vocabs[0], (1, 2, 1, 2, 1, 2)) == (6, 4)
+
+    def test_negative_num_merges_rejected(self):
+        with pytest.raises(ValidationError, match="num_merges must be >= 0"):
+            bpe_train([[1, 2]], -1, 4)
+
+    def test_vocab_rejects_empty_alphabet(self):
+        with pytest.raises(ValidationError, match="base alphabet size must be positive"):
+            BpeVocab(0)
