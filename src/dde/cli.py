@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import analytics, labeler, segments, simulate, units, vad
@@ -296,7 +297,10 @@ def cmd_eval_actions(args, cfg) -> int:
 
 # ---------------------------------------------------------------------- main
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `dde` parser, built on first use and shared by every later main()
+    call in the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dde",
         description="Full-duplex dialogue engine: simulate, label, tokenize, analyze.",

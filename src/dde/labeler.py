@@ -23,7 +23,8 @@ from enum import IntEnum
 
 from ._schema import expect_object, read_field, read_json_lines, string
 from .errors import ValidationError
-from .segments import TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace, speaker_index, window
+from .segments import TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace, WindowJson
+from .segments import speaker_index, window
 from .units import BpeVocab, bpe_encode, dedup
 
 PAD_ID = 0
@@ -64,7 +65,9 @@ class TrainingSample:
         """Trailing window ending at 160*(tick_index+1), built on each read."""
         return window(self.trace, TICK_MS * (self.tick_index + 1), self.window_ms)
 
-    def to_dict(self, context_mode="ref", trace_path=None):
+    def to_dict(self, trace_path=None):
+        """The sample with its context as a reference into the trace file;
+        write_samples_jsonl writes inline contexts."""
         d = {
             "agent": "AB"[self.agent],
             "tick_index": self.tick_index,
@@ -72,14 +75,11 @@ class TrainingSample:
         }
         if self.target_tokens is not None:
             d["target_tokens"] = list(self.target_tokens)
-        if context_mode == "inline":
-            d["context"] = self.context.to_dict()
-        elif context_mode == "ref":
-            d["context_ref"] = {
-                "trace": str(trace_path) if trace_path is not None else None,
-                "end_ms": TICK_MS * (self.tick_index + 1),
-                "window_ms": self.window_ms,
-            }
+        d["context_ref"] = {
+            "trace": str(trace_path) if trace_path is not None else None,
+            "end_ms": TICK_MS * (self.tick_index + 1),
+            "window_ms": self.window_ms,
+        }
         return d
 
 
@@ -182,16 +182,31 @@ def action_histogram(samples) -> dict[str, int]:
     return hist
 
 
+def _inline_line(s: TrainingSample, context: str) -> str:
+    """s with its context inline, as json.dumps with sorted keys would write it."""
+    tokens = ""
+    if s.target_tokens is not None:
+        tokens = f', "target_tokens": [{", ".join(map(str, s.target_tokens))}]'
+    return (f'{{"action": "{s.action.name}", "agent": "{"AB"[s.agent]}", '
+            f'"context": {context}{tokens}, "tick_index": {s.tick_index}}}\n')
+
+
 def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> None:
+    """One JSON line per sample, keys sorted. In "inline" mode each line holds
+    the sample's context, written by WindowJson from the boundary index and
+    equal to json.dumps(sample.context.to_dict(), sort_keys=True); otherwise
+    a context_ref to trace_path."""
     with open(path, "w", encoding="utf-8") as fp:
+        if context_mode != "inline":
+            for s in samples:
+                fp.write(json.dumps(s.to_dict(trace_path), sort_keys=True))
+                fp.write("\n")
+            return
+        trace = contexts = None
         for s in samples:
-            fp.write(
-                json.dumps(
-                    s.to_dict(context_mode=context_mode, trace_path=trace_path),
-                    sort_keys=True,
-                )
-            )
-            fp.write("\n")
+            if s.trace is not trace:
+                trace, contexts = s.trace, WindowJson(s.trace)
+            fp.write(_inline_line(s, contexts(TICK_MS * (s.tick_index + 1), s.window_ms)))
 
 
 def read_actions_jsonl(path) -> dict[tuple[str, int], Action]:

@@ -219,6 +219,11 @@ class ChannelBounds:
         i = bisect_left(self.starts, t) - 1
         return i >= 0 and self.ends[i] > t
 
+    def overlapping(self, t0: int, t1: int) -> tuple[int, int]:
+        """lo, hi such that segments lo..hi-1 are those overlapping [t0, t1):
+        ends > t0 and starts < t1."""
+        return bisect_right(self.ends, t0), bisect_left(self.starts, t1)
+
 
 def join_spans(spans, gap_ms: int) -> list[tuple[int, int]]:
     """Sorted, disjoint (start_ms, end_ms) spans with every silence shorter
@@ -311,24 +316,45 @@ def frame_grid(trace: ConversationTrace) -> FrameGrid:
     return FrameGrid(frames=frames)
 
 
-def _clip_segment(seg: SpeechSegment, lo: int, hi: int, shift: int):
-    """Clip seg to [lo, hi) and shift left by `shift`; None if empty.
+def _cut(start: int, end: int, lo: int, hi: int, shift: int):
+    """The cut rule: [start, end) clipped to [lo, hi) and shifted left by
+    `shift`, as (start, end, frames, whole); None if empty.
 
-    Units survive iff both cut points and the shifted start lie on the 20ms
-    grid; word/event counts survive iff nothing is cut.
+    `frames` is the slice of the segment's 20ms units that survives, or None
+    unless both cut points and the shifted start lie on the 20ms grid; word
+    and event counts survive iff the segment is `whole`, i.e. nothing is cut.
     """
-    ns, ne = max(seg.start_ms, lo), min(seg.end_ms, hi)
+    ns, ne = max(start, lo), min(end, hi)
     if ns >= ne:
         return None
-    a, b = ns - seg.start_ms, ne - seg.start_ms
-    units = None
-    if seg.units is not None and a % FRAME_MS == b % FRAME_MS == (ns - shift) % FRAME_MS == 0:
-        units = seg.units[a // FRAME_MS : b // FRAME_MS]
-    whole = (ns, ne) == (seg.start_ms, seg.end_ms)
+    a, b = ns - start, ne - start
+    frames = None
+    if a % FRAME_MS == b % FRAME_MS == (ns - shift) % FRAME_MS == 0:
+        frames = slice(a // FRAME_MS, b // FRAME_MS)
+    return ns - shift, ne - shift, frames, (ns, ne) == (start, end)
+
+
+def _clip_segment(seg: SpeechSegment, lo: int, hi: int, shift: int):
+    """seg clipped to [lo, hi) and shifted left by `shift` by _cut's rule; None if empty."""
+    cut = _cut(seg.start_ms, seg.end_ms, lo, hi, shift)
+    if cut is None:
+        return None
+    start, end, frames, whole = cut
     return SpeechSegment(
-        ns - shift, ne - shift, units=units,
+        start, end, units=None if seg.units is None or frames is None else seg.units[frames],
         words=seg.words if whole else None, events=seg.events if whole else None,
     )
+
+
+def _window_left(trace: ConversationTrace, end_ms: int, width_ms: int) -> int:
+    """Where window(trace, end_ms, width_ms) starts in the trace."""
+    if not 0 < end_ms <= trace.duration_ms:
+        raise ValidationError(
+            f"window end {end_ms} outside (0, {trace.duration_ms}]"
+        )
+    if width_ms <= 0:
+        raise ValidationError("window width must be positive")
+    return max(0, end_ms - width_ms)
 
 
 def window(trace: ConversationTrace, end_ms: int, width_ms: int = WINDOW_MS) -> ConversationTrace:
@@ -338,20 +364,59 @@ def window(trace: ConversationTrace, end_ms: int, width_ms: int = WINDOW_MS) -> 
     timestamps re-based so the window starts at 0. Segments straddling either
     edge are truncated.
     """
-    if not 0 < end_ms <= trace.duration_ms:
-        raise ValidationError(
-            f"window end {end_ms} outside (0, {trace.duration_ms}]"
-        )
-    if width_ms <= 0:
-        raise ValidationError("window width must be positive")
-    left = max(0, end_ms - width_ms)
+    left = _window_left(trace, end_ms, width_ms)
     channels = []
     for ci, ch in enumerate(trace.channels):
-        # only ch[lo:hi] overlaps [left, end_ms): ends > left, starts < end_ms
-        b = trace.bounds(ci)
-        lo, hi = bisect_right(b.ends, left), bisect_left(b.starts, end_ms)
+        lo, hi = trace.bounds(ci).overlapping(left, end_ms)
         channels.append(tuple(_clip_segment(s, left, end_ms, left) for s in ch[lo:hi]))
     return ConversationTrace(channels=tuple(channels), duration_ms=end_ms - left)
+
+
+def _json_parts(seg: SpeechSegment):
+    """The pieces of seg's JSON that do not move with a window: the events
+    item, the unit ids as strings, the whole units item and the words item
+    with the closing brace."""
+    events = "" if seg.events is None else (
+        ', "events": ' + json.dumps(seg.events.to_dict(), sort_keys=True))
+    ids, units = None, ""
+    if seg.units is not None:
+        ids = [str(u) for u in seg.units]  # units are ints, whose JSON is str(u)
+        units = ', "units": [' + ", ".join(ids) + "]"
+    words = "" if seg.words is None else ', "words": ' + json.dumps(seg.words)
+    return events, ids, units, words + "}"
+
+
+class WindowJson:
+    """window(trace, end_ms, width_ms) as sorted-key JSON text, the same bytes
+    as json.dumps(window(...).to_dict(), sort_keys=True), written straight
+    from the boundary index: no segment or trace is built per window. Each
+    segment's fixed JSON parts are encoded once, when this is made."""
+
+    def __init__(self, trace: ConversationTrace):
+        self.trace = trace
+        self.parts = [[_json_parts(s) for s in ch] for ch in trace.channels]
+
+    def __call__(self, end_ms: int, width_ms: int) -> str:
+        left = _window_left(self.trace, end_ms, width_ms)
+        channels = []
+        for ci, parts in enumerate(self.parts):
+            b = self.trace.bounds(ci)
+            lo, hi = b.overlapping(left, end_ms)
+            items = []
+            for k in range(lo, hi):
+                start, end, frames, whole = _cut(b.starts[k], b.ends[k], left, end_ms, left)
+                events, ids, units, tail = parts[k]
+                if whole:
+                    units = units if frames is not None else ""
+                    items.append(f'{{"end_ms": {end}{events}, "start_ms": {start}{units}{tail}')
+                else:
+                    units = ""
+                    if ids is not None and frames is not None:
+                        units = ', "units": [' + ", ".join(ids[frames]) + "]"
+                    items.append(f'{{"end_ms": {end}, "start_ms": {start}{units}}}')
+            channels.append(", ".join(items))
+        return (f'{{"channels": [[{channels[0]}], [{channels[1]}]], '
+                f'"duration_ms": {end_ms - left}}}')
 
 
 def read_trace(path) -> ConversationTrace:

@@ -2,6 +2,7 @@
 package's interval arithmetic: these work on dense boolean grids and plain
 recursion so that both routes can be compared exactly."""
 
+import json
 import math
 from functools import lru_cache
 
@@ -440,3 +441,39 @@ def row_dp_levenshtein(a, b) -> int:
         np.minimum(prev[1:] + 1, prev[:-1] + cost, out=base[1:])
         prev = np.minimum.accumulate(base - offsets) + offsets
     return int(prev[n])
+
+
+# ------------------------------------------------ inline sample contexts, as
+# they were written before WindowJson: one window() per sample, turned into a
+# dict and encoded by json.dumps, kept verbatim (renamed): the package's
+# inline lines must be the same bytes.
+
+def window_per_tick_sample_dict(self, context_mode="ref", trace_path=None):
+    d = {
+        "agent": "AB"[self.agent],
+        "tick_index": self.tick_index,
+        "action": self.action.name,
+    }
+    if self.target_tokens is not None:
+        d["target_tokens"] = list(self.target_tokens)
+    if context_mode == "inline":
+        d["context"] = self.context.to_dict()
+    elif context_mode == "ref":
+        d["context_ref"] = {
+            "trace": str(trace_path) if trace_path is not None else None,
+            "end_ms": TICK_MS * (self.tick_index + 1),
+            "window_ms": self.window_ms,
+        }
+    return d
+
+
+def window_per_tick_write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> None:
+    with open(path, "w", encoding="utf-8") as fp:
+        for s in samples:
+            fp.write(
+                json.dumps(
+                    window_per_tick_sample_dict(s, context_mode=context_mode, trace_path=trace_path),
+                    sort_keys=True,
+                )
+            )
+            fp.write("\n")

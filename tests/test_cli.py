@@ -1,11 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dde import build_trace, SpeechSegment, labeler, read_trace, window, write_trace
+from dde import EventCounts, SpeechSegment, build_trace, labeler, read_trace, window, write_trace
 from dde.cli import main
 from dde.simulate import cascaded_run, run_selfchat, stochastic_run
 from dde.vad import write_wav
@@ -189,6 +192,33 @@ class TestLabelCmd:
         for rec in records:
             end = 160 * (rec["tick_index"] + 1)
             assert rec["context"] == window(trace, end, 1000).to_dict()
+
+    def test_inline_contexts_at_an_off_grid_window(self, tmp_path):
+        # a 333ms window starts off the 20ms grid once it leaves 0: A's unit
+        # segment at [1000, 1100) lies wholly inside the windows ending at
+        # 1120 and 1280, shifted to start 7 and 53 ms in, and loses its units
+        trace = build_trace([
+            ("A", seg(0, 100, units=(1, 2, 3, 4, 5), words=2)),
+            ("A", seg(1000, 1100, units=(6, 7, 8, 9, 10), words=3,
+                      events=EventCounts(fillers=1))),
+            ("B", seg(7, 500)),
+            ("B", seg(900, 1280, units=tuple(range(19)))),
+        ], 2000)
+        p = self._write_trace(tmp_path, trace)
+        out = tmp_path / "s.jsonl"
+        assert run_cli(
+            "label", "--trace", str(p), "--window-ms", "333",
+            "--inline-context", "--out", str(out),
+        ) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 2 * (2000 // 160)
+        for rec in records:
+            end = 160 * (rec["tick_index"] + 1)
+            assert rec["context"] == window(trace, end, 333).to_dict()
+        assert records[7]["context"]["channels"][0] == [{
+            "start_ms": 53, "end_ms": 153, "words": 3,
+            "events": {"fillers": 1, "repetitions": 0, "laughs": 0, "breaths": 0},
+        }]
 
     def test_malformed_trace_fails(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -898,3 +928,45 @@ class TestJsonlBatch:
         table = capsys.readouterr().out
         assert "convs:0" in table and "convs:1" in table
         assert any(line.startswith("mean") for line in table.splitlines())
+
+
+def test_parser_reused_after_a_failed_parse_gives_fresh_process_outputs(
+    tmp_path, monkeypatch, capsys,
+):
+    # one process: a parse that fails with exit 2, then label and tokenize
+    # train on the same parser; each again in a process of its own
+    monkeypatch.delenv("DDE_CONFIG", raising=False)
+    trace = build_trace([
+        ("A", seg(0, 160, units=(7, 8, 7, 8, 9, 9, 9, 9))),
+        ("B", seg(320, 480, units=(7, 8, 9, 9, 7, 8, 7, 8))),
+    ], 640)
+    commands = [
+        ["label", "--trace", "t.json", "--speaker", "A", "--out", "s.jsonl"],
+        ["tokenize", "train", "--traces", "t.json", "--num-merges", "2",
+         "--base-alphabet-size", "10", "--out", "v.json"],
+    ]
+    outputs = ["s.jsonl", "v.json"]
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    for d in (shared, fresh):
+        d.mkdir()
+        (d / "t.json").write_text(trace.to_json())
+
+    monkeypatch.chdir(shared)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("label", "--trace", "t.json", "--inline-context", "--bogus", "--out", "x")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    shared_stdout = []
+    for argv in commands:
+        assert run_cli(*argv) == 0
+        shared_stdout.append(capsys.readouterr().out)
+
+    src = str(Path(labeler.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    script = "import sys; from dde.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, stdout in zip(commands, shared_stdout):
+        done = subprocess.run([sys.executable, "-c", script, *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == stdout
+    for name in outputs:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes()

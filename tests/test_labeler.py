@@ -1,11 +1,13 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dde import (
     Action,
+    ConversationTrace,
+    EventCounts,
     SpeechSegment,
     ValidationError,
     bpe_train,
@@ -15,9 +17,9 @@ from dde import (
     label_sequence,
     label_tick,
 )
-from dde.labeler import EOS_ID, PAD_ID, BOS_ID, UNIT_ID_OFFSET
+from dde.labeler import EOS_ID, PAD_ID, BOS_ID, UNIT_ID_OFFSET, write_samples_jsonl
 from conftest import random_trace
-from oracles import frame_label_sequence
+from oracles import frame_label_sequence, window_per_tick_write_samples_jsonl
 
 
 def seg(a, b, **kw):
@@ -207,3 +209,67 @@ class TestBuildSamples:
         for s in build_samples(t, "A"):
             if s.action is not Action.SPK:
                 assert s.target_tokens == (int(s.action),)
+
+
+@st.composite
+def annotated_channel(draw):
+    """Sorted segments, each on or off the 20ms grid; on-grid ones may carry
+    units, and any may carry word and event counts."""
+    segs = []
+    t = draw(st.integers(0, 400))
+    for _ in range(draw(st.integers(0, 6))):
+        units = None
+        if draw(st.booleans()):
+            t = -(-t // 20) * 20
+            length = 20 * draw(st.integers(1, 40))
+            if draw(st.booleans()):
+                units = draw(st.lists(st.integers(0, 600), min_size=length // 20,
+                                      max_size=length // 20))
+        else:
+            length = draw(st.integers(1, 800))
+        segs.append(SpeechSegment(
+            t, t + length, units=units,
+            words=draw(st.none() | st.integers(0, 30)),
+            events=draw(st.none() | st.builds(EventCounts, *[st.integers(0, 3)] * 4)),
+        ))
+        t += length + draw(st.integers(1, 600))
+    return segs
+
+
+@st.composite
+def annotated_traces(draw):
+    channels = (draw(annotated_channel()), draw(annotated_channel()))
+    end = max([ch[-1].end_ms for ch in channels if ch], default=0)
+    duration = max(160, end + draw(st.integers(0, 500)))
+    return ConversationTrace(channels=channels, duration_ms=duration)
+
+
+class TestInlineWriterOracle:
+    """write_samples_jsonl against the writer it replaced, which built a
+    window() per sample and encoded it with json.dumps: the same file bytes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        annotated_traces(),
+        # 1 and 333 put the window start off the 20ms grid; 10**6 is wider
+        # than any trace drawn here
+        st.sampled_from([1, 160, 333, 10**6]) | st.integers(1, 3000),
+        st.sampled_from(["inline", "ref"]),
+    )
+    def test_same_bytes_as_window_per_tick_writer(self, tmp_path_factory, trace, window_ms, mode):
+        samples = build_samples(trace, "A", window_ms) + build_samples(trace, "B", window_ms)
+        out = tmp_path_factory.mktemp("samples")
+        write_samples_jsonl(samples, out / "new.jsonl", mode, "t.json")
+        window_per_tick_write_samples_jsonl(samples, out / "old.jsonl", mode, "t.json")
+        assert (out / "new.jsonl").read_bytes() == (out / "old.jsonl").read_bytes()
+
+    def test_unit_targets_and_long_random_traces(self, tmp_path, rng):
+        vocab = bpe_train([(1, 2, 1, 2, 3)], 2, 50)
+        for _ in range(10):
+            trace = random_trace(rng, max_duration_ms=30000, with_units=True)
+            for window_ms in (1, 160, 333, 5000, 20000, 100000):
+                samples = [s for agent in "AB"
+                           for s in build_samples(trace, agent, window_ms, vocab)]
+                write_samples_jsonl(samples, tmp_path / "new.jsonl", "inline")
+                window_per_tick_write_samples_jsonl(samples, tmp_path / "old.jsonl", "inline")
+                assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
