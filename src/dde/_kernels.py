@@ -50,6 +50,13 @@ def frame_rms(x, frame_len: int) -> np.ndarray:
 _F0_BATCH = 256
 
 
+def _aligned(n: int, m: int) -> np.ndarray:
+    """An empty (n, m) float64 array whose data starts on a 64-byte boundary."""
+    buf = np.empty(n * m + 7)
+    skip = -buf.ctypes.data % 64 // 8
+    return buf[skip : skip + n * m].reshape(n, m)
+
+
 def _f0_batch(w: np.ndarray, fs: float, lag_min: int, lag_max: int):
     """(f0_hz, strength) of each row of w, one analysis window per row.
 
@@ -63,7 +70,9 @@ def _f0_batch(w: np.ndarray, fs: float, lag_min: int, lag_max: int):
     n, m = w.shape
     if m < lag_max + 8:
         return np.zeros(n), np.zeros(n)
-    w = w - w.mean(axis=1, keepdims=True)
+    # np.correlate runs about 20% faster on rows that start on a 64-byte
+    # boundary, and where a new array's data lands depends on the heap's history
+    w = np.subtract(w, w.mean(axis=1, keepdims=True), out=_aligned(n, m))
     energy = np.cumsum(w * w, axis=1)
     total = energy[:, -1:]
     lags = np.arange(lag_min, lag_max + 1)

@@ -65,23 +65,6 @@ class TrainingSample:
         """Trailing window ending at 160*(tick_index+1), built on each read."""
         return window(self.trace, TICK_MS * (self.tick_index + 1), self.window_ms)
 
-    def to_dict(self, trace_path=None):
-        """The sample with its context as a reference into the trace file;
-        write_samples_jsonl writes inline contexts."""
-        d = {
-            "agent": "AB"[self.agent],
-            "tick_index": self.tick_index,
-            "action": self.action.name,
-        }
-        if self.target_tokens is not None:
-            d["target_tokens"] = list(self.target_tokens)
-        d["context_ref"] = {
-            "trace": str(trace_path) if trace_path is not None else None,
-            "end_ms": TICK_MS * (self.tick_index + 1),
-            "window_ms": self.window_ms,
-        }
-        return d
-
 
 def _label(own: ChannelBounds, other: ChannelBounds, tick_index: int) -> Action:
     t0 = tick_index * TICK_MS
@@ -182,13 +165,14 @@ def action_histogram(samples) -> dict[str, int]:
     return hist
 
 
-def _inline_line(s: TrainingSample, context: str) -> str:
-    """s with its context inline, as json.dumps with sorted keys would write it."""
+def _line(s: TrainingSample, key: str, context: str) -> str:
+    """s with its context text under key, as json.dumps with sorted keys would
+    write it; key must sort between "agent" and "target_tokens"."""
     tokens = ""
     if s.target_tokens is not None:
         tokens = f', "target_tokens": [{", ".join(map(str, s.target_tokens))}]'
     return (f'{{"action": "{s.action.name}", "agent": "{"AB"[s.agent]}", '
-            f'"context": {context}{tokens}, "tick_index": {s.tick_index}}}\n')
+            f'"{key}": {context}{tokens}, "tick_index": {s.tick_index}}}\n')
 
 
 def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> None:
@@ -196,17 +180,20 @@ def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> N
     the sample's context, written by WindowJson from the boundary index and
     equal to json.dumps(sample.context.to_dict(), sort_keys=True); otherwise
     a context_ref to trace_path."""
+    inline = context_mode == "inline"
+    key = "context" if inline else "context_ref"
+    ref_trace = json.dumps(None if trace_path is None else str(trace_path))
+    trace = contexts = None
     with open(path, "w", encoding="utf-8") as fp:
-        if context_mode != "inline":
-            for s in samples:
-                fp.write(json.dumps(s.to_dict(trace_path), sort_keys=True))
-                fp.write("\n")
-            return
-        trace = contexts = None
         for s in samples:
-            if s.trace is not trace:
-                trace, contexts = s.trace, WindowJson(s.trace)
-            fp.write(_inline_line(s, contexts(TICK_MS * (s.tick_index + 1), s.window_ms)))
+            end_ms = TICK_MS * (s.tick_index + 1)
+            if inline:
+                if s.trace is not trace:
+                    trace, contexts = s.trace, WindowJson(s.trace)
+                context = contexts(end_ms, s.window_ms)
+            else:
+                context = f'{{"end_ms": {end_ms}, "trace": {ref_trace}, "window_ms": {s.window_ms}}}'
+            fp.write(_line(s, key, context))
 
 
 def read_actions_jsonl(path) -> dict[tuple[str, int], Action]:

@@ -47,14 +47,14 @@ def random_unaligned_trace(rng: np.random.Generator, max_duration_ms: int = 3000
     return random_trace(rng, max_duration_ms=max_duration_ms, align_ms=1)
 
 
-def wav_bytes(n_channels=2, n_samples=3200) -> bytes:
-    """A silent 16kHz PCM16 WAV file."""
+def wav_bytes(n_channels=2, n_samples=3200, rate=16000, sample_width=2) -> bytes:
+    """A silent PCM WAV file, 16kHz PCM16 by default."""
     buf = io.BytesIO()
     with wave.open(buf, "wb") as wf:
         wf.setnchannels(n_channels)
-        wf.setsampwidth(2)
-        wf.setframerate(16000)
-        wf.writeframes(bytes(2 * n_channels * n_samples))
+        wf.setsampwidth(sample_width)
+        wf.setframerate(rate)
+        wf.writeframes(bytes(sample_width * n_channels * n_samples))
     return buf.getvalue()
 
 

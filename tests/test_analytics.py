@@ -192,6 +192,11 @@ class TestConversationReport:
         with pytest.raises(ValidationError):
             conversation_report(build_trace([], 0))
 
+    def test_audio_for_one_speaker_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            conversation_report(build_trace([], 1000), audio=[np.zeros(16000, np.int16)])
+        assert str(exc.value) == "audio must hold one sample array per speaker"
+
     def test_turn_structure_once_per_speaker(self, monkeypatch, rng):
         t = random_trace(rng, max_duration_ms=15000)
         expected = conversation_report(t)

@@ -284,6 +284,15 @@ TRACE_ERRORS = {
         {"duration_ms": 1000, "channels": [[], [{"start_ms": 0, "end_ms": [20]}]]},
         "channels[1][0].end_ms: expected an integer, got [20]",
     ),
+    # a value the reader reads but the segment rejects is named by its path too
+    "negative_start": (
+        {"duration_ms": 1000, "channels": [[{"start_ms": -1, "end_ms": 20}], []]},
+        "channels[0][0]: segment start -1 < 0",
+    ),
+    "negative_words": (
+        {"duration_ms": 1000, "channels": [[{"start_ms": 0, "end_ms": 20, "words": -1}], []]},
+        "channels[0][0]: word count must be non-negative",
+    ),
 }
 
 
@@ -521,6 +530,58 @@ def test_non_utf8_error_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {p}: not UTF-8 text: invalid continuation byte (0xe9)\n"
     )
+
+
+INGEST_PAIR = ["ingest", "--audio-a", "@a.wav", "--audio-b", "@b.wav", "--out", "@t.json"]
+RUN_CONFIG = ["simulate", "--run-config", "@run.json", "--out", "@t.json"]
+
+# name -> (files: bytes as they are, anything else as JSON; argv; the whole error
+# text after "error: "). "@name" in argv and text is that file's path, and
+# "@empty" an empty directory.
+INPUT_ERRORS = {
+    "analyze_empty_directory": ({}, ["analyze", "--trace", "@empty"], "no *.json traces in @empty"),
+    "negative_eot_silence": (
+        {"run.json": {"seed": 1, "agents": _agents({**CASCADED, "eot_silence_ms": -1}, CASCADED)}},
+        RUN_CONFIG, "agents[0].policy: eot_silence_ms must be non-negative",
+    ),
+    "steps_an_object": (
+        {"run.json": {"seed": 1, "agents": _agents({"kind": "scripted", "steps": {}}, CASCADED)}},
+        RUN_CONFIG, "agents[0].policy: steps: expected a list",
+    ),
+    "wav_8_bit": (
+        {"bad.wav": wav_bytes(2, sample_width=1)}, INGEST_STEREO, "@bad.wav: expected 16-bit PCM",
+    ),
+    "wav_mono_as_stereo": ({"bad.wav": wav_bytes(1)}, INGEST_STEREO, "@bad.wav: expected 2 channels"),
+    "wav_stereo_as_mono": (
+        {"a.wav": wav_bytes(2), "b.wav": wav_bytes(1)}, INGEST_PAIR,
+        "mono files must have a single channel",
+    ),
+    "wav_mono_rates_differ": (
+        {"a.wav": wav_bytes(1), "b.wav": wav_bytes(1, rate=8000)}, INGEST_PAIR,
+        "sample rates differ: 16000 vs 8000",
+    ),
+    "wav_8_khz": (
+        {"bad.wav": wav_bytes(2, rate=8000)}, INGEST_STEREO, "expected 16000Hz audio, got 8000Hz",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_text(tmp_path, capsys, monkeypatch, case):
+    files, argv, message = INPUT_ERRORS[case]
+    monkeypatch.delenv("DDE_CONFIG", raising=False)
+    (tmp_path / "empty").mkdir()
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(json.dumps(content))
+
+    def paths(text):
+        return re.sub(r"@([\w.]+)", lambda m: str(tmp_path / m[1]), text)
+
+    assert run_cli(*map(paths, argv)) == 1
+    assert capsys.readouterr().err == f"error: {paths(message)}\n"
 
 
 class TestAnalyzeCmd:

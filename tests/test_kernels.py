@@ -139,6 +139,14 @@ class TestBatchedF0:
         assert np.allclose(strength, strength_loop, atol=1e-9)
 
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 275), (3, 480), (256, 480)])
+    def test_centred_windows_start_on_a_64_byte_boundary(self, n, m):
+        for _ in range(20):  # heap states differ from one allocation to the next
+            w = _kernels._aligned(n, m)
+            assert w.shape == (n, m) and w.dtype == np.float64
+            assert w.ctypes.data % 64 == 0
+
+
 def test_default_backend_reports():
     assert _kernels.backend() == "numpy"
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,11 @@ class TestBuildSamples:
         assert samples[0].action is Action.SPK
         assert samples[0].target_tokens is None
 
+    def test_zero_window_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            build_samples(build_trace([], 320), "A", window_ms=0)
+        assert str(exc.value) == "window width must be positive"
+
     def test_non_spk_targets_are_single_tokens(self, rng):
         t = random_trace(rng, max_duration_ms=10000)
         for s in build_samples(t, "A"):
@@ -273,3 +279,19 @@ class TestInlineWriterOracle:
                 write_samples_jsonl(samples, tmp_path / "new.jsonl", "inline")
                 window_per_tick_write_samples_jsonl(samples, tmp_path / "old.jsonl", "inline")
                 assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+    # a path json.dumps must escape: a double quote, a backslash, a space and
+    # a non-ASCII letter, which it writes as \u00e9
+    @pytest.mark.parametrize("trace_path, encoded", [
+        (None, 'null'),
+        (Path("dir") / 'a"b\\c dé.json', '"dir/a\\"b\\\\c d\\u00e9.json"'),
+    ], ids=["none", "escaped"])
+    def test_ref_lines_encode_the_trace_path_as_json_dumps(self, tmp_path, trace_path, encoded):
+        trace = build_trace([("A", seg(0, 160, units=(7, 8, 7, 8, 9, 9, 9, 9))),
+                             ("B", seg(200, 900))], 1600)
+        samples = build_samples(trace, "A", 333) + build_samples(trace, "B", 333)
+        write_samples_jsonl(samples, tmp_path / "new.jsonl", "ref", trace_path)
+        window_per_tick_write_samples_jsonl(samples, tmp_path / "old.jsonl", "ref", trace_path)
+        new = (tmp_path / "new.jsonl").read_bytes()
+        assert new == (tmp_path / "old.jsonl").read_bytes()
+        assert new.count(f'"trace": {encoded},'.encode()) == len(samples)

@@ -23,6 +23,11 @@ def seg(a, b, **kw):
 
 
 class TestBuildTrace:
+    def test_one_channel_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            ConversationTrace(channels=((),), duration_ms=0)
+        assert str(exc.value) == "expected 2 channels, got 1"
+
     def test_empty(self):
         t = build_trace([], 5000)
         assert t.channels == ((), ())
@@ -161,6 +166,11 @@ class TestFrameGrid:
 
 
 class TestWindow:
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            window(build_trace([], 320), 160, 0)
+        assert str(exc.value) == "window width must be positive"
+
     def test_window_wider_than_history_is_prefix(self):
         t = build_trace([("A", seg(1000, 2000)), ("B", seg(2500, 4000))], 6000)
         w = window(t, 5000, 20000)

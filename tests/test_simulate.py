@@ -62,6 +62,14 @@ class TestEngineBasics:
         trace = chat.finish()
         assert [(s.start_ms, s.end_ms) for s in trace.channels[0]] == [(0, 960)]
 
+    def test_step_after_the_last_tick_raises(self):
+        chat = SelfChat(scripted_run([], duration_ms=320))
+        chat.step()
+        chat.step()
+        with pytest.raises(ValidationError) as exc:
+            chat.step()
+        assert str(exc.value) == "run already finished"
+
     def test_illegal_action_raises(self):
         chat = SelfChat(scripted_run([(0, "CON")], duration_ms=1600))
         with pytest.raises(PolicyContractViolation) as err:

@@ -27,6 +27,11 @@ def burst_signal(spans_ms, total_ms, freq=440.0):
 
 
 class TestVad:
+    def test_one_channel_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            vad_from_samples([silence(FS)])
+        assert str(exc.value) == "expected exactly two channels of samples"
+
     def test_pure_silence_has_no_segments(self):
         t = vad_from_samples((silence(2 * FS), silence(2 * FS)))
         assert t.channels == ((), ())
