@@ -178,8 +178,10 @@ def _line(s: TrainingSample, key: str, context: str) -> str:
 def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> None:
     """One JSON line per sample, keys sorted. In "inline" mode each line holds
     the sample's context, written by WindowJson from the boundary index and
-    equal to json.dumps(sample.context.to_dict(), sort_keys=True); otherwise
-    a context_ref to trace_path."""
+    equal to json.dumps(sample.context.to_dict(), sort_keys=True); in "ref"
+    mode a context_ref to trace_path. Any other mode is an error."""
+    if context_mode not in ("inline", "ref"):
+        raise ValidationError(f"context_mode: expected inline or ref, got {context_mode!r}")
     inline = context_mode == "inline"
     key = "context" if inline else "context_ref"
     ref_trace = json.dumps(None if trace_path is None else str(trace_path))

@@ -20,6 +20,7 @@ from .errors import ValidationError
 FRAME_MS = 20      # atomic activity/audio frame
 TICK_MS = 160      # decision interval (8 frames)
 WINDOW_MS = 20000  # default trailing context window
+MAX_DURATION_MS = 24 * 3600 * 1000  # longest trace or run: one day
 
 SPEAKER_NAMES = ("A", "B")
 
@@ -122,6 +123,8 @@ class ConversationTrace:
         )
         if self.duration_ms < 0:
             raise ValidationError("duration must be non-negative")
+        if self.duration_ms > MAX_DURATION_MS:
+            raise ValidationError(f"duration_ms: at most {MAX_DURATION_MS}, got {self.duration_ms}")
         for ci, ch in enumerate(self.channels):
             prev_end = None
             for seg in ch:
@@ -261,6 +264,13 @@ def _combine(a: SpeechSegment, b: SpeechSegment) -> SpeechSegment:
     return SpeechSegment(start, end, units=units, words=words, events=events)
 
 
+def push_segment(merged: list[SpeechSegment], seg: SpeechSegment) -> None:
+    """Append seg to one channel's merged segments, or merge it into the last one it touches."""
+    if merged and seg.start_ms <= merged[-1].end_ms:
+        seg = _combine(merged.pop(), seg)
+    merged.append(seg)
+
+
 def build_trace(events, duration_ms: int) -> ConversationTrace:
     """Assemble a validated trace from (speaker, SpeechSegment) pairs.
 
@@ -275,10 +285,7 @@ def build_trace(events, duration_ms: int) -> ConversationTrace:
         ch.sort(key=lambda s: (s.start_ms, s.end_ms))
         merged: list[SpeechSegment] = []
         for seg in ch:
-            if merged and seg.start_ms <= merged[-1].end_ms:
-                merged[-1] = _combine(merged[-1], seg)
-            else:
-                merged.append(seg)
+            push_segment(merged, seg)
         merged_channels.append(tuple(merged))
     return ConversationTrace(channels=tuple(merged_channels), duration_ms=duration_ms)
 

@@ -563,6 +563,16 @@ INPUT_ERRORS = {
     "wav_8_khz": (
         {"bad.wav": wav_bytes(2, rate=8000)}, INGEST_STEREO, "expected 16000Hz audio, got 8000Hz",
     ),
+    # durations past MAX_DURATION_MS used to run until killed
+    "label_trace_of_1e12_ms": (
+        {"big.json": {"duration_ms": 1e12, "channels": [[], []]}},
+        ["label", "--trace", "@big.json", "--out", "@s.jsonl"],
+        "duration_ms: at most 86400000, got 1000000000000",
+    ),
+    "simulate_1e9_s": (
+        {}, [*SIMULATE, "--policy", "cascaded", "--duration-s", "1e9"],
+        "duration_ms: at most 86400000, got 1000000000000",
+    ),
 }
 
 

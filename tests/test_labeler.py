@@ -295,3 +295,10 @@ class TestInlineWriterOracle:
         new = (tmp_path / "new.jsonl").read_bytes()
         assert new == (tmp_path / "old.jsonl").read_bytes()
         assert new.count(f'"trace": {encoded},'.encode()) == len(samples)
+
+    def test_unknown_context_mode_rejected(self, tmp_path):
+        samples = build_samples(build_trace([], 320), "A")
+        with pytest.raises(ValidationError) as exc:
+            write_samples_jsonl(samples, tmp_path / "s.jsonl", "inlne", "t.json")
+        assert str(exc.value) == "context_mode: expected inline or ref, got 'inlne'"
+        assert not (tmp_path / "s.jsonl").exists()

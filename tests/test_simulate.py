@@ -16,6 +16,7 @@ from dde import (
     StochasticConfig,
     TICK_MS,
     ValidationError,
+    build_samples,
     build_trace,
     cascaded_run,
     conversation_report,
@@ -25,6 +26,7 @@ from dde import (
     stochastic_run,
     window,
 )
+from dde import simulate
 from dde.analytics import BACKCHANNEL_MAX_MS, PAUSE_MIN_MS, TURN_JOIN_MS
 from dde.simulate import (
     MIN_BURST_TICKS, PAUSE_TICKS, SELF_RESUME_MS, CorpusResponse, LogNormalResponse, UniformResponse,
@@ -266,6 +268,156 @@ class TestObservationOracle:
             except PolicyContractViolation:  # a random script may break the contract
                 pass
         assert checked > 500 and contexts > 150
+
+
+class _ReadsContext:
+    """`policy`, after reading its context, which it keeps in `seen` by (agent, tick)."""
+
+    def __init__(self, policy, agent, seen):
+        self.policy, self.agent, self.seen = policy, agent, seen
+
+    def default_response(self):
+        return self.policy.default_response()
+
+    def decide(self, obs, state, mode):
+        self.seen[self.agent, obs.now_ms // TICK_MS] = obs.context
+        return self.policy.decide(obs, state, mode)
+
+
+def _reading_run(run, seen):
+    """run with each agent reading its context on every tick."""
+    return dataclasses.replace(
+        run, agents=tuple(_ReadsContext(p, i, seen) for i, p in enumerate(run.agents)),
+    )
+
+
+class TestContextParity:
+    """Train/serve parity: the context agent a reads at tick i >= 1 is the
+    context of build_samples(final trace, a)[i - 1], the sample dde label
+    writes for the tick before. Two named exceptions hold units the final
+    trace has lost:
+      - a run ending off the 20ms grid: finish() drops the cut segment's units;
+      - a unit-carrying utterance that a later utterance of the same agent
+        touches: build_trace merges the two, and the union keeps units only
+        when both carry them and merely touch.
+    """
+
+    @staticmethod
+    def _exception(ctx, expected, left, trace, actions, tick):
+        """Which named exception explains ctx != expected, read at tick, or None."""
+        found = None
+        for ch, (got, want) in enumerate(zip(ctx.channels, expected.channels)):
+            if [(s.start_ms, s.end_ms) for s in got] != [(s.start_ms, s.end_ms) for s in want]:
+                return None
+            for g, w in zip(got, want):
+                if g == w:
+                    continue
+                if g.units is None or w.units is not None or g != dataclasses.replace(w, units=g.units):
+                    return None
+                whole = next(s for s in trace.channels[ch] if s.start_ms <= g.start_ms + left < s.end_ms)
+                if whole.end_ms == trace.duration_ms and trace.duration_ms % FRAME_MS:
+                    found = "off_grid_end"
+                elif any(a is Action.SPK and t >= tick and whole.start_ms <= t * TICK_MS < whole.end_ms
+                         for t, a in enumerate(actions[ch])):  # an utterance begun after the read merged in
+                    found = "merged_utterances"
+                else:
+                    return None
+        return found
+
+    def test_observed_context_is_the_labelled_context(self):
+        rng = np.random.default_rng(16)
+        corpus = CorpusResponse(sequences=tuple(
+            tuple(int(u) for u in rng.integers(0, 50, int(rng.integers(8, 250)))) for _ in range(4)
+        ))
+        compared, exceptions = 0, {"off_grid_end": 0, "merged_utterances": 0}
+        for i in range(30):
+            duration_ms = int(rng.integers(160, 40000))
+            if i % 2:
+                duration_ms -= duration_ms % TICK_MS
+            seed = int(rng.integers(1000))
+            run = [
+                stochastic_run(seed, duration_ms),
+                # backchannels often touch the end of one's own unit-carrying turn
+                dataclasses.replace(
+                    stochastic_run(seed, duration_ms, StochasticConfig(p_backchannel_per_tick=0.2)),
+                    responses=(corpus, corpus),
+                ),
+                cascaded_run(seed, duration_ms),
+            ][i % 3]
+            run = dataclasses.replace(run, window_ms=int(rng.choice([333, 5000, 20000, 50000])))
+            seen = {}
+            chat = SelfChat(_reading_run(run, seen))
+            for _ in range(chat.n_ticks):
+                chat.step()
+            trace = chat.finish()
+            for agent in (0, 1):
+                for sample in build_samples(trace, agent, run.window_ms)[: chat.n_ticks - 1]:
+                    end_ms = (sample.tick_index + 1) * TICK_MS
+                    ctx, expected = seen[agent, sample.tick_index + 1], sample.context
+                    compared += 1
+                    if ctx != expected:
+                        left = max(0, end_ms - run.window_ms)
+                        kind = self._exception(ctx, expected, left, trace, chat.actions, sample.tick_index + 1)
+                        assert kind is not None, (i, agent, sample.tick_index)
+                        exceptions[kind] += 1
+        assert compared > 5000
+        assert exceptions["merged_utterances"] > 0 and exceptions["off_grid_end"] > 0
+        assert sum(exceptions.values()) < compared / 100
+
+
+def test_context_reads_only_the_window(monkeypatch):
+    """A context read hands window() the recent speech only, so its cost
+    follows the window, not the run."""
+    lags = []
+
+    def spy(trace, end_ms, width_ms):
+        ends = [s.end_ms for ch in trace.channels for s in ch]
+        lags.append(min(ends, default=end_ms) - (end_ms - width_ms))
+        return window(trace, end_ms, width_ms)
+
+    monkeypatch.setattr(simulate, "window", spy)
+    seen = {}
+    run = dataclasses.replace(stochastic_run(seed=3, duration_ms=60000), window_ms=5000)
+    run_selfchat(_reading_run(run, seen))
+    assert len(lags) == 2 * (run.duration_ms // TICK_MS - 1)
+    assert min(lags) >= 0
+
+
+@pytest.mark.parametrize(
+    "second_spk_tick, merged_end_ms, read_tick",
+    [(2, 2880, 5), (1, 2720, 10)],
+    ids=["touching_ends_at_the_window_start", "overlapping_ends_before_the_window_start"],
+)
+def test_speech_before_the_window_merges_with_a_live_utterance(second_spk_tick, merged_end_ms, read_tick):
+    """A's unit-less [0, 320) and the unit-carrying utterance A starts at
+    second_spk_tick merge, as build_trace merges them, so a later window of
+    480ms shows no units though it holds only the second utterance. Starting
+    at 160, in the tick where [0, 320) ends, the second overlaps the first."""
+    seen = {}
+    run = SimRun(
+        seed=0, duration_ms=3200, window_ms=480,
+        agents=(ScriptedConfig(steps=((0, "SPK", 320), (second_spk_tick, "SPK"))), ScriptedConfig(steps=())),
+        responses=(CorpusResponse(sequences=((5,) * 128,)), None),
+    )
+    trace = run_selfchat(_reading_run(run, seen))
+    assert trace.channels[0] == (SpeechSegment(0, merged_end_ms),)
+    assert seen[0, read_tick].channels == ((SpeechSegment(0, 480),), ())
+
+
+def test_context_read_after_its_tick_is_an_error():
+    kept, policy = [], CascadedConfig()
+
+    class Keeps:
+        def default_response(self):
+            return policy.default_response()
+
+        def decide(self, obs, state, mode):
+            kept.append(obs)
+            return policy.decide(obs, state, mode)
+
+    run_selfchat(dataclasses.replace(cascaded_run(seed=1, duration_ms=3200), agents=(Keeps(), Keeps())))
+    with pytest.raises(ValidationError, match="context of the tick at 1600ms read after that tick"):
+        kept[20].context
 
 
 class TestCascaded:
