@@ -23,8 +23,8 @@ from enum import IntEnum
 
 from ._schema import expect_object, read_field, read_json_lines, string
 from .errors import ValidationError
-from .segments import TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace, WindowJson
-from .segments import speaker_index, window
+from .segments import TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace
+from .segments import speaker_index, window, window_json
 from .units import BpeVocab, bpe_encode, dedup
 
 PAD_ID = 0
@@ -177,33 +177,36 @@ def _line(s: TrainingSample, key: str, context: str) -> str:
 
 def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> None:
     """One JSON line per sample, keys sorted. In "inline" mode each line holds
-    the sample's context, written by WindowJson from the boundary index and
-    equal to json.dumps(sample.context.to_dict(), sort_keys=True); in "ref"
-    mode a context_ref to trace_path. Any other mode is an error."""
+    the sample's context, written by window_json and equal to
+    json.dumps(sample.context.to_dict(), sort_keys=True); in "ref" mode a
+    context_ref to trace_path. Any other mode is an error."""
     if context_mode not in ("inline", "ref"):
         raise ValidationError(f"context_mode: expected inline or ref, got {context_mode!r}")
     inline = context_mode == "inline"
     key = "context" if inline else "context_ref"
     ref_trace = json.dumps(None if trace_path is None else str(trace_path))
-    trace = contexts = None
     with open(path, "w", encoding="utf-8") as fp:
         for s in samples:
             end_ms = TICK_MS * (s.tick_index + 1)
             if inline:
-                if s.trace is not trace:
-                    trace, contexts = s.trace, WindowJson(s.trace)
-                context = contexts(end_ms, s.window_ms)
+                context = window_json(s.trace, end_ms, s.window_ms)
             else:
                 context = f'{{"end_ms": {end_ms}, "trace": {ref_trace}, "window_ms": {s.window_ms}}}'
             fp.write(_line(s, key, context))
 
 
 def read_actions_jsonl(path) -> dict[tuple[str, int], Action]:
-    """(agent, tick_index) -> action, as needed for prediction scoring."""
-    out = {}
+    """(agent, tick_index) -> action, as needed for prediction scoring. A
+    second line for the same (agent, tick_index) is an error."""
+    out, first = {}, {}
     for n, rec in read_json_lines(path, "samples line"):
         where = f"{path}:{n}"
         expect_object(rec, where)
         key = (read_field(rec, "agent", where, string), read_field(rec, "tick_index", where))
+        if key in first:
+            raise ValidationError(
+                f"{where}: duplicate sample for agent {key[0]} at tick {key[1]} (first at line {first[key]})"
+            )
+        first[key] = n
         out[key] = read_field(rec, "action", where, Action.from_name)
     return out

@@ -144,6 +144,11 @@ class ConversationTrace:
     def _bounds(self) -> tuple[ChannelBounds, ChannelBounds]:
         return tuple(ChannelBounds(ch) for ch in self.channels)
 
+    @cached_property
+    def _json_parts(self):
+        """Each segment's fixed JSON parts, for window_json."""
+        return tuple([_fixed_json(s) for s in ch] for ch in self.channels)
+
     def bounds(self, speaker) -> ChannelBounds:
         """The speaker's boundary index, built once per trace."""
         return self._bounds[speaker_index(speaker)]
@@ -323,45 +328,34 @@ def frame_grid(trace: ConversationTrace) -> FrameGrid:
     return FrameGrid(frames=frames)
 
 
-def _cut(start: int, end: int, lo: int, hi: int, shift: int):
-    """The cut rule: [start, end) clipped to [lo, hi) and shifted left by
-    `shift`, as (start, end, frames, whole); None if empty.
+def _window_cuts(trace: ConversationTrace, end_ms: int, width_ms: int):
+    """Which segments window(trace, end_ms, width_ms) keeps and how each is
+    cut: the window's duration and, per channel, (index, start, end, frames,
+    whole) for each kept segment, start and end re-based to the window.
 
     `frames` is the slice of the segment's 20ms units that survives, or None
-    unless both cut points and the shifted start lie on the 20ms grid; word
+    unless both cut points and the re-based start lie on the 20ms grid; word
     and event counts survive iff the segment is `whole`, i.e. nothing is cut.
     """
-    ns, ne = max(start, lo), min(end, hi)
-    if ns >= ne:
-        return None
-    a, b = ns - start, ne - start
-    frames = None
-    if a % FRAME_MS == b % FRAME_MS == (ns - shift) % FRAME_MS == 0:
-        frames = slice(a // FRAME_MS, b // FRAME_MS)
-    return ns - shift, ne - shift, frames, (ns, ne) == (start, end)
-
-
-def _clip_segment(seg: SpeechSegment, lo: int, hi: int, shift: int):
-    """seg clipped to [lo, hi) and shifted left by `shift` by _cut's rule; None if empty."""
-    cut = _cut(seg.start_ms, seg.end_ms, lo, hi, shift)
-    if cut is None:
-        return None
-    start, end, frames, whole = cut
-    return SpeechSegment(
-        start, end, units=None if seg.units is None or frames is None else seg.units[frames],
-        words=seg.words if whole else None, events=seg.events if whole else None,
-    )
-
-
-def _window_left(trace: ConversationTrace, end_ms: int, width_ms: int) -> int:
-    """Where window(trace, end_ms, width_ms) starts in the trace."""
     if not 0 < end_ms <= trace.duration_ms:
-        raise ValidationError(
-            f"window end {end_ms} outside (0, {trace.duration_ms}]"
-        )
+        raise ValidationError(f"window end {end_ms} outside (0, {trace.duration_ms}]")
     if width_ms <= 0:
         raise ValidationError("window width must be positive")
-    return max(0, end_ms - width_ms)
+    left = max(0, end_ms - width_ms)
+    channels = []
+    for b in trace._bounds:
+        lo, hi = b.overlapping(left, end_ms)
+        cuts = []
+        for k in range(lo, hi):
+            start, end = b.starts[k], b.ends[k]
+            ns, ne = max(start, left), min(end, end_ms)
+            a, z = ns - start, ne - start
+            frames = None
+            if a % FRAME_MS == z % FRAME_MS == (ns - left) % FRAME_MS == 0:
+                frames = slice(a // FRAME_MS, z // FRAME_MS)
+            cuts.append((k, ns - left, ne - left, frames, (ns, ne) == (start, end)))
+        channels.append(cuts)
+    return end_ms - left, channels
 
 
 def window(trace: ConversationTrace, end_ms: int, width_ms: int = WINDOW_MS) -> ConversationTrace:
@@ -371,15 +365,21 @@ def window(trace: ConversationTrace, end_ms: int, width_ms: int = WINDOW_MS) -> 
     timestamps re-based so the window starts at 0. Segments straddling either
     edge are truncated.
     """
-    left = _window_left(trace, end_ms, width_ms)
+    duration, cuts = _window_cuts(trace, end_ms, width_ms)
     channels = []
-    for ci, ch in enumerate(trace.channels):
-        lo, hi = trace.bounds(ci).overlapping(left, end_ms)
-        channels.append(tuple(_clip_segment(s, left, end_ms, left) for s in ch[lo:hi]))
-    return ConversationTrace(channels=tuple(channels), duration_ms=end_ms - left)
+    for ch, ch_cuts in zip(trace.channels, cuts):
+        kept = []
+        for k, start, end, frames, whole in ch_cuts:
+            s = ch[k]
+            kept.append(SpeechSegment(
+                start, end, units=None if s.units is None or frames is None else s.units[frames],
+                words=s.words if whole else None, events=s.events if whole else None,
+            ))
+        channels.append(tuple(kept))
+    return ConversationTrace(channels=tuple(channels), duration_ms=duration)
 
 
-def _json_parts(seg: SpeechSegment):
+def _fixed_json(seg: SpeechSegment):
     """The pieces of seg's JSON that do not move with a window: the events
     item, the unit ids as strings, the whole units item and the words item
     with the closing brace."""
@@ -393,37 +393,26 @@ def _json_parts(seg: SpeechSegment):
     return events, ids, units, words + "}"
 
 
-class WindowJson:
+def window_json(trace: ConversationTrace, end_ms: int, width_ms: int) -> str:
     """window(trace, end_ms, width_ms) as sorted-key JSON text, the same bytes
-    as json.dumps(window(...).to_dict(), sort_keys=True), written straight
-    from the boundary index: no segment or trace is built per window. Each
-    segment's fixed JSON parts are encoded once, when this is made."""
-
-    def __init__(self, trace: ConversationTrace):
-        self.trace = trace
-        self.parts = [[_json_parts(s) for s in ch] for ch in trace.channels]
-
-    def __call__(self, end_ms: int, width_ms: int) -> str:
-        left = _window_left(self.trace, end_ms, width_ms)
-        channels = []
-        for ci, parts in enumerate(self.parts):
-            b = self.trace.bounds(ci)
-            lo, hi = b.overlapping(left, end_ms)
-            items = []
-            for k in range(lo, hi):
-                start, end, frames, whole = _cut(b.starts[k], b.ends[k], left, end_ms, left)
-                events, ids, units, tail = parts[k]
-                if whole:
-                    units = units if frames is not None else ""
-                    items.append(f'{{"end_ms": {end}{events}, "start_ms": {start}{units}{tail}')
-                else:
-                    units = ""
-                    if ids is not None and frames is not None:
-                        units = ', "units": [' + ", ".join(ids[frames]) + "]"
-                    items.append(f'{{"end_ms": {end}, "start_ms": {start}{units}}}')
-            channels.append(", ".join(items))
-        return (f'{{"channels": [[{channels[0]}], [{channels[1]}]], '
-                f'"duration_ms": {end_ms - left}}}')
+    as json.dumps(window(...).to_dict(), sort_keys=True), written from the
+    same cuts and each segment's fixed JSON parts: no segment or trace is
+    built per window."""
+    duration, cuts = _window_cuts(trace, end_ms, width_ms)
+    channels = []
+    for parts, ch_cuts in zip(trace._json_parts, cuts):
+        items = []
+        for k, start, end, frames, whole in ch_cuts:
+            events, ids, units, tail = parts[k]
+            if ids is None or frames is None:
+                units = ""
+            elif not whole:
+                units = ', "units": [' + ", ".join(ids[frames]) + "]"
+            if not whole:
+                events, tail = "", "}"
+            items.append(f'{{"end_ms": {end}{events}, "start_ms": {start}{units}{tail}')
+        channels.append(", ".join(items))
+    return f'{{"channels": [[{channels[0]}], [{channels[1]}]], "duration_ms": {duration}}}'
 
 
 def read_trace(path) -> ConversationTrace:

@@ -476,11 +476,6 @@ class SelfChat:
     def n_ticks(self) -> int:
         return self.run.duration_ms // TICK_MS
 
-    @property
-    def completed(self) -> tuple[list, list]:
-        """Each agent's committed speech, merged as in build_trace, as (start_ms, end_ms, units)."""
-        return tuple([(s.start_ms, s.end_ms, s.units) for s in h] for h in self.history)
-
     def _observations(self) -> tuple[Observation, Observation]:
         """Both agents' views at the start of this tick, after _commit_if_done:
         every live utterance then began at an earlier tick and ends after now."""

@@ -10,7 +10,7 @@ import numpy as np
 
 from dde import _kernels, analytics
 from dde.errors import ValidationError
-from dde.segments import ConversationTrace, _clip_segment, frame_grid
+from dde.segments import ConversationTrace, SpeechSegment, frame_grid
 from dde.units import BpeVocab, _check_raw
 from dde.vad import FRAME_SAMPLES, SAMPLE_RATE
 
@@ -76,13 +76,36 @@ def frame_label_sequence(trace, agent: int):
 
 # ------------------------------------------------------------ context window
 
+def clip_by_frames(s, lo, hi, shift):
+    """The cut rule restated a millisecond and a frame at a time: keep the
+    milliseconds of s inside [lo, hi), shifted left by `shift`; units survive
+    iff every source frame touched is kept whole and the shifted start is on
+    the grid; words and events survive iff nothing is cut. None if nothing is
+    kept."""
+    kept = range(max(s.start_ms, lo), min(s.end_ms, hi))  # the milliseconds of s in [lo, hi)
+    if not kept:
+        return None
+    ns, ne = kept[0], kept[-1] + 1
+    units = None
+    if s.units is not None:
+        frames = sorted({(t - s.start_ms) // FRAME_MS for t in kept})
+        if len(kept) == FRAME_MS * len(frames) and (ns - shift) % FRAME_MS == 0:
+            units = tuple(s.units[f] for f in frames)
+    whole = len(kept) == s.duration_ms
+    return SpeechSegment(
+        ns - shift, ne - shift, units=units,
+        words=s.words if whole else None, events=s.events if whole else None,
+    )
+
+
 def scan_window(trace, end_ms: int, width_ms: int):
-    """window() by clipping every segment of both channels to the window and
-    dropping the empty results, with no search for the overlapping ones."""
+    """window() by clipping every segment of both channels to the window a
+    millisecond at a time and dropping the empty results, with no search for
+    the overlapping ones."""
     left = max(0, end_ms - width_ms)
     channels = []
     for ch in trace.channels:
-        clipped = [_clip_segment(s, left, end_ms, left) for s in ch]
+        clipped = [clip_by_frames(s, left, end_ms, left) for s in ch]
         channels.append(tuple(s for s in clipped if s is not None))
     return ConversationTrace(channels=tuple(channels), duration_ms=end_ms - left)
 
@@ -444,7 +467,7 @@ def row_dp_levenshtein(a, b) -> int:
 
 
 # ------------------------------------------------ inline sample contexts, as
-# they were written before WindowJson: one window() per sample, turned into a
+# they were written before window_json: one window() per sample, turned into a
 # dict and encoded by json.dumps, kept verbatim (renamed): the package's
 # inline lines must be the same bytes.
 

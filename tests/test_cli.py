@@ -573,6 +573,14 @@ INPUT_ERRORS = {
         {}, [*SIMULATE, "--policy", "cascaded", "--duration-s", "1e9"],
         "duration_ms: at most 86400000, got 1000000000000",
     ),
+    # a samples file written twice used to be scored as if written once
+    "eval_gold_written_twice": (
+        {"gold.jsonl": b"".join(
+            b'{"action": "SIL", "agent": "%s", "tick_index": %d}\n' % (agent, tick)
+            for agent in (b"A", b"B") for tick in (0, 1)
+        ) * 2, "pred.jsonl": b""},
+        EVAL, "@gold.jsonl:5: duplicate sample for agent A at tick 0 (first at line 1)",
+    ),
 }
 
 

@@ -178,7 +178,10 @@ def _random_agent(rng, kind, n_ticks):
 
 class TestObservationOracle:
     """Every Observation equals a plain scan of the engine's history: the
-    committed utterances plus the live (planned, uncommitted) ones."""
+    committed utterances plus the live (planned, uncommitted) ones. The
+    committed ones are read from the engine's own merged history
+    (SelfChat.history), so the cut at commit and the merge are the engine's
+    and not derived here."""
 
     FIELDS = (
         "now_ms", "other_speaking", "other_has_spoken",
@@ -230,7 +233,7 @@ class TestObservationOracle:
                 if history["now"] != obs.now_ms:  # A decides first: the state B observed too
                     history.update(
                         now=obs.now_ms,
-                        done=[list(c) for c in chat.completed],
+                        done=[[(s.start_ms, s.end_ms, s.units) for s in h] for h in chat.history],
                         live=[
                             [] if st.utterance_start_ms is None
                             else [(st.utterance_start_ms, st.planned_end_ms, st.utterance_units)]
