@@ -46,7 +46,11 @@ def frame_rms(x, frame_len: int) -> np.ndarray:
 # ------------------------------------------------------- autocorrelation F0
 
 # Full windows are analysed this many frames at a time, which bounds the
-# working arrays of a long call to a few MB.
+# working arrays of a long call to a few MB. Chosen end to end: the pipeline
+# benchmark's audio workload, 8 alternating untraced 8 s runs per size on a
+# 2-core x86-64 host, median conv-min/s (quartiles):
+#   64: 8.44 (8.33-8.65)   128: 9.58 (9.45-9.74)
+#   256: 9.97 (9.82-10.21)  512: 9.67 (9.52-9.95)
 _F0_BATCH = 256
 
 
@@ -70,13 +74,20 @@ def _f0_batch(w: np.ndarray, fs: float, lag_min: int, lag_max: int):
     n, m = w.shape
     if m < lag_max + 8:
         return np.zeros(n), np.zeros(n)
-    # np.correlate runs about 20% faster on rows that start on a 64-byte
-    # boundary, and where a new array's data lands depends on the heap's history
+    # the per-lag dots below run faster on rows that start on a 64-byte boundary
+    # (best of 30 for 228 lags over 256 x 480: 4.3-4.9 ms aligned against
+    # 5.0-6.6 ms at the 7 other offsets), and where a new array's data lands
+    # depends on the heap's history
     w = np.subtract(w, w.mean(axis=1, keepdims=True), out=_aligned(n, m))
     energy = np.cumsum(w * w, axis=1)
     total = energy[:, -1:]
     lags = np.arange(lag_min, lag_max + 1)
-    num = np.array([np.correlate(row, row, mode="full")[m - 1 :][lags] for row in w])
+    # one BLAS dot of w[k:] with w[:m-k] per row, for the read lags only: the
+    # same ddot over the same slices, bit for bit, as a full autocorrelation
+    # per row (tests/oracles.py::frame_loop_f0_frames)
+    num = np.empty((n, lags.size))
+    for j, k in enumerate(lags):
+        num[:, j] = np.matmul(w[:, None, k:], w[:, : m - k, None])[:, 0, 0]
     e_head = energy[:, m - lags - 1]                     # sum w[0:m-lag]^2
     e_tail = total - energy[:, lags - 1]                 # sum w[lag:m]^2
     denom = np.sqrt(e_head * e_tail)

@@ -138,6 +138,32 @@ class TestBatchedF0:
         assert np.allclose(f0, f0_loop, atol=1e-6)
         assert np.allclose(strength, strength_loop, atol=1e-9)
 
+    def test_matches_frame_loop_on_scaled_and_integer_rows(self):
+        # the batch takes each lag's dot through np.matmul and the loop through
+        # np.correlate; equality rests on both reaching the same BLAS dot
+        rng = np.random.default_rng(18)
+        t = np.arange(4916 * 320 + 160) / 16000
+        pitch = 150.0 + 40.0 * np.sin(2 * np.pi * 0.7 * t)  # gliding, as speech
+        phase = 2 * np.pi * np.cumsum(pitch) / 16000
+        speech = np.sin(phase) + 0.5 * np.sin(2 * phase) + 0.1 * rng.normal(size=t.size)
+        gaps = speech[: 200 * 320].copy()  # fewer frames than one batch
+        for lo in range(2000, gaps.size, 8000):
+            gaps[lo : lo + 3000] = 0.0  # several all-zero 480-sample windows each
+        signals = {
+            # at 1e-150 every e_head * e_tail underflows to 0, so r is 0 whatever
+            # the numerator; at 1e-75 the denominator survives
+            "scaled_by_1e-150": 1e-150 * speech[: 300 * 320],
+            "scaled_by_1e-75": 1e-75 * speech[: 300 * 320],
+            "int16_pcm": np.round(9000 * speech[: 300 * 320]).astype(np.int16),
+            "zero_frames_between_voiced_ones": gaps,
+            "4916_frames": speech,
+        }
+        for name, x in signals.items():
+            f0, strength = _kernels.f0_frames(x, *F0_ARGS)
+            f0_loop, strength_loop = frame_loop_f0_frames(x, *F0_ARGS)
+            assert np.array_equal(f0, f0_loop), name
+            assert np.array_equal(strength, strength_loop), name
+            assert (strength > 0).any() == (name != "scaled_by_1e-150"), name
 
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 275), (3, 480), (256, 480)])
     def test_centred_windows_start_on_a_64_byte_boundary(self, n, m):
