@@ -43,13 +43,14 @@ def _fail(message: str) -> int:
 
 def _setting(args, flag, cfg, key, read=integer, default=None, read_flag=None):
     """--flag's value, through read_flag or else `read`, when given; else the
-    value at the dotted $DDE_CONFIG path `key` through `read`; else `default`.
-    Errors name the flag or the path; a section on the path must always be an object."""
-    parent, _, name = key.rpartition(".")
+    value at the dotted $DDE_CONFIG path `key` (None for a flag with no key)
+    through `read`; else `default`. Errors name the flag or the path; a
+    section on the path must always be an object."""
+    parent, _, name = (key or "").rpartition(".")
     data = section(cfg, parent) if parent else cfg
     value = getattr(args, flag)
     if value is None:
-        return read_field(data, name, parent, read, default)
+        return read_field(data, name, parent, read, default) if key else default
     try:
         return (read_flag or read)(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -114,13 +115,18 @@ def cmd_simulate(args, cfg) -> int:
 
 # --------------------------------------------------------------------- label
 
+def _speakers(text):
+    """The channels --speaker names: both, or the one speaker_index reads."""
+    return (0, 1) if text == "both" else (segments.speaker_index(text),)
+
+
 def cmd_label(args, cfg) -> int:
     trace = segments.read_trace(args.trace)
     vocab = None
     if args.vocab:
         vocab = units.BpeVocab.from_dict(read_json(args.vocab, "vocab JSON"))
     window_ms = _setting(args, "window_ms", cfg, "window_ms", at_least(1), segments.WINDOW_MS)
-    speakers = [0, 1] if args.speaker == "both" else [segments.speaker_index(args.speaker)]
+    speakers = _setting(args, "speaker", cfg, None, _speakers, (0, 1))
     all_samples = []
     for sp in speakers:
         all_samples.extend(
@@ -213,7 +219,7 @@ def cmd_ingest(args, cfg) -> int:
         ),
         **{name: _setting(args, name, cfg, f"vad.{name}") for name in ("min_speech_ms", "min_gap_ms")},
     }
-    vad_cfg = vad.VadConfig.from_dict({**section(cfg, "vad"), **resolved}, "vad")
+    vad_cfg = vad.VadConfig.from_dict(resolved, "vad")
     if args.audio:
         a, b = vad.load_conversation_audio(stereo_path=args.audio)
     else:
@@ -277,6 +283,7 @@ def cmd_tokenize_apply(args, cfg) -> int:
 # -------------------------------------------------------------- eval-actions
 
 def cmd_eval_actions(args, cfg) -> int:
+    fmt = _setting(args, "format", cfg, None, one_of("json", "table"), "table")
     gold = labeler.read_actions_jsonl(args.gold)
     pred = labeler.read_actions_jsonl(args.predicted)
     missing = sorted(set(gold) - set(pred))
@@ -288,7 +295,7 @@ def cmd_eval_actions(args, cfg) -> int:
     report = analytics.classification_report(
         [gold[k] for k in keys], [pred[k] for k in keys]
     )
-    if args.format == "json":
+    if fmt == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(analytics.format_class_report(report))
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a seeded self-chat and write the trace")
-    p.add_argument("--policy", choices=list(RUNS))
+    p.add_argument("--policy", help=" or ".join(RUNS))
     p.add_argument("--seed")
     p.add_argument("--duration-s")
     p.add_argument(
@@ -320,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="build per-tick training samples from a trace")
     p.add_argument("--trace", required=True)
-    p.add_argument("--speaker", default="both", help="A, B, or both")
+    p.add_argument("--speaker", help="A, B, or both (the default)")
     p.add_argument("--window-ms")
     p.add_argument("--vocab", help="BPE vocab JSON for SPK targets")
     p.add_argument("--inline-context", action="store_true")
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="conversation report for trace file(s)")
     p.add_argument("--trace", required=True, help="trace JSON or a directory of them")
-    p.add_argument("--format", choices=["json", "table"])
+    p.add_argument("--format", help="json or table")
     p.add_argument("--compare", help="reference report JSON for a side-by-side row")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-actions", help="score predicted actions against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--predicted", required=True)
-    p.add_argument("--format", choices=["json", "table"], default="table")
+    p.add_argument("--format", help="json or table (the default)")
     p.set_defaults(func=cmd_eval_actions)
 
     return parser

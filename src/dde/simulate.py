@@ -91,7 +91,7 @@ class UniformResponse(_Record):
 
     def __post_init__(self):
         if not 0 < self.min_ms <= self.max_ms:
-            raise ValidationError("need 0 < min_ms <= max_ms")
+            raise ValidationError(f"need 0 < min_ms <= max_ms, got {self.min_ms} and {self.max_ms}")
 
     def draw(self, rng):
         return _quantize_ms(rng.uniform(self.min_ms, self.max_ms)), None
@@ -162,22 +162,15 @@ class CascadedConfig(_Record):
     quiet long enough; never barge in, never stop early."""
 
     eot_silence_ms: int = 800
-    response_min_ms: int = 1600
-    response_max_ms: int = 4000
 
     kind = "cascaded"
 
     def __post_init__(self):
         if self.eot_silence_ms < 0:
             raise ValidationError("eot_silence_ms must be non-negative")
-        if not 0 < self.response_min_ms <= self.response_max_ms:
-            raise ValidationError(
-                "need 0 < response_min_ms <= response_max_ms, got "
-                f"{self.response_min_ms} and {self.response_max_ms}"
-            )
 
     def default_response(self):
-        return UniformResponse(self.response_min_ms, self.response_max_ms)
+        return UniformResponse()
 
     def decide(self, obs: Observation, state: AgentState, mode: str):
         if mode == "Speaking":
@@ -369,10 +362,10 @@ class AgentState:
     def mode(self, tick_index: int) -> str:
         """Speaking while the planned utterance extends strictly past the
         tick's end; the final covered chunk already counts as Listening.
-        The labeler does not always agree: over 30 two-minute stochastic
-        self-chats, 204 of 45000 tick labels (0.45%) are illegal in this
-        mode, 195 of them STP for the tick in which an utterance ends while
-        the other agent speaks."""
+        The labeler does not always agree: tests/test_simulate.py::
+        TestLabelLegality names and counts the labels illegal in this mode,
+        most of them STP for the tick in which an utterance ends while the
+        other agent speaks."""
         covers = (
             self.planned_end_ms is not None
             and self.planned_end_ms > TICK_MS * (tick_index + 1)

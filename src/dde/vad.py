@@ -26,19 +26,16 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class VadConfig(Record):
-    frame_ms: int = FRAME_MS
     energy_threshold_db: float = 10.0  # margin above the noise floor
     min_speech_ms: int = 100           # shorter detections are dropped
     min_gap_ms: int = 100              # shorter silences are bridged
 
     def __post_init__(self):
-        if self.frame_ms != FRAME_MS:
-            raise ValidationError(f"frame_ms is fixed at {FRAME_MS}")
         if self.energy_threshold_db < 0:
             raise ValidationError(
                 f"energy_threshold_db must be non-negative, got {self.energy_threshold_db}"
             )
-        if self.min_speech_ms < self.frame_ms:
+        if self.min_speech_ms < FRAME_MS:
             raise ValidationError("min_speech_ms must be at least one frame")
         if self.min_gap_ms < 0:
             raise ValidationError("min_gap_ms must be non-negative")

@@ -359,13 +359,14 @@ BAD_RUN_CONFIGS = {
     "scripted_negative_tick": {
         "seed": 1, "agents": _agents({"kind": "scripted", "steps": [[-1, "SPK"]]}, CASCADED),
     },
+    # a cascaded policy's response bounds are its agent's uniform response
     "cascaded_zero_response_min": {
-        "seed": 1, "agents": _agents(CASCADED, {"kind": "cascaded", "response_min_ms": 0}),
+        "seed": 1, "agents": _agents(CASCADED, CASCADED, response={"kind": "uniform", "min_ms": 0}),
     },
     "cascaded_response_min_over_max": {
         "seed": 1,
         "agents": _agents(
-            CASCADED, {"kind": "cascaded", "response_min_ms": 3000, "response_max_ms": 2000},
+            CASCADED, CASCADED, response={"kind": "uniform", "min_ms": 3000, "max_ms": 2000},
         ),
     },
     "unknown_run_key": {"seed": 1, "duraton_ms": 5000},
@@ -580,6 +581,31 @@ INPUT_ERRORS = {
             for agent in (b"A", b"B") for tick in (0, 1)
         ) * 2, "pred.jsonl": b""},
         EVAL, "@gold.jsonl:5: duplicate sample for agent A at tick 0 (first at line 1)",
+    ),
+    # these flags were checked by argparse `choices` (usage text, exit 2) or named no flag
+    "simulate_policy_bogus": (
+        {}, [*SIMULATE, "--policy", "bogus"], '--policy: expected one of cascaded, stochastic, got "bogus"',
+    ),
+    "analyze_format_yaml": (
+        {"trace.json": UNITS_TRACE}, [*ANALYZE, "--format", "yaml"],
+        '--format: expected one of json, table, got "yaml"',
+    ),
+    "eval_actions_format_yaml": (
+        {"gold.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": 0}\n',
+         "pred.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": 0}\n'},
+        [*EVAL, "--format", "yaml"], '--format: expected one of json, table, got "yaml"',
+    ),
+    "label_speaker_c": (
+        {"trace.json": UNITS_TRACE},
+        ["label", "--trace", "@trace.json", "--speaker", "C", "--out", "@s.jsonl"],
+        "--speaker: unknown speaker 'C', expected A/B or 0/1",
+    ),
+    # a cascaded policy's response bounds moved to its agent's response entry
+    "cascaded_old_response_bounds": (
+        {"run.json": {"seed": 1, "agents": _agents(
+            {**CASCADED, "response_min_ms": 1000, "response_max_ms": 2000}, CASCADED,
+        )}},
+        RUN_CONFIG, "agents[0].policy.response_max_ms: unknown field",
     ),
 }
 
@@ -841,6 +867,8 @@ SETTING_ERRORS = {
         "vad: expected a JSON object, got str",
     ),
     "vad_unknown_field": ({"vad": {"bogus": 1}}, INGEST, "vad.bogus: unknown field"),
+    # the VAD frame is fixed at FRAME_MS, not a setting
+    "vad_frame_ms": ({"vad": {"frame_ms": 20}}, INGEST, "vad.frame_ms: unknown field"),
     # a negative margin makes floor frames speech
     "vad_negative_threshold": (
         None, [*INGEST, "--energy-threshold-db", "-3"],

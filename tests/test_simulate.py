@@ -144,11 +144,11 @@ POLICY_KINDS = ("cascaded", "stochastic", "scripted")
 
 def _random_agent(rng, kind, n_ticks):
     """A (policy, response) pair of `kind` with random settings."""
+    default = None
     if kind == "cascaded":
         lo = int(rng.integers(1, 3000))
-        policy = CascadedConfig(
-            int(rng.choice([0, 160, 800, 1200])), lo, lo + int(rng.integers(0, 3000))
-        )
+        policy = CascadedConfig(int(rng.choice([0, 160, 800, 1200])))
+        default = UniformResponse(lo, lo + int(rng.integers(0, 3000)))
     elif kind == "stochastic":
         def p():
             return float(rng.choice([0.0, 1.0, rng.random(), rng.random() / 10]))
@@ -165,7 +165,7 @@ def _random_agent(rng, kind, n_ticks):
         )
         policy = ScriptedConfig(steps=steps)
     response = [
-        None,
+        default,
         UniformResponse(160, int(rng.integers(160, 4000))),
         LogNormalResponse(mean_ms=float(rng.uniform(300, 4000))),
         CorpusResponse(sequences=tuple(
@@ -366,6 +366,83 @@ class TestContextParity:
         assert compared > 5000
         assert exceptions["merged_utterances"] > 0 and exceptions["off_grid_end"] > 0
         assert sum(exceptions.values()) < compared / 100
+
+
+class _RecordsModes:
+    """`policy`, keeping each mode it decides in, one per tick, in `modes`."""
+
+    def __init__(self, policy, modes):
+        self.policy, self.modes = policy, modes
+
+    def default_response(self):
+        return self.policy.default_response()
+
+    def decide(self, obs, state, mode):
+        self.modes.append(mode)
+        return self.policy.decide(obs, state, mode)
+
+
+class TestLabelLegality:
+    """Train/serve contract: each label dde label writes for a self-chat tick
+    is an action the engine accepts in that agent's mode at that tick. Three
+    kinds of label are named exceptions, each with the action the engine took:
+      - STP while Listening, action SIL: the agent's utterance ends inside
+        the tick while the other agent speaks; the final chunk of an
+        utterance counts as Listening;
+      - SIL while Speaking, action STP: the agent stopped with the other
+        agent silent at the cut, and the labeler has no stop without overlap;
+      - CON while Listening, action SIL or SPK: the merge case, a new SPK
+        starting at the agent's own previous end, which build_trace merges
+        into one segment across both ticks.
+    Cascaded runs show none of them."""
+
+    LEGAL = {"Listening": (Action.SIL, Action.SPK), "Speaking": (Action.CON, Action.STP)}
+    EXCEPTIONS = {
+        (Action.STP, "Listening"): (Action.SIL,),
+        (Action.SIL, "Speaking"): (Action.STP,),
+        (Action.CON, "Listening"): (Action.SIL, Action.SPK),
+    }
+
+    def _exceptions(self, runs):
+        """Count of each named exception over the runs' ticks, both agents;
+        a label outside the contract and the exceptions fails the test."""
+        found = dict.fromkeys(self.EXCEPTIONS, 0)
+        for run in runs:
+            modes = ([], [])
+            chat = SelfChat(dataclasses.replace(
+                run, agents=tuple(_RecordsModes(p, modes[i]) for i, p in enumerate(run.agents)),
+            ))
+            for _ in range(chat.n_ticks):
+                chat.step()
+            trace = chat.finish()
+            for agent in (0, 1):
+                ticks = zip(label_sequence(trace, agent), modes[agent], chat.actions[agent], strict=True)
+                for tick, (label, mode, action) in enumerate(ticks):
+                    if label not in self.LEGAL[mode]:
+                        assert action in self.EXCEPTIONS.get((label, mode), ()), (
+                            run.seed, agent, tick, label, mode, action,
+                        )
+                        found[label, mode] += 1
+        return list(found.values())
+
+    def test_stochastic_labels_are_legal_but_for_the_named_exceptions(self):
+        # 30 runs x 750 ticks x 2 agents = 45000 ticks
+        runs = [stochastic_run(seed, 120000) for seed in range(30)]
+        assert self._exceptions(runs) == [195, 7, 2]
+
+    def test_corpus_response_labels_are_legal_but_for_the_named_exceptions(self):
+        rng = np.random.default_rng(7)
+        corpus = CorpusResponse(sequences=tuple(
+            tuple(int(u) for u in rng.integers(0, 50, int(rng.integers(8, 250)))) for _ in range(4)
+        ))
+        runs = [
+            dataclasses.replace(stochastic_run(seed, 120000), responses=(corpus, corpus))
+            for seed in range(30)
+        ]
+        assert self._exceptions(runs) == [220, 8, 2]
+
+    def test_cascaded_labels_are_all_legal(self):
+        assert self._exceptions([cascaded_run(seed, 120000) for seed in range(40)]) == [0, 0, 0]
 
 
 def test_context_reads_only_the_window(monkeypatch):
@@ -618,10 +695,7 @@ RECORD_DICTS = [
         CorpusResponse(sequences=((1,) * 8, (2,) * 17, (3,) * 5)),
         {"kind": "corpus", "sequences": [[1] * 8, [2] * 16]},
     ),
-    (
-        CascadedConfig(),
-        {"kind": "cascaded", "eot_silence_ms": 800, "response_min_ms": 1600, "response_max_ms": 4000},
-    ),
+    (CascadedConfig(), {"kind": "cascaded", "eot_silence_ms": 800}),
     (StochasticConfig(), STOCHASTIC_DICT),
     (
         ScriptedConfig(steps=((0, "SPK", 2000), (5, "STP"), (9, "spk", None))),
@@ -710,26 +784,28 @@ class TestRunConfig:
             SimRun.from_dict({"seed": 1, "opening_speaker": True})
 
     @pytest.mark.parametrize(
-        "policy, message",
+        "agent, message",
         [
-            ({"kind": "scripted", "steps": [[0, "SPK", 0]]},
-             "steps[0]: duration_ms must be positive, got 0"),
-            ({"kind": "scripted", "steps": [[0, "SPK"], [4, "SPK", -160]]},
-             "steps[1]: duration_ms must be positive, got -160"),
-            ({"kind": "scripted", "steps": [[-1, "SPK"]]},
-             "steps[0]: tick must be non-negative, got -1"),
-            ({"kind": "cascaded", "response_min_ms": 0},
-             "need 0 < response_min_ms <= response_max_ms, got 0 and 4000"),
-            ({"kind": "cascaded", "response_min_ms": 3000, "response_max_ms": 2000},
-             "need 0 < response_min_ms <= response_max_ms, got 3000 and 2000"),
+            ({"policy": {"kind": "scripted", "steps": [[0, "SPK", 0]]}},
+             "policy: steps[0]: duration_ms must be positive, got 0"),
+            ({"policy": {"kind": "scripted", "steps": [[0, "SPK"], [4, "SPK", -160]]}},
+             "policy: steps[1]: duration_ms must be positive, got -160"),
+            ({"policy": {"kind": "scripted", "steps": [[-1, "SPK"]]}},
+             "policy: steps[0]: tick must be non-negative, got -1"),
+            # a cascaded policy's response bounds are its agent's uniform response
+            ({"policy": {"kind": "cascaded"}, "response": {"kind": "uniform", "min_ms": 0}},
+             "response: need 0 < min_ms <= max_ms, got 0 and 4000"),
+            ({"policy": {"kind": "cascaded"},
+              "response": {"kind": "uniform", "min_ms": 3000, "max_ms": 2000}},
+             "response: need 0 < min_ms <= max_ms, got 3000 and 2000"),
         ],
         ids=["zero_duration", "negative_duration", "negative_tick", "zero_min", "min_over_max"],
     )
-    def test_bad_policy_settings_rejected_at_load(self, policy, message):
-        data = {"seed": 1, "agents": [{"policy": {"kind": "cascaded"}}, {"policy": policy}]}
+    def test_bad_policy_settings_rejected_at_load(self, agent, message):
+        data = {"seed": 1, "agents": [{"policy": {"kind": "cascaded"}}, agent]}
         with pytest.raises(ValidationError) as err:
             SimRun.from_dict(data)
-        assert str(err.value) == f"agents[1].policy: {message}"
+        assert str(err.value) == f"agents[1].{message}"
 
     def test_scripted_steps_are_checked_on_construction(self):
         with pytest.raises(ValidationError, match=r"^steps\[1\]: "):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dde import ValidationError, VadConfig, vad_from_samples
+from dde import FRAME_MS, ValidationError, VadConfig, vad_from_samples
 from dde.vad import load_conversation_audio, write_wav
 from oracles import _close_gaps
 
@@ -151,8 +151,12 @@ class TestVadConfig:
             VadConfig.from_dict({"energy_threshold_db": -0.5}, "vad")
 
     def test_rejects_nonstandard_frame(self):
-        with pytest.raises(ValidationError):
+        # the frame is FRAME_MS, not a setting, and min_speech_ms is checked against it
+        with pytest.raises(TypeError):
             VadConfig(frame_ms=10)
+        with pytest.raises(ValidationError, match=r"^vad: min_speech_ms must be at least one frame$"):
+            VadConfig.from_dict({"min_speech_ms": FRAME_MS - 1}, "vad")
+        assert VadConfig(min_speech_ms=FRAME_MS).min_speech_ms == FRAME_MS
 
 
 class TestWavIO:
