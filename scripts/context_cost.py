@@ -5,9 +5,9 @@ Runs one stochastic self-chat at each of 1, 2, 4 and 8 minutes with both
 agents wrapped in a policy that reads `obs.context` on every tick and then
 decides as the stochastic policy does, and checks that each trace is the one
 the plain policy makes. Prints the best of --repeats in µs of CPU time per
-tick for each length, and the exponent of a least-squares fit of log run
-time against log length: 1 means the cost of a read does not grow with the
-run.
+tick for each length, with and without the reads, and for each the exponent
+of a least-squares fit of log run time against log length: 1 means the cost
+of a tick does not grow with the run.
 
     python3 scripts/context_cost.py [--seed N] [--repeats N]
 """
@@ -55,19 +55,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     plain = [stochastic_run(args.seed, minutes * 60000) for minutes in MINUTES]
     reading = [dataclasses.replace(run, agents=tuple(map(ReadsContext, run.agents))) for run in plain]
-    seconds, traces = [math.inf] * len(MINUTES), [None] * len(MINUTES)
-    for _ in range(args.repeats):  # the lengths interleave, so a slow spell spreads over all of them
-        for i, run in enumerate(reading):
+    runs = reading + plain
+    seconds, traces = [math.inf] * len(runs), [None] * len(runs)
+    for _ in range(args.repeats):  # the runs interleave, so a slow spell spreads over all of them
+        for i, run in enumerate(runs):
             t0 = time.process_time()
             traces[i] = run_selfchat(run)
             seconds[i] = min(seconds[i], time.process_time() - t0)
-    for minutes, run, trace, best in zip(MINUTES, plain, traces, seconds):
-        if trace.to_json() != run_selfchat(run).to_json():
+    n = len(MINUTES)
+    for i, (minutes, run) in enumerate(zip(MINUTES, plain)):
+        if traces[i].to_json() != traces[n + i].to_json():
             print(f"{minutes} min: the context read changed the trace", file=sys.stderr)
             return 1
         ticks = run.duration_ms // TICK_MS
-        print(f"{minutes} min: {1e6 * best / ticks:.1f} us/tick ({ticks} ticks)")
-    print(f"exponent of run time against length: {fitted_exponent(MINUTES, seconds):.2f}")
+        print(f"{minutes} min: {1e6 * seconds[i] / ticks:.1f} us/tick ({ticks} ticks)")
+        print(f"{minutes} min, plain policy: {1e6 * seconds[n + i] / ticks:.1f} us/tick")
+    print(f"exponent of run time against length: {fitted_exponent(MINUTES, seconds[:n]):.2f}")
+    print(f"exponent of plain-policy run time against length: {fitted_exponent(MINUTES, seconds[n:]):.2f}")
     return 0
 
 

@@ -117,7 +117,10 @@ def cmd_simulate(args, cfg) -> int:
 
 def _speakers(text):
     """The channels --speaker names: both, or the one speaker_index reads."""
-    return (0, 1) if text == "both" else (segments.speaker_index(text),)
+    try:
+        return (0, 1) if text == "both" else (segments.speaker_index(text),)
+    except ValidationError:  # its text names the JSON forms, 0/1 too
+        raise ValidationError(f"expected A, B or both, got {text!r}") from None
 
 
 def cmd_label(args, cfg) -> int:

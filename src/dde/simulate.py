@@ -469,32 +469,6 @@ class SelfChat:
     def n_ticks(self) -> int:
         return self.run.duration_ms // TICK_MS
 
-    def _observations(self) -> tuple[Observation, Observation]:
-        """Both agents' views at the start of this tick, after _commit_if_done:
-        every live utterance then began at an earlier tick and ends after now."""
-        now = self.tick * TICK_MS
-        live = [st.utterance_start_ms is not None for st in self.states]
-        a, b = self.history
-        ends = (a[-1].end_ms if a else None, b[-1].end_ms if b else None)
-        if any(live):
-            mutual_silence = 0
-        else:
-            last = max((e for e in ends if e is not None), default=None)
-            mutual_silence = None if last is None else now - last
-        context = partial(self._context, now)
-        return tuple(
-            Observation(
-                now_ms=now,
-                other_speaking=live[1 - agent],
-                other_has_spoken=ends[1 - agent] is not None,
-                other_last_end_ms=ends[1 - agent],
-                own_last_end_ms=ends[agent],
-                mutual_silence_ms=mutual_silence,
-                _window=context,
-            )
-            for agent in (0, 1)
-        )
-
     def _context(self, now_ms: int) -> ConversationTrace:
         """The window at the tick start now_ms, from the segments ending at or
         after its start or after the start of a live utterance they merge with."""
@@ -522,22 +496,40 @@ class SelfChat:
 
     def step(self):
         """Advance one tick, both agents deciding on its start state; returns (action A, action B)."""
-        if self.tick >= self.n_ticks:
-            raise ValidationError("run already finished")
-        now = self.tick * TICK_MS
+        tick, run = self.tick, self.run
+        now = tick * TICK_MS
         tick_end = now + TICK_MS
-        for agent in (0, 1):
-            self._commit_if_done(agent, now)
-        observations = self._observations()
+        if tick_end > run.duration_ms:  # tick >= n_ticks
+            raise ValidationError("run already finished")
+        self._commit_if_done(0, now)
+        self._commit_if_done(1, now)
+        # Both agents' views at the start of this tick, after _commit_if_done:
+        # every live utterance then began at an earlier tick and ends after now.
+        live_a = self.states[0].utterance_start_ms is not None
+        live_b = self.states[1].utterance_start_ms is not None
+        a, b = self.history
+        end_a = a[-1].end_ms if a else None
+        end_b = b[-1].end_ms if b else None
+        if live_a or live_b:
+            mutual_silence = 0
+        else:  # a segment ends after 0ms, so a last end of 0 means nothing yet
+            last = max(end_a or 0, end_b or 0)
+            mutual_silence = now - last if last else None
+        context = partial(self._context, now)
+        observations = (
+            Observation(now, live_b, end_b is not None, end_b, end_a, mutual_silence, context),
+            Observation(now, live_a, end_a is not None, end_a, end_b, mutual_silence, context),
+        )
         changes = []
         try:
-            for agent, policy in enumerate(self.run.agents):
+            for agent, policy in enumerate(run.agents):
                 state = self.states[agent]
-                mode = state.mode(self.tick)
+                mode = state.mode(tick)
                 action, payload = policy.decide(observations[agent], state, mode)
-                action = Action(action)
+                if type(action) is not Action:
+                    action = Action(action)
                 if action not in _LEGAL[mode]:
-                    raise PolicyContractViolation(self.tick, "AB"[agent], mode, action)
+                    raise PolicyContractViolation(tick, "AB"[agent], mode, action)
                 if action is Action.SPK or action is Action.STP:
                     changes.append((agent, action, payload))
                 self.actions[agent].append(action)
@@ -548,11 +540,11 @@ class SelfChat:
                     self._commit_if_done(agent, tick_end)  # flush any finishing tail
                     dur_ms, units = payload
                     state.utterance_start_ms = now
-                    state.planned_end_ms = min(now + dur_ms, self.run.duration_ms)
+                    state.planned_end_ms = min(now + dur_ms, run.duration_ms)
                     state.utterance_units = units
                 else:  # STP
                     state.planned_end_ms = tick_end
-        self.tick += 1
+        self.tick = tick + 1
         return self.actions[0][-1], self.actions[1][-1]
 
     def finish(self) -> ConversationTrace:

@@ -153,6 +153,13 @@ class TestLabelCmd:
         assert run_cli("label", "--trace", str(p), "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 2 * 1875
 
+    def test_speaker_both_is_the_default(self, tmp_path):
+        p = self._write_trace(tmp_path, build_trace([("A", seg(1000, 3000))], 5000))
+        both, default = tmp_path / "both.jsonl", tmp_path / "default.jsonl"
+        assert run_cli("label", "--trace", str(p), "--speaker", "both", "--out", str(both)) == 0
+        assert run_cli("label", "--trace", str(p), "--out", str(default)) == 0
+        assert both.read_bytes() == default.read_bytes()
+
     def test_silent_trace_all_sil(self, tmp_path, capsys):
         p = self._write_trace(tmp_path, build_trace([], 1600))
         out = tmp_path / "s.jsonl"
@@ -598,7 +605,18 @@ INPUT_ERRORS = {
     "label_speaker_c": (
         {"trace.json": UNITS_TRACE},
         ["label", "--trace", "@trace.json", "--speaker", "C", "--out", "@s.jsonl"],
-        "--speaker: unknown speaker 'C', expected A/B or 0/1",
+        "--speaker: expected A, B or both, got 'C'",
+    ),
+    # the text named 0/1, which only JSON takes, and left out both
+    "label_speaker_0": (
+        {"trace.json": UNITS_TRACE},
+        ["label", "--trace", "@trace.json", "--speaker", "0", "--out", "@s.jsonl"],
+        "--speaker: expected A, B or both, got '0'",
+    ),
+    "label_speaker_Both": (
+        {"trace.json": UNITS_TRACE},
+        ["label", "--trace", "@trace.json", "--speaker", "Both", "--out", "@s.jsonl"],
+        "--speaker: expected A, B or both, got 'Both'",
     ),
     # a cascaded policy's response bounds moved to its agent's response entry
     "cascaded_old_response_bounds": (

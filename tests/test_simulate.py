@@ -41,6 +41,24 @@ def scripted_run(steps_a, steps_b=(), duration_ms=30000, seed=0):
     )
 
 
+class _IntActions:
+    """`policy`, returning each action as its plain int value (3 for SIL)."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def default_response(self):
+        return self.policy.default_response()
+
+    def decide(self, obs, state, mode):
+        action, payload = self.policy.decide(obs, state, mode)
+        return int(action), payload
+
+
+def _int_run(run):
+    return dataclasses.replace(run, agents=tuple(map(_IntActions, run.agents)))
+
+
 class TestEngineBasics:
     def test_silent_run_produces_empty_trace(self):
         trace = run_selfchat(scripted_run([], []))
@@ -81,6 +99,23 @@ class TestEngineBasics:
 
     def test_contract_violation_message_names_the_action(self):
         chat = SelfChat(scripted_run([(0, "CON")], duration_ms=1600))
+        with pytest.raises(PolicyContractViolation) as err:
+            chat.step()
+        assert str(err.value) == "agent A emitted CON while Listening at tick 0"
+        assert err.value.action is Action.CON
+
+    def test_int_actions_are_logged_as_members(self):
+        for run in (stochastic_run(3, 60000), cascaded_run(3, 60000)):
+            member, plain = SelfChat(run), SelfChat(_int_run(run))
+            for _ in range(member.n_ticks):
+                member.step()
+                assert all(type(a) is Action for a in plain.step())
+            assert plain.actions == member.actions
+            assert {Action.SIL, Action.SPK} <= set(plain.actions[0])
+            assert plain.finish() == member.finish()
+
+    def test_illegal_int_action_raises_as_its_member(self):
+        chat = SelfChat(_int_run(scripted_run([(0, "CON")], duration_ms=1600)))
         with pytest.raises(PolicyContractViolation) as err:
             chat.step()
         assert str(err.value) == "agent A emitted CON while Listening at tick 0"
