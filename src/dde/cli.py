@@ -223,12 +223,13 @@ def cmd_ingest(args, cfg) -> int:
         **{name: _setting(args, name, cfg, f"vad.{name}") for name in ("min_speech_ms", "min_gap_ms")},
     }
     vad_cfg = vad.VadConfig.from_dict(resolved, "vad")
-    if args.audio:
+    mono = (args.audio_a, args.audio_b)
+    if args.audio and not any(mono):
         a, b = vad.load_conversation_audio(stereo_path=args.audio)
+    elif all(mono) and not args.audio:
+        a, b = vad.load_conversation_audio(mono_paths=mono)
     else:
-        if not (args.audio_a and args.audio_b):
-            raise DuplexError("give --audio or both --audio-a and --audio-b")
-        a, b = vad.load_conversation_audio(mono_paths=(args.audio_a, args.audio_b))
+        raise DuplexError("give --audio or both --audio-a and --audio-b")
     trace = vad.vad_from_samples((a, b), vad_cfg)
     segments.write_trace(trace, args.out)
     print(

@@ -14,7 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._schema import Record, expect_object, loads, read_field, read_json, read_json_lines, read_record
+from ._schema import (
+    Record, expect_object, loads, read_field, read_json, read_json_lines, read_record, unit_ids,
+)
 from .errors import ValidationError
 
 FRAME_MS = 20      # atomic activity/audio frame
@@ -46,6 +48,11 @@ class EventCounts(Record):
     laughs: int = 0
     breaths: int = 0
 
+    def __post_init__(self):
+        for name, n in vars(self).items():
+            if n < 0:
+                raise ValidationError(f"{name} must be non-negative, got {n}")
+
     def __add__(self, other: "EventCounts") -> "EventCounts":
         return EventCounts(
             self.fillers + other.fillers,
@@ -73,7 +80,10 @@ class SpeechSegment:
                 f"segment end {self.end_ms} must exceed start {self.start_ms}"
             )
         if self.units is not None:
-            object.__setattr__(self, "units", tuple(map(int, self.units)))
+            try:
+                object.__setattr__(self, "units", unit_ids(self.units))
+            except ValueError as exc:
+                raise ValidationError(f"units: {exc}") from None
             if self.start_ms % FRAME_MS or self.end_ms % FRAME_MS:
                 raise ValidationError(
                     "unit-annotated segments must be 20ms-aligned: "

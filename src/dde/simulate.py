@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
@@ -338,11 +337,11 @@ class Observation:
     other_last_end_ms: int | None # end of other's latest finished segment
     own_last_end_ms: int | None   # end of own latest finished segment
     mutual_silence_ms: int | None # trailing silence on both channels; None = nothing yet
-    _window: object = None        # lazy builder
+    _chat: object = None          # the SelfChat that builds the context
 
     @property
     def context(self) -> ConversationTrace:
-        return self._window()
+        return self._chat._context(self.now_ms)
 
 
 @dataclass
@@ -464,26 +463,28 @@ class SelfChat:
         self.history: tuple[list[SpeechSegment], list[SpeechSegment]] = ([], [])
         self.actions: tuple[list, list] = ([], [])
         self.tick = 0
+        self._last_context = 0, ConversationTrace(((), ()), 0)  # (tick start, its context)
 
     @property
     def n_ticks(self) -> int:
         return self.run.duration_ms // TICK_MS
 
     def _context(self, now_ms: int) -> ConversationTrace:
-        """The window at the tick start now_ms, from the segments ending at or
-        after its start or after the start of a live utterance they merge with."""
+        """The window at the tick start now_ms, built once for both agents, of the segments
+        ending at or after its start or after the start of a live utterance they merge with."""
         if now_ms != self.tick * TICK_MS:
             raise ValidationError(f"context of the tick at {now_ms}ms read after that tick")
-        channels = []
-        for history, st in zip(self.history, self.states):
-            live = st.utterance_start_ms is not None
-            start = min(now_ms - self.run.window_ms, st.utterance_start_ms if live else now_ms)
-            recent = history[bisect_left(history, start, key=lambda s: s.end_ms):]
-            if live:
-                push_segment(recent, _spoken(st.utterance_start_ms, now_ms, st.utterance_units))
-            channels.append(recent)
-        trace = ConversationTrace(channels, now_ms)
-        return window(trace, now_ms, self.run.window_ms) if now_ms else trace
+        if self._last_context[0] != now_ms:
+            channels = []
+            for history, st in zip(self.history, self.states):
+                live = st.utterance_start_ms is not None
+                start = min(now_ms - self.run.window_ms, st.utterance_start_ms if live else now_ms)
+                recent = history[bisect_left(history, start, key=lambda s: s.end_ms):]
+                if live:
+                    push_segment(recent, _spoken(st.utterance_start_ms, now_ms, st.utterance_units))
+                channels.append(recent)
+            self._last_context = now_ms, window(ConversationTrace(channels, now_ms), now_ms, self.run.window_ms)
+        return self._last_context[1]
 
     def _commit_if_done(self, agent: int, now_ms: int) -> None:
         st = self.states[agent]
@@ -515,10 +516,9 @@ class SelfChat:
         else:  # a segment ends after 0ms, so a last end of 0 means nothing yet
             last = max(end_a or 0, end_b or 0)
             mutual_silence = now - last if last else None
-        context = partial(self._context, now)
         observations = (
-            Observation(now, live_b, end_b is not None, end_b, end_a, mutual_silence, context),
-            Observation(now, live_a, end_a is not None, end_a, end_b, mutual_silence, context),
+            Observation(now, live_b, end_b is not None, end_b, end_a, mutual_silence, self),
+            Observation(now, live_a, end_a is not None, end_a, end_b, mutual_silence, self),
         )
         changes = []
         try:

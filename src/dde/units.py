@@ -42,9 +42,10 @@ class BpeVocab:
     def __post_init__(self):
         if self.base_alphabet_size <= 0:
             raise ValidationError("base alphabet size must be positive")
-        object.__setattr__(
-            self, "merges", tuple((int(l), int(r), int(n)) for l, r, n in self.merges)
-        )
+        try:
+            object.__setattr__(self, "merges", _merges(self.merges))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"merges: {exc}") from None
         known = self.base_alphabet_size
         for left, right, new in self.merges:
             if not (0 <= left < known and 0 <= right < known):

@@ -300,6 +300,11 @@ TRACE_ERRORS = {
         {"duration_ms": 1000, "channels": [[{"start_ms": 0, "end_ms": 20, "words": -1}], []]},
         "channels[0][0]: word count must be non-negative",
     ),
+    # read as a filler rate of -15 per minute
+    "negative_fillers": (
+        {"duration_ms": 60000, "channels": [[{"start_ms": 0, "end_ms": 20000, "events": {"fillers": -5}}], []]},
+        "channels[0][0].events: fillers must be non-negative, got -5",
+    ),
 }
 
 
@@ -624,6 +629,12 @@ INPUT_ERRORS = {
             {**CASCADED, "response_min_ms": 1000, "response_max_ms": 2000}, CASCADED,
         )}},
         RUN_CONFIG, "agents[0].policy.response_max_ms: unknown field",
+    ),
+    # --audio-a was ignored and the stereo file ingested
+    "ingest_stereo_and_mono": (
+        {"conv.wav": wav_bytes(2), "a.wav": wav_bytes(1)},
+        ["ingest", "--audio", "@conv.wav", "--audio-a", "@a.wav", "--out", "@t.json"],
+        "give --audio or both --audio-a and --audio-b",
     ),
 }
 

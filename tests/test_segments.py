@@ -120,6 +120,24 @@ class TestSegmentValidation:
         with pytest.raises(ValidationError, match="non-negative"):
             seg(0, 60, units=units)
 
+    @pytest.mark.parametrize("units, message", [
+        ((1.5, True), "units: expected an integer, got 1.5"),
+        ((1, True), "units: expected an integer, got true"),
+        ("12", "units: expected a list"),
+        (np.array([1, 2]), "units: expected a list"),
+    ])
+    def test_units_are_read_as_json_units_are(self, units, message):
+        assert seg(0, 40, units=[1, 2.0]).units == (1, 2)
+        with pytest.raises(ValidationError) as exc:
+            seg(0, 40, units=units)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field", ["fillers", "repetitions", "laughs", "breaths"])
+    def test_negative_event_counts_rejected(self, field):
+        with pytest.raises(ValidationError) as exc:
+            EventCounts(**{field: -5})
+        assert str(exc.value) == f"{field} must be non-negative, got -5"
+
     def test_event_counts_roundtrip(self):
         e = EventCounts(fillers=2, laughs=1)
         assert EventCounts.from_dict(e.to_dict()) == e

@@ -119,6 +119,18 @@ class TestBpeCodec:
         with pytest.raises(ValidationError):
             BpeVocab(4, ((1, 2, 7),))
 
+    @pytest.mark.parametrize("merges, message", [
+        (((0.9, 1.2, 3.7),), "merges: expected an integer, got 0.9"),
+        (((0, True, 3),), "merges: expected an integer, got true"),
+        (((0, 1),), "merges: entry 0 is not a [left, right, new] triple"),
+        ((range(3),), "merges: expected a list"),
+    ])
+    def test_vocab_merges_are_read_as_json_merges_are(self, merges, message):
+        assert BpeVocab(3, merges=[[0, 1.0, 3]]).merges == ((0, 1, 3),)
+        with pytest.raises(ValidationError) as exc:
+            BpeVocab(3, merges=merges)
+        assert str(exc.value) == message
+
     @settings(max_examples=200, deadline=None)
     @given(
         data=st.data(),
