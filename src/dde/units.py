@@ -7,10 +7,11 @@ deduplicated (runs of identical adjacent ids collapse to one).
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, repeat
+from heapq import heapify, heappop, heappush
+from itertools import groupby
 
 from . import _kernels
 from .errors import ValidationError
@@ -115,19 +116,20 @@ def _check_raw(seq, base_alphabet_size: int) -> None:
         prev = u
 
 
-def _merge_pass(seq: list[int], left: int, right: int, new: int) -> list[int]:
-    # one exhaustive left-to-right replacement of (left, right) by new
-    out = []
-    i = 0
-    n = len(seq)
-    while i < n:
-        if i + 1 < n and seq[i] == left and seq[i + 1] == right:
-            out.append(new)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
+def _rewrite(seq: list[int], left: int, right: int, new: int):
+    """Replace each (left, right) of seq by new, in place and from left to
+    right, and yield each site's neighbours (prev, next) as they stand when
+    it is replaced, None past either end."""
+    j = 0
+    try:
+        while True:
+            j = seq.index(left, j)
+            if j + 1 < len(seq) and seq[j + 1] == right:
+                yield (seq[j - 1] if j else None), (seq[j + 2] if j + 2 < len(seq) else None)
+                seq[j : j + 2] = (new,)
+            j += 1
+    except ValueError:  # no left at or after j
+        return
 
 
 def bpe_train(corpus, num_merges: int, base_alphabet_size: int) -> BpeVocab:
@@ -137,48 +139,54 @@ def bpe_train(corpus, num_merges: int, base_alphabet_size: int) -> BpeVocab:
     the lexicographically smallest pair) and assigns the next free id.
     Training stops early once no pair occurs twice.
 
-    Pairs are counted once. Each merge then rewrites only the sequences that
-    hold its pair, and recounts in each only the stretch from just before its
-    first merge site to just after its last: the pairs outside it are
-    unchanged. A merge creates only pairs that hold its new id, so any other
-    pair's count can only fall afterwards: a pair counted fewer than twice
-    after a merge can never be chosen, and is dropped.
+    Pairs are counted once. Each merge then rewrites its sites in place, in
+    the sequences that may hold its left id, and at each site takes out the
+    pairs (prev, left), (left, right) and (right, next) and adds (prev, new)
+    and (new, next), so the counts stay exact. The best pair comes off a heap
+    of (-count, pair), whose order is the tie rule: an entry whose count is
+    no longer the pair's is stale and dropped, and each merge pushes one
+    entry for every pair whose count it changed.
     """
     if num_merges < 0:
         raise ValidationError("num_merges must be >= 0")
     seqs = []
-    for seq in corpus:
+    holders = defaultdict(list)  # id -> the indices of the sequences that may hold it
+    for i, seq in enumerate(corpus):
         seq = list(seq)
         _check_raw(seq, base_alphabet_size)
         seqs.append(seq)
+        for u in set(seq):
+            holders[u].append(i)
     counts = Counter(pair for seq in seqs for pair in zip(seq, seq[1:]))
-    touched = list(counts)  # the pairs whose count the last merge changed
+    heap = [(-n, pair) for pair, n in counts.items() if n >= 2]
+    heapify(heap)
     merges = []
     for new in range(base_alphabet_size, base_alphabet_size + num_merges):
-        for pair in touched:
-            if counts.get(pair, 2) < 2:
-                counts.pop(pair)
-        if not counts:
+        while heap and -heap[0][0] != counts[heap[0][1]]:
+            heappop(heap)
+        if not heap:
             break
-        freq = max(counts.values())
-        best = min([pair for pair, n in counts.items() if n == freq])
-        merges.append((*best, new))
-        touched = []
-        for i, seq in enumerate(seqs):
-            if best[0] not in seq or best not in zip(seq, seq[1:]):  # cheap test first
-                continue
-            merged = _merge_pass(seq, *best, new)
-            lo = max(merged.index(new) - 1, 0)
-            tail = merged[::-1].index(new)  # the elements after the last site
-            old = seq[lo : len(seq) - tail + 1]
-            cur = merged[lo : len(merged) - tail + 1]
-            for pair in zip(old, old[1:]):
-                counts[pair] = counts.get(pair, 0) - 1
-            for pair in zip(cur, cur[1:]):
-                counts[pair] = counts.get(pair, 0) + 1
-            touched += zip(old, old[1:])
-            touched += zip(cur, cur[1:])
-            seqs[i] = merged
+        best = left, right = heappop(heap)[1]
+        merges.append((left, right, new))
+        changed = {best}
+        for i in holders[left]:
+            seq = seqs[i]
+            length = len(seq)
+            for prev, nxt in _rewrite(seq, left, right, new):
+                counts[best] -= 1
+                if prev is not None:
+                    counts[prev, left] -= 1
+                    counts[prev, new] += 1
+                    changed.update(((prev, left), (prev, new)))
+                if nxt is not None:
+                    counts[right, nxt] -= 1
+                    counts[new, nxt] += 1
+                    changed.update(((right, nxt), (new, nxt)))
+            if len(seq) < length:
+                holders[new].append(i)
+        for pair in changed:
+            if counts[pair] >= 2:
+                heappush(heap, (-counts[pair], pair))
     return BpeVocab(base_alphabet_size=base_alphabet_size, merges=tuple(merges))
 
 
@@ -187,27 +195,38 @@ def bpe_encode(vocab: BpeVocab, seq) -> tuple[int, ...]:
 
     Merging the lowest-ranked pair present, repeatedly, gives the same
     result: a merge only creates pairs holding its new id, and every merge
-    that uses that id ranks later.
+    that uses that id ranks later. So the ranks of the sequence's pairs go
+    on a heap once, each merge pushes the ranks of the pairs it creates, and
+    ranks come off in order; a rank whose pair is gone finds no site.
     """
     seq = list(seq)
     _check_raw(seq, vocab.base_alphabet_size)
     ranks = vocab._ranks
-    absent = len(vocab.merges)
-    while len(seq) > 1:
-        # ranks.get(pair, absent) of each adjacent pair
-        rank = min(map(ranks.get, zip(seq, seq[1:]), repeat(absent)))
-        if rank == absent:
-            break
-        seq = _merge_pass(seq, *vocab.merges[rank])
+    heap = [rank for rank in map(ranks.get, zip(seq, seq[1:])) if rank is not None]
+    heapify(heap)
+    last = None
+    while heap:
+        rank = heappop(heap)
+        if rank == last:
+            continue
+        last = rank
+        left, right, new = vocab.merges[rank]
+        for prev, nxt in _rewrite(seq, left, right, new):
+            for pair in (prev, new), (new, nxt):  # a None end is in no pair of ranks
+                if pair in ranks:
+                    heappush(heap, ranks[pair])
     return tuple(seq)
 
 
 def bpe_decode(vocab: BpeVocab, seq) -> tuple[int, ...]:
-    """Expand merged ids back to base ids."""
-    table = {new: (left, right) for left, right, new in vocab.merges}
+    """Expand merged ids back to base ids; merge k made id K+k. The ids are
+    read as JSON unit ids are: 4.0 reads as 4, while 4.9 and true are errors."""
+    try:
+        seq = unit_ids(seq)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     out = []
     for u in seq:
-        u = int(u)
         if u < 0 or u >= vocab.size:
             raise ValidationError(f"unknown id {u} for a vocab of size {vocab.size}")
         stack = [u]
@@ -216,7 +235,7 @@ def bpe_decode(vocab: BpeVocab, seq) -> tuple[int, ...]:
             if v < vocab.base_alphabet_size:
                 out.append(v)
             else:
-                left, right = table[v]
+                left, right, _ = vocab.merges[v - vocab.base_alphabet_size]
                 stack.append(right)
                 stack.append(left)
     return tuple(out)

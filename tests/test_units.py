@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,17 @@ class TestBpeTrain:
         assert vocab.merges == ((1, 2, 4), (4, 3, 5))
         assert bpe_encode(vocab, [1, 2, 3]) == (5,)
 
+    def test_callers_lists_are_left_alone(self):
+        # training and encoding rewrite their own copies in place
+        corpus = [[1, 2, 1, 2, 3], [3, 1, 2], [0]]
+        before = [list(seq) for seq in corpus]
+        vocab = bpe_train(corpus, 3, 4)
+        assert vocab.merges[0] == (1, 2, 4)
+        assert corpus == before
+        seq = [3, 1, 2, 1, 2]
+        assert bpe_encode(vocab, seq) != tuple(seq)
+        assert seq == [3, 1, 2, 1, 2]
+
 
 class TestBpeCodec:
     def test_encode_decode_single_merge(self):
@@ -103,6 +115,19 @@ class TestBpeCodec:
         vocab = BpeVocab(10, ((7, 8, 10),))
         with pytest.raises(ValidationError):
             bpe_decode(vocab, [11])
+
+    @pytest.mark.parametrize("tokens, message", [
+        ([4.9, True], "expected an integer, got 4.9"),
+        ([10, True], "expected an integer, got true"),
+        (range(3), "expected a list"),
+        ([10.0, -1], "unknown id -1 for a vocab of size 11"),
+    ])
+    def test_decode_reads_ids_as_json_ids_are(self, tokens, message):
+        vocab = BpeVocab(10, ((7, 8, 10),))
+        assert bpe_decode(vocab, [10.0, 9]) == (7, 8, 9)
+        with pytest.raises(ValidationError) as exc:
+            bpe_decode(vocab, tokens)
+        assert str(exc.value) == message
 
     def test_encode_rejects_raw_id_at_or_past_alphabet(self):
         vocab = BpeVocab(10, ((7, 8, 10),))
@@ -211,6 +236,9 @@ class TestBpeOracleEquivalence:
         ([[0, 1, 0, 1, 0, 1, 0, 1, 0]], 4),        # (0, 1) -> 4 leaves 4 4 4 4 0
         ([[1, 2, 3, 1, 2, 3], [3, 1]], 5),         # ties on every count
         ([[0, 1, 2, 0, 1, 2, 0, 1], [2, 0, 2, 1]], 1000),  # stops long before 1000
+        # (0, 3) -> 4 takes (3, 1) from 3 to 2, a tie with the smaller (1, 2):
+        # the stale entry for (3, 1) at 3 sits on top of the count heap
+        ([[0, 3, 1], [0, 3, 2], [0, 3], [0, 3], [3, 1], [3, 1], [1, 2], [1, 2]], 5),
     ])
     def test_edge_corpora(self, corpus, num_merges):
         vocab = bpe_train(corpus, num_merges, 4)
@@ -228,6 +256,20 @@ class TestBpeOracleEquivalence:
         assert vocab == pass_per_merge_bpe_train(train, 150, 40)
         assert len(vocab.merges) == 150
         for seq in train + other:
+            assert bpe_encode(vocab, seq) == pass_per_merge_bpe_encode(vocab, seq)
+
+    def test_workload_scale_corpus(self, rng):
+        # alphabet 500, 200 merges, 270 sequences of mean length about 30 with
+        # id frequencies falling as 1/rank: most rounds tie on the top count
+        weights = 1.0 / np.arange(1, 501)
+        corpus = [
+            list(dedup(rng.choice(500, size=rng.integers(5, 58), p=weights / weights.sum()).tolist()))
+            for _ in range(270)
+        ]
+        vocab = bpe_train(corpus, 200, 500)
+        assert vocab == pass_per_merge_bpe_train(corpus, 200, 500)
+        assert len(vocab.merges) == 200
+        for seq in corpus:
             assert bpe_encode(vocab, seq) == pass_per_merge_bpe_encode(vocab, seq)
 
     def test_hand_vocabs(self):
