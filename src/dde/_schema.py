@@ -107,16 +107,11 @@ def finite_float(value) -> float:
 
 
 def number(value):
-    """A JSON number as written (5 stays 5); booleans and strings are errors."""
+    """A finite JSON number as written (5 stays 5); booleans, strings, NaN and
+    the infinities are errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {json.dumps(value)}")
-    return value
-
-
-def string(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {json.dumps(value)}")
-    return value
+    return finite_float(value) if isinstance(value, float) else value
 
 
 def one_of(*choices):
@@ -128,13 +123,23 @@ def one_of(*choices):
     return read
 
 
+def items(value, path=None, read=None) -> tuple:
+    """The items of JSON list `value`, each through read(item), or with `path`
+    through read(item, f"{path}[i]"). Anything else is `expected a list`, not
+    its characters or keys: a ValueError, or a ValidationError naming `path`."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("expected a list") if path is None else ValidationError(f"{path}: expected a list")
+    if read is None:
+        return tuple(value)
+    if path is None:
+        return tuple(map(read, value))
+    return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
 def unit_ids(value) -> tuple[int, ...]:
     """Unit ids from a JSON list; a string is an error, not a list of digits."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError("expected a list")
-    if set(map(type, value)) <= {int}:
-        return tuple(value)
-    return tuple(map(integer, value))
+    ids = items(value)
+    return ids if set(map(type, ids)) <= {int} else items(ids, read=integer)
 
 
 def _as_is(value):

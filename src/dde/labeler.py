@@ -21,9 +21,9 @@ import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from ._schema import expect_object, read_field, read_json_lines, string
+from ._schema import at_least, expect_object, one_of, read_field, read_json_lines
 from .errors import ValidationError
-from .segments import TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace
+from .segments import SPEAKER_NAMES, TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace
 from .segments import speaker_index, window, window_json
 from .units import BpeVocab, bpe_encode, dedup
 
@@ -202,7 +202,8 @@ def read_actions_jsonl(path) -> dict[tuple[str, int], Action]:
     for n, rec in read_json_lines(path, "samples line"):
         where = f"{path}:{n}"
         expect_object(rec, where)
-        key = (read_field(rec, "agent", where, string), read_field(rec, "tick_index", where))
+        agent = read_field(rec, "agent", where, one_of(*SPEAKER_NAMES))
+        key = (agent, read_field(rec, "tick_index", where, at_least(0)))
         if key in first:
             raise ValidationError(
                 f"{where}: duplicate sample for agent {key[0]} at tick {key[1]} (first at line {first[key]})"

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from ._schema import (
-    Record, expect_object, loads, read_field, read_json, read_json_lines, read_record, unit_ids,
+    Record, expect_object, items, loads, read_field, read_json, read_json_lines, read_record, unit_ids,
 )
 from .errors import ValidationError
 
@@ -185,16 +185,7 @@ class ConversationTrace:
         chans = data.get("channels")
         if not isinstance(chans, list) or len(chans) != 2:
             raise ValidationError("trace JSON needs a 2-element 'channels' list")
-        channels = []
-        for ci, ch in enumerate(chans):
-            try:
-                items = iter(ch)
-            except TypeError:
-                raise ValidationError(f"channels[{ci}]: expected a list of segments") from None
-            channels.append(tuple(
-                SpeechSegment.from_dict(s, f"channels[{ci}][{si}]")
-                for si, s in enumerate(items)
-            ))
+        channels = (items(ch, f"channels[{ci}]", SpeechSegment.from_dict) for ci, ch in enumerate(chans))
         return cls(channels=tuple(channels), duration_ms=read_field(data, "duration_ms"))
 
     @classmethod
@@ -411,7 +402,7 @@ def window_json(trace: ConversationTrace, end_ms: int, width_ms: int) -> str:
     duration, cuts = _window_cuts(trace, end_ms, width_ms)
     channels = []
     for parts, ch_cuts in zip(trace._json_parts, cuts):
-        items = []
+        texts = []
         for k, start, end, frames, whole in ch_cuts:
             events, ids, units, tail = parts[k]
             if ids is None or frames is None:
@@ -420,8 +411,8 @@ def window_json(trace: ConversationTrace, end_ms: int, width_ms: int) -> str:
                 units = ', "units": [' + ", ".join(ids[frames]) + "]"
             if not whole:
                 events, tail = "", "}"
-            items.append(f'{{"end_ms": {end}{events}, "start_ms": {start}{units}{tail}')
-        channels.append(", ".join(items))
+            texts.append(f'{{"end_ms": {end}{events}, "start_ms": {start}{units}{tail}')
+        channels.append(", ".join(texts))
     return f'{{"channels": [[{channels[0]}], [{channels[1]}]], "duration_ms": {duration}}}'
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._schema import Record, expect_known_keys, expect_object, integer, read_field, read_json, unit_ids
+from ._schema import Record, expect_known_keys, expect_object, integer, items, read_field, read_json, unit_ids
 from .analytics import BACKCHANNEL_MAX_MS, PAUSE_MIN_MS, TURN_JOIN_MS
 from .errors import PolicyContractViolation, ValidationError
 from .labeler import Action
@@ -131,7 +131,7 @@ class CorpusResponse(_Record):
 
     def __post_init__(self):
         try:
-            seqs = [unit_ids(seq) for seq in self.sequences]
+            seqs = items(self.sequences, read=unit_ids)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"sequences: {exc}") from None
         usable = tuple(
@@ -276,6 +276,23 @@ class StochasticConfig(_Record):
         return Action.SIL, None
 
 
+def _step(raw, path):
+    """(step, (tick, (action, duration_ms or None))) of [tick, action(, duration_ms)]."""
+    try:
+        step = items(raw)
+        if len(step) not in (2, 3):
+            raise ValueError("expected [tick, action] or [tick, action, duration_ms]")
+        tick = integer(step[0])
+        dur = integer(step[2]) if len(step) == 3 and step[2] is not None else None
+        if tick < 0:
+            raise ValueError(f"tick must be non-negative, got {tick}")
+        if dur is not None and dur <= 0:
+            raise ValueError(f"duration_ms must be positive, got {dur}")
+        return step, (tick, (Action.from_name(step[1]), dur))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ScriptedConfig(_Record):
     """Explicit tick -> action table; unlisted ticks take the idle action
@@ -286,26 +303,9 @@ class ScriptedConfig(_Record):
     kind = "scripted"
 
     def __post_init__(self):
-        if not isinstance(self.steps, (list, tuple)):
-            raise ValidationError("steps: expected a list")
-        steps, table = [], {}  # table: tick -> (action, duration_ms or None)
-        for i, raw in enumerate(self.steps):
-            try:
-                step = tuple(raw)
-                if len(step) not in (2, 3):
-                    raise ValueError("expected [tick, action] or [tick, action, duration_ms]")
-                tick = integer(step[0])
-                dur = integer(step[2]) if len(step) == 3 and step[2] is not None else None
-                if tick < 0:
-                    raise ValueError(f"tick must be non-negative, got {tick}")
-                if dur is not None and dur <= 0:
-                    raise ValueError(f"duration_ms must be positive, got {dur}")
-                table[tick] = (Action.from_name(step[1]), dur)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"steps[{i}]: {exc}") from None
-            steps.append(step)
-        object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "_table", table)
+        steps = items(self.steps, "steps", _step)
+        object.__setattr__(self, "steps", tuple(step for step, _ in steps))
+        object.__setattr__(self, "_table", dict(entry for _, entry in steps))
 
     def default_response(self):
         return UniformResponse()
@@ -377,6 +377,17 @@ _LEGAL = {"Listening": (Action.SIL, Action.SPK), "Speaking": (Action.CON, Action
 
 # -------------------------------------------------------------------- engine
 
+def _agent(entry, path):
+    """(policy, response or None) of a run config's `agents` entry."""
+    expect_object(entry, path)
+    expect_known_keys(entry, ("policy", "response"), path)
+    resp = entry.get("response")
+    return (
+        _from_kind(_POLICIES, entry.get("policy"), f"{path}.policy"),
+        None if resp is None else _from_kind(_RESPONSES, resp, f"{path}.response"),
+    )
+
+
 @dataclass(frozen=True)
 class SimRun:
     """Everything that determines one self-chat run."""
@@ -424,23 +435,13 @@ class SimRun:
         """Absent or null fields take the defaults declared above."""
         expect_object(data, "run")
         expect_known_keys(data, ("seed", "duration_ms", "opening_speaker", "window_ms", "agents"))
-        entries = read_field(data, "agents", "", tuple, None)
-        if entries is None:
-            agents, responses = cls.agents, cls.responses
-        else:
-            agents, responses = [], []
-            for i, entry in enumerate(entries):
-                path = f"agents[{i}]"
-                expect_object(entry, path)
-                expect_known_keys(entry, ("policy", "response"), path)
-                agents.append(_from_kind(_POLICIES, entry.get("policy"), f"{path}.policy"))
-                resp = entry.get("response")
-                responses.append(None if resp is None else _from_kind(_RESPONSES, resp, f"{path}.response"))
+        entries = data.get("agents")
+        pairs = tuple(zip(cls.agents, cls.responses)) if entries is None else items(entries, "agents", _agent)
         return cls(
             seed=read_field(data, "seed"),
             duration_ms=read_field(data, "duration_ms", default=cls.duration_ms),
-            agents=tuple(agents),
-            responses=tuple(responses),
+            agents=tuple(policy for policy, _ in pairs),
+            responses=tuple(response for _, response in pairs),
             opening_speaker=read_field(data, "opening_speaker", "", speaker_index, cls.opening_speaker),
             window_ms=read_field(data, "window_ms", default=cls.window_ms),
         )

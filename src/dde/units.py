@@ -15,7 +15,7 @@ from itertools import groupby
 
 from . import _kernels
 from .errors import ValidationError
-from ._schema import expect_object, loads, read_field, unit_ids
+from ._schema import expect_object, items, loads, read_field, unit_ids
 from .segments import FRAME_MS
 
 
@@ -85,9 +85,10 @@ class BpeVocab:
     @classmethod
     def from_dict(cls, data) -> "BpeVocab":
         expect_object(data, "vocab")
+        merges = data.get("merges")
         return cls(
             base_alphabet_size=read_field(data, "base_alphabet_size"),
-            merges=read_field(data, "merges", convert=_merges, default=()),
+            merges=() if merges is None else merges,
         )
 
     @classmethod
@@ -97,7 +98,7 @@ class BpeVocab:
 
 def _merges(value) -> tuple[tuple[int, int, int], ...]:
     """Merge triples from a JSON list of [left, right, new] lists."""
-    merges = tuple(map(unit_ids, value))
+    merges = items(value, read=unit_ids)
     for i, merge in enumerate(merges):
         if len(merge) != 3:
             raise ValueError(f"entry {i} is not a [left, right, new] triple")

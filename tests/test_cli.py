@@ -305,6 +305,12 @@ TRACE_ERRORS = {
         {"duration_ms": 60000, "channels": [[{"start_ms": 0, "end_ms": 20000, "events": {"fillers": -5}}], []]},
         "channels[0][0].events: fillers must be non-negative, got -5",
     ),
+    # a channel that is not a list was read as its characters or keys: "" and {}
+    # as no segments, "ab" as segments "a" and "b"
+    "channel_empty_string": ({"duration_ms": 1000, "channels": ["", []]}, "channels[0]: expected a list"),
+    "channel_an_object": ({"duration_ms": 1000, "channels": [[], {}]}, "channels[1]: expected a list"),
+    "channel_a_string": ({"duration_ms": 1000, "channels": ["ab", []]}, "channels[0]: expected a list"),
+    "channel_a_number": ({"duration_ms": 1000, "channels": [5, []]}, "channels[0]: expected a list"),
 }
 
 
@@ -629,6 +635,50 @@ INPUT_ERRORS = {
             {**CASCADED, "response_min_ms": 1000, "response_max_ms": 2000}, CASCADED,
         )}},
         RUN_CONFIG, "agents[0].policy.response_max_ms: unknown field",
+    ),
+    # a list that was not a list was read as its characters or keys, or failed in Python's words
+    "agents_a_number": ({"run.json": {"seed": 1, "agents": 5}}, RUN_CONFIG, "agents: expected a list"),
+    "agents_a_string": ({"run.json": {"seed": 1, "agents": "ab"}}, RUN_CONFIG, "agents: expected a list"),
+    # the check behind this text was reached by {} read as no agents
+    "agents_one": ({"run.json": {"seed": 1, "agents": _agents(CASCADED)}}, RUN_CONFIG, "a run needs exactly two agents"),
+    "step_an_object": (
+        {"run.json": {"seed": 1, "agents": _agents({"kind": "scripted", "steps": [{"0": 1, "SPK": 2}]}, CASCADED)}},
+        RUN_CONFIG, "agents[0].policy: steps[0]: expected a list",
+    ),
+    "sequences_an_object": (
+        {"run.json": {"seed": 1, "agents": _agents(CASCADED, CASCADED, response={"kind": "corpus", "sequences": {}})}},
+        RUN_CONFIG, "agents[0].response: sequences: expected a list",
+    ),
+    # merges that were not a list were read as no merges
+    "vocab_merges_a_string": (
+        {"trace.json": UNITS_TRACE, "vocab.json": {"base_alphabet_size": 10, "merges": ""}}, APPLY,
+        "merges: expected a list",
+    ),
+    "vocab_merges_an_object": (
+        {"trace.json": UNITS_TRACE, "vocab.json": {"base_alphabet_size": 10, "merges": {}}}, APPLY,
+        "merges: expected a list",
+    ),
+    # non-finite reference rates were reported as NaN and Infinity, which are not JSON
+    "compare_rate_nan": (
+        {"trace.json": UNITS_TRACE, "ref.json": b'{"overlaps_per_min": NaN, "backchannels_per_min": 2.1, '
+                                                b'"pauses_per_min": 12.2}'},
+        COMPARE, "overlaps_per_min: expected a finite number, got NaN",
+    ),
+    "compare_rate_1e999": (
+        {"trace.json": UNITS_TRACE, "ref.json": b'{"overlaps_per_min": 1e999, "backchannels_per_min": 2.1, '
+                                                b'"pauses_per_min": 12.2}'},
+        COMPARE, "overlaps_per_min: expected a finite number, got Infinity",
+    ),
+    # samples for no speaker, or before the first tick, were scored
+    "eval_agent_z": (
+        {"gold.jsonl": b'{"action": "SIL", "agent": "Z", "tick_index": 0}\n',
+         "pred.jsonl": b'{"action": "SIL", "agent": "Z", "tick_index": 0}\n'},
+        EVAL, '@gold.jsonl:1.agent: expected one of A, B, got "Z"',
+    ),
+    "eval_negative_tick": (
+        {"gold.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": -4}\n',
+         "pred.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": -4}\n'},
+        EVAL, "@gold.jsonl:1.tick_index: expected an integer >= 0, got -4",
     ),
     # --audio-a was ignored and the stereo file ingested
     "ingest_stereo_and_mono": (
