@@ -219,11 +219,19 @@ def _json_value(value):
 
 
 class Record:
-    """A dataclass whose JSON form is its fields, in declaration order."""
+    """A dataclass whose JSON form is its fields, in declaration order, and
+    whose JSON text is that form with sorted keys."""
 
     def to_dict(self):
         return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
+    def to_json(self, indent=None) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
     @classmethod
     def from_dict(cls, data, path=None):
         return read_record(cls, data, cls.__name__ if path is None else path)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(loads(text, f"{cls.__name__} JSON"))

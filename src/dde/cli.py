@@ -383,7 +383,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_pipeline_config()
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does: exit 1 quietly, with
+        # stdout on /dev/null so that the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DuplexError, OSError) as exc:
         return _fail(str(exc))
 

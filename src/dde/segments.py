@@ -14,9 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._schema import (
-    Record, expect_object, items, loads, read_field, read_json, read_json_lines, read_record, unit_ids,
-)
+from ._schema import Record, expect_object, items, read_field, read_json, read_json_lines, unit_ids
 from .errors import ValidationError
 
 FRAME_MS = 20      # atomic activity/audio frame
@@ -63,7 +61,7 @@ class EventCounts(Record):
 
 
 @dataclass(frozen=True)
-class SpeechSegment:
+class SpeechSegment(Record):
     """One continuous stretch of speech from a single speaker."""
 
     start_ms: int                          # inclusive
@@ -104,6 +102,7 @@ class SpeechSegment:
         return self.end_ms - self.start_ms
 
     def to_dict(self):
+        """Like Record.to_dict, but an absent annotation is left out, not null."""
         d = {"start_ms": self.start_ms, "end_ms": self.end_ms}
         if self.units is not None:
             d["units"] = list(self.units)
@@ -113,13 +112,9 @@ class SpeechSegment:
             d["events"] = self.events.to_dict()
         return d
 
-    @classmethod
-    def from_dict(cls, data, path="segment") -> "SpeechSegment":
-        return read_record(cls, data, path)
-
 
 @dataclass(frozen=True)
-class ConversationTrace:
+class ConversationTrace(Record):
     """Two channels of disjoint speech segments over [0, duration_ms)."""
 
     channels: tuple[tuple[SpeechSegment, ...], tuple[SpeechSegment, ...]]
@@ -170,27 +165,14 @@ class ConversationTrace:
     def total_speech_ms(self, speaker) -> int:
         return sum(s.duration_ms for s in self.channels[speaker_index(speaker)])
 
-    def to_dict(self):
-        return {
-            "duration_ms": self.duration_ms,
-            "channels": [[s.to_dict() for s in ch] for ch in self.channels],
-        }
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
-    def from_dict(cls, data) -> "ConversationTrace":
-        expect_object(data, "trace")
+    def from_dict(cls, data, path="trace") -> "ConversationTrace":
+        expect_object(data, path)
         chans = data.get("channels")
         if not isinstance(chans, list) or len(chans) != 2:
             raise ValidationError("trace JSON needs a 2-element 'channels' list")
         channels = (items(ch, f"channels[{ci}]", SpeechSegment.from_dict) for ci, ch in enumerate(chans))
         return cls(channels=tuple(channels), duration_ms=read_field(data, "duration_ms"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConversationTrace":
-        return cls.from_dict(loads(text, "trace JSON"))
 
 
 class ChannelBounds:
@@ -420,9 +402,9 @@ def read_trace(path) -> ConversationTrace:
     return ConversationTrace.from_dict(read_json(path, "trace JSON"))
 
 
-def write_trace(trace: ConversationTrace, path, indent=2) -> None:
+def write_trace(trace: ConversationTrace, path) -> None:
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write(trace.to_json(indent=indent))
+        fp.write(trace.to_json(indent=2))
         fp.write("\n")
 
 

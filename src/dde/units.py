@@ -6,7 +6,6 @@ deduplicated (runs of identical adjacent ids collapse to one).
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -15,7 +14,7 @@ from itertools import groupby
 
 from . import _kernels
 from .errors import ValidationError
-from ._schema import expect_object, items, loads, read_field, unit_ids
+from ._schema import Record, expect_object, items, read_field, unit_ids
 from .segments import FRAME_MS
 
 
@@ -30,7 +29,7 @@ def units_duration_ms(raw_seq) -> int:
 
 
 @dataclass(frozen=True)
-class BpeVocab:
+class BpeVocab(Record):
     """Ordered merge table over a base alphabet of raw unit ids 0..K-1.
 
     Merge k maps an adjacent (left, right) pair to the new id K+k; operands may
@@ -73,27 +72,14 @@ class BpeVocab:
     def size(self) -> int:
         return self.base_alphabet_size + len(self.merges)
 
-    def to_dict(self):
-        return {
-            "base_alphabet_size": self.base_alphabet_size,
-            "merges": [list(m) for m in self.merges],
-        }
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
-    def from_dict(cls, data) -> "BpeVocab":
-        expect_object(data, "vocab")
+    def from_dict(cls, data, path="vocab") -> "BpeVocab":
+        expect_object(data, path)
         merges = data.get("merges")
         return cls(
             base_alphabet_size=read_field(data, "base_alphabet_size"),
             merges=() if merges is None else merges,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BpeVocab":
-        return cls.from_dict(loads(text, "vocab JSON"))
 
 
 def _merges(value) -> tuple[tuple[int, int, int], ...]:

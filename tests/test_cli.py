@@ -1116,6 +1116,46 @@ class TestJsonlBatch:
         assert any(line.startswith("mean") for line in table.splitlines())
 
 
+class TestClosedPipe:
+    """`dde ... | head`: a reader that closes the pipe early ends the run, in
+    a process of its own, with exit 1 and nothing on stderr."""
+
+    SCRIPT = "import sys; from dde.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def _start(self, monkeypatch, *argv, stdout):
+        monkeypatch.delenv("DDE_CONFIG", raising=False)
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # stdout buffered, as from a shell
+        monkeypatch.setenv("PYTHONPATH", str(Path(labeler.__file__).resolve().parent.parent))
+        return subprocess.Popen([sys.executable, "-c", self.SCRIPT, *argv],
+                                stdout=stdout, stderr=subprocess.PIPE)
+
+    def test_reader_gone_mid_report(self, tmp_path, monkeypatch):
+        # `--format json | head -1` on a report far past the 64 KB a pipe
+        # holds, so that the writer is still writing when the reader closes
+        p = tmp_path / "convs.jsonl"
+        p.write_text((build_trace([], 60000).to_json() + "\n") * 400)
+        argv = ["analyze", "--trace", str(p), "--format", "json"]
+        with self._start(monkeypatch, *argv, stdout=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"")
+
+    def test_reader_gone_before_a_buffered_report(self, tmp_path, monkeypatch):
+        # a table small enough to wait in stdout's buffer: the pipe breaks at
+        # main's flush, not at the one when the interpreter exits
+        p = tmp_path / "t.json"
+        p.write_text(build_trace([], 60000).to_json())
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            with self._start(monkeypatch, "analyze", "--trace", str(p), stdout=write_end) as proc:
+                err = proc.stderr.read()
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, err) == (1, b"")
+
+
 def test_parser_reused_after_a_failed_parse_gives_fresh_process_outputs(
     tmp_path, monkeypatch, capsys,
 ):

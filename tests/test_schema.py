@@ -24,7 +24,9 @@ import dde
 from dde._schema import Record, read_json_lines
 from dde.cli import main
 from dde.errors import ValidationError
+from dde.segments import FRAME_MS, ConversationTrace, SpeechSegment
 from dde.simulate import ScriptedConfig
+from dde.units import BpeVocab
 
 from conftest import wav_bytes
 
@@ -44,13 +46,51 @@ def _record_classes():
     return sorted(found, key=lambda cls: cls.__name__)
 
 
-# a bare `tuple` annotation says nothing about its items
+def _units(drawn):
+    """One unit id per frame of the segment drawn so far."""
+    n = (drawn["end_ms"] - drawn["start_ms"]) // FRAME_MS
+    return st.lists(st.integers(0, 99), min_size=n, max_size=n).map(tuple)
+
+
+def _disjoint(segments):
+    """The segments sorted by start, each one that overlaps or touches the
+    last kept one left out."""
+    kept = []
+    for seg in sorted(segments, key=lambda s: s.start_ms):
+        if not kept or seg.start_ms > kept[-1].end_ms:
+            kept.append(seg)
+    return tuple(kept)
+
+
+@st.composite
+def _merges(draw, base):
+    """Merges valid over a base alphabet of `base` ids, none over an empty
+    one: operands among the ids made so far, new ids consecutive from `base`."""
+    n = draw(st.integers(0, 30)) if base > 0 else 0
+    return tuple(
+        (draw(st.integers(0, new - 1)), draw(st.integers(0, new - 1)), new)
+        for new in range(base, base + n)
+    )
+
+
+# A bare `tuple` annotation says nothing about its items, and a field checked
+# against the fields before it is almost never drawn valid. An entry is a
+# strategy, or a function from the fields drawn so far to one.
 FIELD_OVERRIDES = {
     (ScriptedConfig, "steps"): st.lists(
         st.tuples(st.integers(0, 50), st.sampled_from(["SIL", "CON", "SPK", "STP"]))
         | st.tuples(st.integers(0, 50), st.just("SPK"), st.none() | st.integers(1, 5000)),
         max_size=5,
     ).map(tuple),
+    (SpeechSegment, "start_ms"): st.integers(0, 100).map(FRAME_MS.__mul__),
+    (SpeechSegment, "end_ms"): lambda drawn: st.integers(1, 25).map(
+        lambda n: drawn["start_ms"] + n * FRAME_MS),
+    (SpeechSegment, "units"): _units,
+    (ConversationTrace, "channels"): st.deferred(lambda: st.tuples(
+        *[st.lists(_record_strategy(SpeechSegment), max_size=8).map(_disjoint)] * 2)),
+    (ConversationTrace, "duration_ms"): lambda drawn: st.integers(0, 1000).map(
+        max((ch[-1].end_ms for ch in drawn["channels"] if ch), default=0).__add__),
+    (BpeVocab, "merges"): lambda drawn: _merges(drawn["base_alphabet_size"]),
 }
 
 
@@ -76,17 +116,25 @@ def _strategy(hint, default=dataclasses.MISSING):
 
 
 def _record_strategy(cls):
+    """Records of `cls`, their fields drawn in declaration order; a field with
+    a default draws it too."""
     hints = typing.get_type_hints(cls)
-    kwargs = {}
+    plan = []
     for f in dataclasses.fields(cls):
         drawn = FIELD_OVERRIDES.get((cls, f.name))
         if drawn is None:
             drawn = _strategy(hints[f.name], f.default)
-        kwargs[f.name] = drawn if f.default is dataclasses.MISSING else st.just(f.default) | drawn
+        plan.append((f.name, f.default, drawn))
 
     @st.composite
     def build(draw):
-        values = {name: draw(strategy) for name, strategy in kwargs.items()}
+        values = {}
+        for name, default, drawn in plan:
+            if callable(drawn):
+                drawn = drawn(values)
+            if default is not dataclasses.MISSING:
+                drawn = st.just(default) | drawn
+            values[name] = draw(drawn)
         try:
             return cls(**values)
         except ValidationError:
@@ -109,7 +157,10 @@ def test_every_record_round_trips(cls):
 
 def test_record_classes_are_found():
     names = {cls.__name__ for cls in _record_classes()}
-    assert {"EventCounts", "VadConfig", "ConversationReport", "ScriptedConfig"} <= names
+    assert {
+        "EventCounts", "VadConfig", "ConversationReport", "ScriptedConfig",
+        "ConversationTrace", "SpeechSegment", "BpeVocab",
+    } <= names
 
 
 # ------------------------------------------------------- module boundaries
