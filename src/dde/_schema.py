@@ -21,6 +21,9 @@ from .errors import ValidationError
 
 _REQUIRED = object()
 
+# what a reader raises for a value it rejects; read_value and read_field name it
+_REJECTED = (TypeError, ValueError, OverflowError)
+
 
 def loads(text: str, what: str):
     """json.loads(text); text it cannot decode is a ValidationError naming
@@ -102,7 +105,7 @@ def finite_float(value) -> float:
         if isinstance(value, bool) or not math.isfinite(float(value)):
             raise ValueError
         return float(value)
-    except (TypeError, ValueError, OverflowError):
+    except _REJECTED:
         raise ValueError(f"expected a finite number, got {json.dumps(value)}") from None
 
 
@@ -146,6 +149,14 @@ def _as_is(value):
     return value
 
 
+def read_value(value, name, read):
+    """read(value); a value it rejects is a ValidationError `<name>: <reason>`."""
+    try:
+        return read(value)
+    except _REJECTED as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+
+
 def read_field(data, key, path="", convert=integer, default=_REQUIRED):
     """convert(data[key]); an absent or null key gives `default`. Bad values
     raise ValidationError naming the JSON path, e.g. channels[0][3].end_ms."""
@@ -155,9 +166,9 @@ def read_field(data, key, path="", convert=integer, default=_REQUIRED):
         if default is _REQUIRED:
             raise ValidationError(f"{name}: missing")
         return default
-    try:
+    try:  # read_value's rule, inline: this runs for every field of every segment
         return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except _REJECTED as exc:
         raise ValidationError(f"{name}: {exc}") from None
 
 

@@ -16,6 +16,7 @@ Terminology used throughout:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -339,20 +340,16 @@ def classification_report(gold, predicted) -> ClassReport:
         )
     if not gold:
         raise ValidationError("cannot score empty label lists")
+    pairs = Counter(zip(gold, predicted))  # (gold, predicted) -> count
     per_class = {}
-    correct = sum(1 for g, p in zip(gold, predicted) if g == p)
     for action in Action:
-        tp = sum(1 for g, p in zip(gold, predicted) if g == action and p == action)
-        fp = sum(1 for g, p in zip(gold, predicted) if g != action and p == action)
-        fn = sum(1 for g, p in zip(gold, predicted) if g == action and p != action)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        per_class[action] = ClassMetrics(
-            support=tp + fn,
-            precision=precision,
-            recall=recall,
-            f1=f1_score(precision, recall),
-        )
+        tp = pairs[action, action]
+        support = sum(n for (g, _), n in pairs.items() if g == action)
+        called = sum(n for (_, p), n in pairs.items() if p == action)
+        precision = tp / called if called else 0.0
+        recall = tp / support if support else 0.0
+        per_class[action] = ClassMetrics(support, precision, recall, f1_score(precision, recall))
+    correct = sum(pairs[a, a] for a in Action)
     return ClassReport(per_class=per_class, accuracy=correct / len(gold))
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analytics, labeler, segments, simulate, units, vad
 from ._schema import at_least, expect_known_keys, expect_object, finite_float, integer
-from ._schema import number, one_of, read_field, read_json, section
+from ._schema import number, one_of, read_field, read_json, read_value, section
 from .errors import DuplexError, ValidationError
 
 ENV_CONFIG = "DDE_CONFIG"
@@ -51,10 +51,7 @@ def _setting(args, flag, cfg, key, read=integer, default=None, read_flag=None):
     value = getattr(args, flag)
     if value is None:
         return read_field(data, name, parent, read, default) if key else default
-    try:
-        return (read_flag or read)(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"--{flag.replace('_', '-')}: {exc}") from None
+    return read_value(value, f"--{flag.replace('_', '-')}", read_flag or read)
 
 
 def _float_flag(text: str) -> float:
@@ -86,6 +83,9 @@ CONFIG_KEYS = {
 def _make_run(args, cfg) -> simulate.SimRun:
     """The --run-config run with --seed applied, else RUNS[policy](seed, duration_ms)."""
     if args.run_config:
+        for flag, value in (("--policy", args.policy), ("--duration-s", args.duration_s)):
+            if value is not None:
+                raise ValidationError(f"{flag}: replaced by --run-config")
         section(cfg, "sim")  # must be an object even though the run config wins
         run = simulate.read_run_config(args.run_config)
         if args.seed is None:
@@ -182,6 +182,8 @@ def cmd_analyze(args, cfg) -> int:
         else:
             trace = segments.read_trace(path)
             rows.append((path.stem, analytics.conversation_report(trace)))
+    if not rows:  # a .jsonl file with no conversations
+        raise DuplexError(f"no traces in {args.trace}")
     if len(rows) > 1:
         rows.append(("mean", _mean_report([r for _, r in rows])))
     if args.compare:

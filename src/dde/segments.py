@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._schema import Record, expect_object, items, read_field, read_json, read_json_lines, unit_ids
+from ._schema import Record, expect_object, items, read_field, read_json, read_json_lines, read_value, unit_ids
 from .errors import ValidationError
 
 FRAME_MS = 20      # atomic activity/audio frame
@@ -78,10 +78,7 @@ class SpeechSegment(Record):
                 f"segment end {self.end_ms} must exceed start {self.start_ms}"
             )
         if self.units is not None:
-            try:
-                object.__setattr__(self, "units", unit_ids(self.units))
-            except ValueError as exc:
-                raise ValidationError(f"units: {exc}") from None
+            object.__setattr__(self, "units", read_value(self.units, "units", unit_ids))
             if self.start_ms % FRAME_MS or self.end_ms % FRAME_MS:
                 raise ValidationError(
                     "unit-annotated segments must be 20ms-aligned: "
@@ -296,18 +293,15 @@ def frame_grid(trace: ConversationTrace) -> FrameGrid:
     """Quantize a trace onto the 20ms grid.
 
     A frame counts as active when a speech segment covers at least half of it
-    (>= 10ms intersection).
+    (>= 10ms intersection). So a segment [s, e) of at least half a frame
+    activates exactly the frames f with s - 10 <= 20f <= e - 10.
     """
-    n_frames = trace.duration_ms // FRAME_MS
-    frames = np.zeros((2, n_frames), dtype=bool)
-    for ci, ch in enumerate(trace.channels):
-        for seg in ch:
-            f_lo = seg.start_ms // FRAME_MS
-            f_hi = min((seg.end_ms + FRAME_MS - 1) // FRAME_MS, n_frames)
-            f = np.arange(f_lo, f_hi)
-            lo = np.maximum(seg.start_ms, f * FRAME_MS)
-            hi = np.minimum(seg.end_ms, f * FRAME_MS + FRAME_MS)
-            frames[ci, f_lo:f_hi] |= (hi - lo) >= FRAME_MS // 2
+    half = FRAME_MS // 2
+    frames = np.zeros((2, trace.duration_ms // FRAME_MS), dtype=bool)
+    for ci, b in enumerate(trace._bounds):
+        for s, e in b.spans():
+            if e - s >= half:
+                frames[ci, (s + half - 1) // FRAME_MS : (e + half) // FRAME_MS] = True
     return FrameGrid(frames=frames)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._schema import Record, expect_known_keys, expect_object, integer, items, read_field, read_json, unit_ids
+from ._schema import Record, expect_known_keys, expect_object, integer, items, read_field, read_json, read_value, unit_ids
 from .analytics import BACKCHANNEL_MAX_MS, PAUSE_MIN_MS, TURN_JOIN_MS
 from .errors import PolicyContractViolation, ValidationError
 from .labeler import Action
@@ -130,10 +130,7 @@ class CorpusResponse(_Record):
     kind = "corpus"
 
     def __post_init__(self):
-        try:
-            seqs = items(self.sequences, read=unit_ids)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"sequences: {exc}") from None
+        seqs = read_value(self.sequences, "sequences", lambda v: items(v, read=unit_ids))
         usable = tuple(
             seq[: len(seq) - len(seq) % FRAMES_PER_TICK]
             for seq in seqs
@@ -276,21 +273,18 @@ class StochasticConfig(_Record):
         return Action.SIL, None
 
 
-def _step(raw, path):
+def _step(raw):
     """(step, (tick, (action, duration_ms or None))) of [tick, action(, duration_ms)]."""
-    try:
-        step = items(raw)
-        if len(step) not in (2, 3):
-            raise ValueError("expected [tick, action] or [tick, action, duration_ms]")
-        tick = integer(step[0])
-        dur = integer(step[2]) if len(step) == 3 and step[2] is not None else None
-        if tick < 0:
-            raise ValueError(f"tick must be non-negative, got {tick}")
-        if dur is not None and dur <= 0:
-            raise ValueError(f"duration_ms must be positive, got {dur}")
-        return step, (tick, (Action.from_name(step[1]), dur))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    step = items(raw)
+    if len(step) not in (2, 3):
+        raise ValueError("expected [tick, action] or [tick, action, duration_ms]")
+    tick = integer(step[0])
+    dur = integer(step[2]) if len(step) == 3 and step[2] is not None else None
+    if tick < 0:
+        raise ValueError(f"tick must be non-negative, got {tick}")
+    if dur is not None and dur <= 0:
+        raise ValueError(f"duration_ms must be positive, got {dur}")
+    return step, (tick, (Action.from_name(step[1]), dur))
 
 
 @dataclass(frozen=True)
@@ -303,7 +297,7 @@ class ScriptedConfig(_Record):
     kind = "scripted"
 
     def __post_init__(self):
-        steps = items(self.steps, "steps", _step)
+        steps = items(self.steps, "steps", lambda raw, path: read_value(raw, path, _step))
         object.__setattr__(self, "steps", tuple(step for step, _ in steps))
         object.__setattr__(self, "_table", dict(entry for _, entry in steps))
 

@@ -14,7 +14,7 @@ from itertools import groupby
 
 from . import _kernels
 from .errors import ValidationError
-from ._schema import Record, expect_object, items, read_field, unit_ids
+from ._schema import Record, expect_object, items, read_field, read_value, unit_ids
 from .segments import FRAME_MS
 
 
@@ -42,10 +42,7 @@ class BpeVocab(Record):
     def __post_init__(self):
         if self.base_alphabet_size <= 0:
             raise ValidationError("base alphabet size must be positive")
-        try:
-            object.__setattr__(self, "merges", _merges(self.merges))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"merges: {exc}") from None
+        object.__setattr__(self, "merges", read_value(self.merges, "merges", _merges))
         known = self.base_alphabet_size
         for left, right, new in self.merges:
             if not (0 <= left < known and 0 <= right < known):

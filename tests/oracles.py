@@ -10,6 +10,7 @@ import numpy as np
 
 from dde import _kernels, analytics
 from dde.errors import ValidationError
+from dde.labeler import Action
 from dde.segments import ConversationTrace, SpeechSegment, frame_grid
 from dde.units import BpeVocab, _check_raw
 from dde.vad import FRAME_SAMPLES, SAMPLE_RATE
@@ -500,3 +501,28 @@ def window_per_tick_write_samples_jsonl(samples, path, context_mode="ref", trace
                 )
             )
             fp.write("\n")
+
+
+# ------------------------------------------------- per-class scores, as they
+# were before one table of (gold, predicted) counts, kept verbatim (renamed):
+# the package's report must give the same support, precision, recall, F1 and
+# accuracy, float for float.
+
+def per_class_scan_report(gold, predicted) -> analytics.ClassReport:
+    gold = [Action(a) for a in gold]
+    predicted = [Action(a) for a in predicted]
+    per_class = {}
+    correct = sum(1 for g, p in zip(gold, predicted) if g == p)
+    for action in Action:
+        tp = sum(1 for g, p in zip(gold, predicted) if g == action and p == action)
+        fp = sum(1 for g, p in zip(gold, predicted) if g != action and p == action)
+        fn = sum(1 for g, p in zip(gold, predicted) if g == action and p != action)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        per_class[action] = analytics.ClassMetrics(
+            support=tp + fn,
+            precision=precision,
+            recall=recall,
+            f1=analytics.f1_score(precision, recall),
+        )
+    return analytics.ClassReport(per_class=per_class, accuracy=correct / len(gold))

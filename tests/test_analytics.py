@@ -17,7 +17,7 @@ from dde import (
     turn_structure,
 )
 from conftest import random_trace
-from oracles import _runs, all_frames_audio_stats, sweep_events
+from oracles import _runs, all_frames_audio_stats, per_class_scan_report, sweep_events
 
 
 def seg(a, b, **kw):
@@ -284,6 +284,21 @@ class TestClassificationReport:
         assert sum(m.support for m in rep.per_class.values()) == 500
         tp = sum(1 for g, p in zip(gold, pred) if g == p)
         assert rep.accuracy == pytest.approx(tp / 500)
+
+    def test_same_floats_as_per_class_scans(self, rng):
+        # each side draws from its own subset of the actions, so some classes
+        # are absent from the gold labels, the predictions or both
+        actions = list(Action)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            gold_from = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)
+            pred_from = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)
+            gold = [actions[i] for i in rng.choice(gold_from, n)]
+            pred = [actions[i] for i in rng.choice(pred_from, n)]
+            rep = classification_report(gold, pred)
+            ref = per_class_scan_report(gold, pred)
+            assert list(rep.per_class.items()) == list(ref.per_class.items())
+            assert rep.accuracy == ref.accuracy
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):

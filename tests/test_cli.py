@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -559,6 +561,14 @@ RUN_CONFIG = ["simulate", "--run-config", "@run.json", "--out", "@t.json"]
 # "@empty" an empty directory.
 INPUT_ERRORS = {
     "analyze_empty_directory": ({}, ["analyze", "--trace", "@empty"], "no *.json traces in @empty"),
+    # a header-only table and exit 0 before
+    "analyze_empty_jsonl": ({"convs.jsonl": b""}, ["analyze", "--trace", "@convs.jsonl"], "no traces in @convs.jsonl"),
+    # checked before the --compare row is added
+    "analyze_blank_jsonl": (
+        {"convs.jsonl": b"\n  \n", "ref.json": GOOD_RATES},
+        ["analyze", "--trace", "@convs.jsonl", "--compare", "@ref.json"],
+        "no traces in @convs.jsonl",
+    ),
     "negative_eot_silence": (
         {"run.json": {"seed": 1, "agents": _agents({**CASCADED, "eot_silence_ms": -1}, CASCADED)}},
         RUN_CONFIG, "agents[0].policy: eot_silence_ms must be non-negative",
@@ -999,6 +1009,15 @@ SETTING_ERRORS = {
     "duration_flag_text": (
         None, [*SIMULATE, "--duration-s", "x"], '--duration-s: expected a finite number, got "x"',
     ),
+    # the flags a run config replaces are errors next to it, not ignored
+    "policy_flag_with_run_config": (
+        None, ["simulate", "--run-config", "@run.json", "--policy", "bogus", "--out", "@t.json"],
+        "--policy: replaced by --run-config",
+    ),
+    "duration_flag_with_run_config": (
+        None, ["simulate", "--run-config", "@run.json", "--duration-s", "banana", "--out", "@t.json"],
+        "--duration-s: replaced by --run-config",
+    ),
     "min_gap_flag_fraction": (
         None, [*INGEST, "--min-gap-ms", "1.5"], '--min-gap-ms: expected an integer, got "1.5"',
     ),
@@ -1116,6 +1135,22 @@ class TestJsonlBatch:
         assert any(line.startswith("mean") for line in table.splitlines())
 
 
+def test_module_entry_point_exits_with_mains_code(tmp_path, monkeypatch, capsys):
+    """`python -m dde.cli ARGS` exits with main()'s return value for ARGS."""
+    monkeypatch.delenv("DDE_CONFIG", raising=False)
+    p = tmp_path / "t.json"
+    p.write_text(build_trace([], 60000).to_json())
+    for argv in (["analyze", "--trace", str(p)], ["analyze", "--trace", str(tmp_path / "none.json")]):
+        code, output = run_cli(*argv), capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["dde", *argv])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+            # runpy warns that the module it runs afresh is already imported
+            warnings.filterwarnings("ignore", "'dde.cli' found in sys.modules", RuntimeWarning)
+            runpy.run_module("dde.cli", run_name="__main__")
+        assert (exc.value.code, capsys.readouterr()) == (code, output)
+    assert code == 1  # the second run failed, so both exit codes were seen
+
+
 class TestClosedPipe:
     """`dde ... | head`: a reader that closes the pipe early ends the run, in
     a process of its own, with exit 1 and nothing on stderr."""
@@ -1154,6 +1189,28 @@ class TestClosedPipe:
         finally:
             os.close(write_end)
         assert (proc.returncode, err) == (1, b"")
+
+    def test_reader_gone_in_process(self, tmp_path, monkeypatch, capsys):
+        # main() in this process, where a line tracer sees the handler run:
+        # stdout is a pipe whose reader is gone, and afterwards its
+        # descriptor writes to os.devnull
+        monkeypatch.delenv("DDE_CONFIG", raising=False)
+        p = tmp_path / "t.json"
+        p.write_text(build_trace([], 60000).to_json())
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        opened, os_open = [], os.open  # the handler's devnull descriptor, closed below
+        monkeypatch.setattr(os, "open", lambda *a: opened.append(os_open(*a)) or opened[-1])
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            try:
+                assert run_cli("analyze", "--trace", str(p)) == 1
+                assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+            finally:
+                monkeypatch.undo()
+                for fd in opened:
+                    os.close(fd)
+        assert capsys.readouterr().err == ""
 
 
 def test_parser_reused_after_a_failed_parse_gives_fresh_process_outputs(

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import dde
-from dde._schema import Record, read_json_lines
+from dde._schema import Record, read_json_lines, read_value
 from dde.cli import main
 from dde.errors import ValidationError
 from dde.segments import FRAME_MS, ConversationTrace, SpeechSegment
@@ -216,6 +216,33 @@ def test_json_lines_stream_until_a_non_utf8_byte(tmp_path):
     # lines before the bad byte's chunk were yielded before it was read
     assert 0 < len(seen) < 2000
     assert seen == [(2 * i + 1, {"a": 1}) for i in range(len(seen))]
+
+
+# --------------------------------------------------------- rejected values
+
+def _raise(exc):
+    def read(value):
+        raise exc
+    return read
+
+
+def test_read_value_returns_what_the_reader_returns():
+    assert read_value("20", "--seed", int) == 20
+
+
+@pytest.mark.parametrize("exc", [TypeError("bad type"), ValueError("bad type"), OverflowError("bad type")])
+def test_read_value_names_a_rejected_value(exc):
+    with pytest.raises(ValidationError) as info:
+        read_value(1, "steps[2]", _raise(exc))
+    assert str(info.value) == "steps[2]: bad type"
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+@pytest.mark.parametrize("exc", [KeyError("k"), RuntimeError("r"), RecursionError("deep")])
+def test_read_value_passes_other_exceptions_through(exc):
+    with pytest.raises(type(exc)) as info:
+        read_value(1, "steps[2]", _raise(exc))
+    assert info.value is exc
 
 
 # --------------------------------------------------------------- CLI fuzz

@@ -15,7 +15,7 @@ from dde import (
 )
 from dde.segments import FRAME_MS
 from conftest import random_trace, random_unaligned_trace
-from oracles import clip_by_frames, ms_activity, scan_window
+from oracles import clip_by_frames, frame_activity, ms_activity, scan_window
 
 
 def seg(a, b, **kw):
@@ -175,6 +175,15 @@ class TestFrameGrid:
         # [11,95): frame 0 gets 9ms < 10 -> inactive
         g = frame_grid(build_trace([("A", seg(11, 95))], 100))
         assert g.frames[0].tolist() == [False, True, True, True, True]
+
+    def test_matches_frame_by_frame_oracle(self, rng):
+        # arbitrary-millisecond boundaries: segments under 10ms, and edges 9,
+        # 10 or 11ms into a frame, all occur
+        for _ in range(200):
+            t = random_unaligned_trace(rng, max_duration_ms=10000)
+            g = frame_grid(t)
+            for c in (0, 1):
+                assert np.array_equal(g.frames[c], frame_activity(t, c))
 
     def test_grid_survives_serialization(self, rng):
         for _ in range(20):
