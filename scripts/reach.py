@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Which statements of src/dde does the Tier-1 suite never run?
+"""Which statements of src/dde does the Tier-1 suite never run, and which
+conditions does it take only one way?
 
 Runs the tests in-process under sys.settrace and prints each statement of
 src/dde none of whose executable lines ran, `raise` statements first, as
@@ -7,6 +8,13 @@ src/dde none of whose executable lines ran, `raise` statements first, as
 (co_lines), so a line with no instruction of its own, such as the `if (` of a
 multi-line condition, is never reported; a statement counts as run when any
 of its lines ran, so a condition cut short by `and` is not reported either.
+
+Conditions are seen through an import hook that loads src/dde with each
+`if`/`while` test, each conditional-expression test and each `and`/`or`
+operand inside such a test (looking through `not`) wrapped in a recorder,
+on the lines they were written on. After the statement report it prints
+each of them that was only true, only false or never evaluated, as
+`path:line: source: outcome`.
 
     python3 scripts/reach.py [pytest arguments]   # from the root of a checkout
 
@@ -16,6 +24,9 @@ fails unless its summary line ends "0 of them raise".
 """
 
 import ast
+import builtins
+import importlib.machinery
+import importlib.util
 import sys
 import threading
 from collections import defaultdict
@@ -72,6 +83,97 @@ class LineTracer:
         return local
 
 
+RECORDER = "__reach_test__"  # a builtin while the hook is installed
+
+
+class Conditions(ast.NodeTransformer):
+    """Rewrites each condition `test` of a module as RECORDER(i, test), which
+    records whether it was true and returns it; the `and`/`or` operands in a
+    condition, looking through `not`, are rewritten too. number(node) gives i."""
+
+    def __init__(self, number):
+        self.number = number
+
+    def wrap(self, node):
+        self.operands(node)
+        call = ast.Call(ast.Name(RECORDER, ast.Load()), [ast.Constant(self.number(node)), node], [])
+        return ast.copy_location(call, node)
+
+    def operands(self, node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            self.operands(node.operand)
+        elif isinstance(node, ast.BoolOp):
+            node.values = [self.wrap(v) for v in node.values]
+
+    def visit_If(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.test, ast.Constant):  # `while True` has one way only
+            node.test = self.wrap(node.test)
+        return node
+
+    visit_While = visit_IfExp = visit_If
+
+
+def _place(path, node):
+    """Source order, each condition before the operands it holds."""
+    return path, node.lineno, node.col_offset, -node.end_lineno, -node.end_col_offset
+
+
+class Outcomes:
+    """The recorder, and an import hook that instruments the given files with
+    it. seen[i] has bit 1 once condition i was true and bit 2 once false; a
+    file run again, as runpy does, shares the indices of its first load."""
+
+    def __init__(self, filenames):
+        self.files, self.index, self.found, self.seen = set(filenames), {}, [], bytearray()
+
+    def __call__(self, i, value):
+        self.seen[i] |= 1 if value else 2
+        return value
+
+    def find_spec(self, name, path=None, target=None):
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        if spec is not None and spec.origin in self.files:
+            spec.loader = Loader(name, spec.origin, self)
+            return spec
+        return None
+
+    def instrument(self, source: str, path: str):
+        def number(node):
+            place = _place(path, node)
+            if place not in self.index:
+                self.index[place] = len(self.found)
+                self.found.append((path, node))
+                self.seen.append(0)
+            return self.index[place]
+
+        tree = Conditions(number).visit(ast.parse(source, path))
+        return compile(ast.fix_missing_locations(tree), path, "exec", dont_inherit=True)
+
+    def one_way(self, sources) -> list[tuple[str, int, str, str]]:
+        """(path, line, source, outcome) per condition not seen both ways, in source order."""
+        outcome = {0: "never evaluated", 1: "only true", 2: "only false"}
+        rows = []
+        for _, i in sorted(self.index.items()):
+            path, node = self.found[i]
+            if self.seen[i] != 3:
+                text = ast.get_source_segment(sources[path], node)
+                rows.append((path, node.lineno, text, outcome[self.seen[i]]))
+        return rows
+
+
+class Loader(importlib.machinery.SourceFileLoader):
+    """Loads a file through Outcomes.instrument, never from or to a bytecode cache."""
+
+    def __init__(self, name, path, outcomes):
+        super().__init__(name, path)
+        self.outcomes = outcomes
+
+    def get_code(self, fullname):
+        source = importlib.util.decode_source(self.get_data(self.path))
+        return self.outcomes.instrument(source, self.path)
+
+
 class FailedTests:
     """pytest plugin: the node ids of failed tests and collection errors."""
 
@@ -95,7 +197,9 @@ def main(argv) -> int:
 
     files = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
     sys.path.insert(0, str(PACKAGE.parent))
-    tracer, failed = LineTracer(files), FailedTests()
+    tracer, failed, outcomes = LineTracer(files), FailedTests(), Outcomes(files)
+    setattr(builtins, RECORDER, outcomes)  # a builtin, so code that runpy runs finds it too
+    sys.meta_path.insert(0, outcomes)
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
@@ -104,6 +208,8 @@ def main(argv) -> int:
         replaced = sys.gettrace() is not tracer
         sys.settrace(None)
         threading.settrace(None)
+        sys.meta_path.remove(outcomes)
+        delattr(builtins, RECORDER)
     if code in (pytest.ExitCode.INTERRUPTED, pytest.ExitCode.INTERNAL_ERROR, pytest.ExitCode.USAGE_ERROR):
         return int(code)
     print(f"\nreach: {failed.run} tests run, {len(failed.ids)} failed")
@@ -112,16 +218,20 @@ def main(argv) -> int:
     if replaced:
         print("  warning: a test replaced the line tracer; lines it ran after that are missing")
     rows = []
+    sources = {name: path.read_text(encoding="utf-8") for name, path in files.items()}
     for name, path in files.items():
-        source = path.read_text(encoding="utf-8")
-        text = source.splitlines()
-        for line, is_raise in never_run(source, name, tracer.ran[name]):
+        text = sources[name].splitlines()
+        for line, is_raise in never_run(sources[name], name, tracer.ran[name]):
             rows.append((not is_raise, path.relative_to(ROOT), line, text[line - 1].strip()))
     rows.sort()
     n_raise = sum(not r[0] for r in rows)
     print(f"never run in src/dde: {len(rows)} statements, {n_raise} of them raise")
     for _, path, line, text in rows:
         print(f"{path}:{line}: {text}")
+    one_way = outcomes.one_way(sources)
+    print(f"conditions in src/dde not seen both ways: {len(one_way)}")
+    for name, line, text, outcome in one_way:
+        print(f"{files[name].relative_to(ROOT)}:{line}: {' '.join(text.split())}: {outcome}")
     return 0
 
 

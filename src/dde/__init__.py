@@ -7,6 +7,8 @@ computes conversational-structure analytics (turns, pauses, gaps, overlaps,
 backchannels).
 """
 
+from types import ModuleType as _ModuleType
+
 from .analytics import (
     ClassReport,
     ConversationReport,
@@ -75,59 +77,8 @@ from .vad import VadConfig, vad_from_samples
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "AgentState",
-    "BpeVocab",
-    "CascadedConfig",
-    "ClassReport",
-    "ConversationReport",
-    "ConversationTrace",
-    "CorpusResponse",
-    "DuplexError",
-    "EventCounts",
-    "FRAME_MS",
-    "FrameGrid",
-    "LogNormalResponse",
-    "MissingInputError",
-    "NaturalnessStats",
-    "Observation",
-    "PolicyContractViolation",
-    "ScriptedConfig",
-    "SelfChat",
-    "SimRun",
-    "SpeechSegment",
-    "StochasticConfig",
-    "TICK_MS",
-    "TrainingSample",
-    "TurnStructure",
-    "UniformResponse",
-    "VadConfig",
-    "ValidationError",
-    "bpe_decode",
-    "bpe_encode",
-    "bpe_train",
-    "build_samples",
-    "build_trace",
-    "cascaded_run",
-    "classification_report",
-    "conversation_report",
-    "cross_channel_events",
-    "dedup",
-    "encode_target",
-    "f1_score",
-    "frame_grid",
-    "label_sequence",
-    "label_tick",
-    "naturalness_report",
-    "read_trace",
-    "run_selfchat",
-    "speaker_index",
-    "stochastic_run",
-    "turn_structure",
-    "unit_error_rate",
-    "units_duration_ms",
-    "vad_from_samples",
-    "window",
-    "write_trace",
-]
+# every public name the imports above bind, so each is written once
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -21,7 +21,7 @@ from .errors import ValidationError
 
 _REQUIRED = object()
 
-# what a reader raises for a value it rejects; read_value and read_field name it
+# what a reader raises for a value it rejects; read_value names it
 _REJECTED = (TypeError, ValueError, OverflowError)
 
 
@@ -75,16 +75,23 @@ def expect_known_keys(data, known, path="") -> None:
         raise ValidationError(f"{name}: unknown field")
 
 
+# the integers RFC 8259 calls interoperable: every one of them is a float too
+INT_LIMIT = 2**53 - 1
+
+
 def integer(value) -> int:
     """An integer from a JSON number or numeric string: 20, 20.0 and "20" read
-    as 20; booleans, non-integral numbers and anything else are errors, not 1
-    or truncated."""
+    as 20; booleans, non-integral numbers, integers beyond ±INT_LIMIT and
+    anything else are errors, not 1, truncated or an overflow later."""
     try:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
-        return int(value)
+        n = int(value)
     except (TypeError, ValueError):
         raise ValueError(f"expected an integer, got {json.dumps(value)}") from None
+    if not -INT_LIMIT <= n <= INT_LIMIT:
+        raise ValueError(f"expected an integer within ±{INT_LIMIT}, got {json.dumps(value)}")
+    return n
 
 
 def at_least(minimum: int):
@@ -110,11 +117,11 @@ def finite_float(value) -> float:
 
 
 def number(value):
-    """A finite JSON number as written (5 stays 5); booleans, strings, NaN and
-    the infinities are errors."""
+    """A finite JSON number as written (5 stays 5); booleans, strings, NaN,
+    the infinities and integers beyond ±INT_LIMIT are errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {json.dumps(value)}")
-    return finite_float(value) if isinstance(value, float) else value
+    return finite_float(value) if isinstance(value, float) else integer(value)
 
 
 def one_of(*choices):
@@ -166,10 +173,7 @@ def read_field(data, key, path="", convert=integer, default=_REQUIRED):
         if default is _REQUIRED:
             raise ValidationError(f"{name}: missing")
         return default
-    try:  # read_value's rule, inline: this runs for every field of every segment
-        return convert(value)
-    except _REJECTED as exc:
-        raise ValidationError(f"{name}: {exc}") from None
+    return read_value(value, name, convert)
 
 
 def section(cfg, key) -> dict:

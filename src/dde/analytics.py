@@ -227,9 +227,8 @@ def _audio_stats(trace: ConversationTrace, audio):
             )
             f0_all.append(f0[(strength >= VOICING_THRESHOLD) & (f0 > 0)])
     estd = pstd = mean_f0 = None
-    if rms_all:
+    if rms_all:  # f0_all too: each channel with speech frames has a run of them
         estd = float(np.std(np.concatenate(rms_all)))
-    if f0_all:
         pooled = np.concatenate(f0_all)
         if pooled.size:
             pstd = float(np.std(pooled))
@@ -356,8 +355,7 @@ def classification_report(gold, predicted) -> ClassReport:
 def _fmt(value) -> str:
     if value is None:
         return "-"
-    text = f"{value:.1f}".rstrip("0").rstrip(".")
-    return text if text else "0"
+    return f"{value:.1f}".rstrip("0").rstrip(".")
 
 
 def format_report_table(rows) -> str:

@@ -251,7 +251,7 @@ def _unit_segments(trace_args):
         for ci, ch in enumerate(segments.read_trace(path).channels):
             for si, seg in enumerate(ch):
                 if seg.units is not None:
-                    yield path, "AB"[ci], si, seg
+                    yield path, segments.SPEAKER_NAMES[ci], si, seg
 
 
 def cmd_tokenize_train(args, cfg) -> int:
@@ -391,7 +391,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader stopped early, as `| head` does: exit 1 quietly, with
         # stdout on /dev/null so that the flush at shutdown cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (DuplexError, OSError) as exc:
         return _fail(str(exc))

@@ -171,7 +171,7 @@ def _line(s: TrainingSample, key: str, context: str) -> str:
     tokens = ""
     if s.target_tokens is not None:
         tokens = f', "target_tokens": [{", ".join(map(str, s.target_tokens))}]'
-    return (f'{{"action": "{s.action.name}", "agent": "{"AB"[s.agent]}", '
+    return (f'{{"action": "{s.action.name}", "agent": "{SPEAKER_NAMES[s.agent]}", '
             f'"{key}": {context}{tokens}, "tick_index": {s.tick_index}}}\n')
 
 

@@ -52,12 +52,7 @@ class EventCounts(Record):
                 raise ValidationError(f"{name} must be non-negative, got {n}")
 
     def __add__(self, other: "EventCounts") -> "EventCounts":
-        return EventCounts(
-            self.fillers + other.fillers,
-            self.repetitions + other.repetitions,
-            self.laughs + other.laughs,
-            self.breaths + other.breaths,
-        )
+        return EventCounts(**{name: n + getattr(other, name) for name, n in vars(self).items()})
 
 
 @dataclass(frozen=True)

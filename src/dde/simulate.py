@@ -28,6 +28,7 @@ from .labeler import Action
 from .segments import (
     FRAME_MS,
     MAX_DURATION_MS,
+    SPEAKER_NAMES,
     TICK_MS,
     WINDOW_MS,
     ConversationTrace,
@@ -112,7 +113,8 @@ class LogNormalResponse(_Record):
     kind = "lognormal"
 
     def __post_init__(self):
-        if self.mean_ms <= 0 or self.sigma < 0 or not 0 < self.min_ms <= self.max_ms:
+        if (self.mean_ms <= 0 or self.sigma < 0 or math.isinf(self.sigma * self.sigma)  # draw squares it
+                or not 0 < self.min_ms <= self.max_ms):
             raise ValidationError("bad log-normal response parameters")
 
     def draw(self, rng):
@@ -413,7 +415,7 @@ class SimRun:
             "duration_ms": self.duration_ms,
             "opening_speaker": None
             if self.opening_speaker is None
-            else "AB"[self.opening_speaker],
+            else SPEAKER_NAMES[self.opening_speaker],
             "window_ms": self.window_ms,
             "agents": [
                 {
@@ -524,7 +526,7 @@ class SelfChat:
                 if type(action) is not Action:
                     action = Action(action)
                 if action not in _LEGAL[mode]:
-                    raise PolicyContractViolation(tick, "AB"[agent], mode, action)
+                    raise PolicyContractViolation(tick, SPEAKER_NAMES[agent], mode, action)
                 if action is Action.SPK or action is Action.STP:
                     changes.append((agent, action, payload))
                 self.actions[agent].append(action)

@@ -131,12 +131,3 @@ def load_conversation_audio(stereo_path=None, mono_paths=None):
         raise ValidationError(f"expected {SAMPLE_RATE}Hz audio, got {rate}Hz")
     return a, b
 
-
-def write_wav(path, channels) -> None:
-    """Write PCM16 16kHz audio; channels is one or two equal-length arrays."""
-    data = np.stack([np.asarray(ch, dtype="<i2") for ch in channels], axis=1)
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(data.shape[1])
-        wf.setsampwidth(2)
-        wf.setframerate(SAMPLE_RATE)
-        wf.writeframes(data.tobytes())

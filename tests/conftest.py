@@ -58,6 +58,16 @@ def wav_bytes(n_channels=2, n_samples=3200, rate=16000, sample_width=2) -> bytes
     return buf.getvalue()
 
 
+def write_wav(path, channels) -> None:
+    """Write PCM16 16kHz audio; channels is one or two equal-length arrays."""
+    data = np.stack([np.asarray(ch, dtype="<i2") for ch in channels], axis=1)
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(data.shape[1])
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(data.tobytes())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

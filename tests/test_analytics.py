@@ -192,6 +192,11 @@ class TestConversationReport:
         with pytest.raises(ValidationError):
             conversation_report(build_trace([], 0))
 
+    def test_audio_with_no_speech_in_the_trace(self):
+        audio = [np.full(16000, 1000, np.int16), np.zeros(16000, np.int16)]
+        rep = conversation_report(build_trace([], 1000), audio=audio)
+        assert rep.avg_gap_ms is None and rep.naturalness is None
+
     def test_audio_for_one_speaker_rejected(self):
         with pytest.raises(ValidationError) as exc:
             conversation_report(build_trace([], 1000), audio=[np.zeros(16000, np.int16)])
@@ -331,6 +336,10 @@ class TestNaturalness:
         stats = naturalness_report(build_trace([], 5000))
         assert stats.all_absent()
 
+    def test_required_fields_present(self):
+        t = build_trace([("A", seg(0, 1000, words=3))], 2000)
+        assert naturalness_report(t, require=["wpm", "spm_s"]).wpm == pytest.approx(180.0)
+
     def test_missing_input_raises_when_required(self):
         t = build_trace([("A", seg(0, 1000))], 2000)
         with pytest.raises(MissingInputError):
@@ -408,6 +417,10 @@ class TestAudioStatsRunSliced:
         masks = [np.arange(60) % 5 < 3, np.zeros(60, bool)]
         estd, pstd, mean_f0 = self._stats(masks, 60 * 320, 9)
         assert estd is not None and pstd is not None
+
+    def test_no_speech_on_either_channel(self):
+        masks = [np.zeros(40, bool), np.zeros(40, bool)]
+        assert self._stats(masks, 40 * 320, 11) == (None, None, None)
 
     def test_speech_over_silent_audio(self):
         masks = [np.ones(40, bool), np.arange(40) % 2 == 0]

@@ -13,9 +13,8 @@ import pytest
 from dde import EventCounts, SpeechSegment, build_trace, labeler, read_trace, window, write_trace
 from dde.cli import main
 from dde.simulate import cascaded_run, run_selfchat, stochastic_run
-from dde.vad import write_wav
 
-from conftest import random_trace, wav_bytes
+from conftest import random_trace, wav_bytes, write_wav
 
 
 def run_cli(*argv):
@@ -270,6 +269,11 @@ def test_bad_trace_is_an_error_not_a_traceback(tmp_path, capsys, command, case):
     assert "Traceback" not in err
 
 
+def _beyond(value):
+    """The reader's text for an integer outside the 2**53 - 1 range JSON keeps exact."""
+    return f"expected an integer within ±{2**53 - 1}, got {json.dumps(value)}"
+
+
 # name -> (trace document, the whole error text of `dde analyze` after "error: ")
 TRACE_ERRORS = {
     "segment_past_duration": (
@@ -313,6 +317,26 @@ TRACE_ERRORS = {
     "channel_an_object": ({"duration_ms": 1000, "channels": [[], {}]}, "channels[1]: expected a list"),
     "channel_a_string": ({"duration_ms": 1000, "channels": ["ab", []]}, "channels[0]: expected a list"),
     "channel_a_number": ({"duration_ms": 1000, "channels": [5, []]}, "channels[0]: expected a list"),
+    "channels_an_object_of_two": (
+        {"duration_ms": 1000, "channels": {"A": [], "B": []}}, "trace JSON needs a 2-element 'channels' list",
+    ),
+    # counts past 2**53 - 1 were reported as Infinity (1e308) or crashed with OverflowError
+    "words_1e308": (
+        {"duration_ms": 60000, "channels": [[{"start_ms": 0, "end_ms": 20000, "words": 1e308}], []]},
+        f"channels[0][0].words: {_beyond(1e308)}",
+    ),
+    "words_10e400": (
+        {"duration_ms": 60000, "channels": [[{"start_ms": 0, "end_ms": 20000, "words": 10**400}], []]},
+        f"channels[0][0].words: {_beyond(10**400)}",
+    ),
+    "fillers_10e400": (
+        {"duration_ms": 60000, "channels": [[{"start_ms": 0, "end_ms": 20000, "events": {"fillers": 10**400}}], []]},
+        f"channels[0][0].events.fillers: {_beyond(10**400)}",
+    ),
+    "start_2e53": (
+        {"duration_ms": 1000, "channels": [[{"start_ms": 2**53, "end_ms": 20}], []]},
+        f"channels[0][0].start_ms: {_beyond(2**53)}",
+    ),
 }
 
 
@@ -690,11 +714,63 @@ INPUT_ERRORS = {
          "pred.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": -4}\n'},
         EVAL, "@gold.jsonl:1.tick_index: expected an integer >= 0, got -4",
     ),
+    # integers past 2**53 - 1 crashed with OverflowError when drawn or printed
+    "uniform_min_10e400": (
+        {"run.json": {"seed": 1, "opening_speaker": "A", "agents": _agents(
+            CASCADED, CASCADED, response={"kind": "uniform", "min_ms": 10**400, "max_ms": 10**400})}},
+        RUN_CONFIG, f"agents[0].response.min_ms: {_beyond(10**400)}",
+    ),
+    "uniform_max_10e400": (
+        {"run.json": {"seed": 1, "opening_speaker": "A", "agents": _agents(
+            CASCADED, CASCADED, response={"kind": "uniform", "max_ms": 10**400})}},
+        RUN_CONFIG, f"agents[0].response.max_ms: {_beyond(10**400)}",
+    ),
+    "lognormal_min_10e400": (
+        {"run.json": {"seed": 1, "opening_speaker": "A", "agents": _agents(
+            CASCADED, CASCADED, response={"kind": "lognormal", "min_ms": 10**400, "max_ms": 10**400})}},
+        RUN_CONFIG, f"agents[0].response.min_ms: {_beyond(10**400)}",
+    ),
+    "lognormal_max_10e400": (
+        {"run.json": {"seed": 1, "opening_speaker": "A", "agents": _agents(
+            CASCADED, CASCADED, response={"kind": "lognormal", "max_ms": 10**400})}},
+        RUN_CONFIG, f"agents[0].response.max_ms: {_beyond(10**400)}",
+    ),
+    "backchannel_10e400": (
+        {"run.json": {"seed": 1, "agents": _agents(
+            {"kind": "stochastic", "backchannel_ms": 10**400}, CASCADED)}},
+        RUN_CONFIG, f"agents[0].policy.backchannel_ms: {_beyond(10**400)}",
+    ),
+    "compare_rate_310_digits": (
+        {"trace.json": UNITS_TRACE, "ref.json": {**GOOD_RATES, "pauses_per_min": 10**309}},
+        COMPARE, f"pauses_per_min: {_beyond(10**309)}",
+    ),
+    # seeds past 2**53 - 1 were accepted
+    "seed_2e53": ({"run.json": {"seed": 2**53}}, RUN_CONFIG, f"seed: {_beyond(2**53)}"),
+    "compare_rate_true": (
+        {"trace.json": UNITS_TRACE, "ref.json": {**GOOD_RATES, "overlaps_per_min": True}},
+        COMPARE, "overlaps_per_min: expected a number, got true",
+    ),
+    # a sigma whose square overflows crashed the first draw
+    "lognormal_sigma_1e200": (
+        {"run.json": {"seed": 1, "opening_speaker": "A", "agents": _agents(
+            CASCADED, CASCADED, response={"kind": "lognormal", "sigma": 1e200})}},
+        RUN_CONFIG, "agents[0].response: bad log-normal response parameters",
+    ),
     # --audio-a was ignored and the stereo file ingested
     "ingest_stereo_and_mono": (
         {"conv.wav": wav_bytes(2), "a.wav": wav_bytes(1)},
         ["ingest", "--audio", "@conv.wav", "--audio-a", "@a.wav", "--out", "@t.json"],
         "give --audio or both --audio-a and --audio-b",
+    ),
+    "ingest_stereo_and_both_mono": (
+        {"conv.wav": wav_bytes(2), "a.wav": wav_bytes(1), "b.wav": wav_bytes(1)},
+        ["ingest", "--audio", "@conv.wav", "--audio-a", "@a.wav", "--audio-b", "@b.wav", "--out", "@t.json"],
+        "give --audio or both --audio-a and --audio-b",
+    ),
+    "wav_3_channels_as_stereo": ({"bad.wav": wav_bytes(3)}, INGEST_STEREO, "@bad.wav: expected 2 channels"),
+    "wav_stereo_as_mono_b": (
+        {"a.wav": wav_bytes(1), "b.wav": wav_bytes(2)}, INGEST_PAIR,
+        "mono files must have a single channel",
     ),
 }
 
@@ -742,6 +818,13 @@ class TestAnalyzeCmd:
         lines = table.splitlines()
         assert lines[-1].startswith("mean")
         assert lines[-1].split()[-1] == "1500"
+
+    def test_mean_row_without_gaps(self, tmp_path, capsys):
+        p = tmp_path / "convs.jsonl"
+        p.write_text((build_trace([("A", seg(0, 1000))], 60000).to_json() + "\n") * 2)
+        assert run_cli("analyze", "--trace", str(p)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].split() == ["mean", "0", "0", "0", "-"]
 
     def test_compare_reference_row(self, tmp_path, capsys):
         p = tmp_path / "t.json"
@@ -1193,23 +1276,24 @@ class TestClosedPipe:
     def test_reader_gone_in_process(self, tmp_path, monkeypatch, capsys):
         # main() in this process, where a line tracer sees the handler run:
         # stdout is a pipe whose reader is gone, and afterwards its
-        # descriptor writes to os.devnull
+        # descriptor writes to os.devnull and the handler's own is closed
         monkeypatch.delenv("DDE_CONFIG", raising=False)
         p = tmp_path / "t.json"
         p.write_text(build_trace([], 60000).to_json())
         read_end, write_end = os.pipe()
         os.close(read_end)
-        opened, os_open = [], os.open  # the handler's devnull descriptor, closed below
+        opened, os_open = [], os.open  # records the handler's devnull descriptor
         monkeypatch.setattr(os, "open", lambda *a: opened.append(os_open(*a)) or opened[-1])
         with open(write_end, "w", encoding="utf-8") as stdout:
             monkeypatch.setattr(sys, "stdout", stdout)
             try:
                 assert run_cli("analyze", "--trace", str(p)) == 1
                 assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+                [devnull] = opened
+                with pytest.raises(OSError):
+                    os.fstat(devnull)
             finally:
                 monkeypatch.undo()
-                for fd in opened:
-                    os.close(fd)
         assert capsys.readouterr().err == ""
 
 

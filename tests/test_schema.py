@@ -1,6 +1,6 @@
-"""The JSON boundary: record round trips, private-name imports, the names the
-benchmark tracer patches, streamed JSON lines, and a fuzz of every CLI input
-through `dde.cli.main`."""
+"""The JSON boundary: record round trips, private-name imports, the package's
+public names, the names the benchmark tracer patches, streamed JSON lines, and
+a fuzz of every CLI input through `dde.cli.main`."""
 
 import ast
 import contextlib
@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import dde
-from dde._schema import Record, read_json_lines, read_value
+from dde._schema import Record, integer, number, read_json_lines, read_value
 from dde.cli import main
 from dde.errors import ValidationError
 from dde.segments import FRAME_MS, ConversationTrace, SpeechSegment
@@ -190,6 +190,21 @@ def test_no_module_imports_a_private_name_of_another(path):
     assert private == []
 
 
+def test_star_import_binds_the_public_names_of_the_submodules():
+    namespace = {}
+    exec("from dde import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == dde.__all__
+    assert len(dde.__all__) == 54
+    for name in dde.__all__:
+        value = getattr(dde, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert any(
+            getattr(importlib.import_module(f"dde.{m}"), name, None) is value
+            for m in sorted(SIBLINGS - {"__init__"})
+        ), name
+
+
 def test_every_name_the_benchmark_tracer_patches_exists():
     # executed from source, so that no bytecode is written next to it
     spans = types.ModuleType("spans")
@@ -243,6 +258,28 @@ def test_read_value_passes_other_exceptions_through(exc):
     with pytest.raises(type(exc)) as info:
         read_value(1, "steps[2]", _raise(exc))
     assert info.value is exc
+
+
+@pytest.mark.parametrize("value", [2**53 - 1, -(2**53 - 1), float(2**53 - 1), str(2**53 - 1)])
+def test_integer_reads_up_to_2_53_minus_1(value):
+    assert integer(value) == int(value)
+
+
+@pytest.mark.parametrize("value", [2**53 - 1, -(2**53 - 1)])
+def test_number_keeps_integers_up_to_2_53_minus_1(value):
+    assert number(value) == value
+
+
+@pytest.mark.parametrize("value", [2**53, -(2**53), 2.0**53, 1e308, str(2**53), 10**400])
+def test_integer_rejects_beyond_2_53_minus_1(value):
+    with pytest.raises(ValueError, match=r"^expected an integer within ±9007199254740991, got "):
+        integer(value)
+
+
+@pytest.mark.parametrize("value", [2**53, -(2**53), 10**309])
+def test_number_reads_integers_through_integer(value):
+    with pytest.raises(ValueError, match=r"^expected an integer within ±9007199254740991, got "):
+        number(value)
 
 
 # --------------------------------------------------------------- CLI fuzz

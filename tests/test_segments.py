@@ -73,6 +73,12 @@ class TestBuildTrace:
         )
         assert t.channels[1][0].words is None
 
+    def test_touching_merge_drops_events_only_one_side_has(self):
+        t = build_trace(
+            [("A", seg(0, 100, events=EventCounts(fillers=2))), ("A", seg(100, 200, words=1))], 300
+        )
+        assert t.channels[0] == (seg(0, 200),)
+
     def test_partial_overlap_drops_annotations(self):
         t = build_trace(
             [("A", seg(0, 100, units=tuple(range(5)))), ("A", seg(80, 200))], 300
@@ -113,6 +119,10 @@ class TestSegmentValidation:
     def test_units_require_alignment(self):
         with pytest.raises(ValidationError):
             seg(5, 105, units=tuple(range(5)))
+
+    def test_units_require_an_aligned_end_too(self):
+        with pytest.raises(ValidationError, match=r"must be 20ms-aligned: \[0,90\)$"):
+            seg(0, 90, units=tuple(range(4)))
 
     @pytest.mark.parametrize("units", [(-1, 2, 3), (1, -2, 3), (1, 2, -3)])
     def test_negative_unit_ids_rejected(self, units):

@@ -918,14 +918,31 @@ class TestRunConfig:
             ({"policy": {"kind": "cascaded"},
               "response": {"kind": "uniform", "min_ms": 3000, "max_ms": 2000}},
              "response: need 0 < min_ms <= max_ms, got 3000 and 2000"),
+            # draw squares sigma: 1e200 raised OverflowError there
+            ({"policy": {"kind": "cascaded"}, "response": {"kind": "lognormal", "sigma": 1e200}},
+             "response: bad log-normal response parameters"),
+            ({"policy": {"kind": "cascaded"}, "response": {"kind": "lognormal", "sigma": -0.5}},
+             "response: bad log-normal response parameters"),
+            ({"policy": {"kind": "stochastic", "min_gap_ticks": -1}},
+             "policy: bad stochastic policy durations"),
+            ({"policy": {"kind": "bogus"}},
+             "policy.kind: unknown kind 'bogus', expected ['cascaded', 'scripted', 'stochastic']"),
+            ({"policy": {"kind": "cascaded"}, "response": {"kind": "bogus"}},
+             "response.kind: unknown kind 'bogus', expected ['corpus', 'lognormal', 'uniform']"),
         ],
-        ids=["zero_duration", "negative_duration", "negative_tick", "zero_min", "min_over_max"],
+        ids=["zero_duration", "negative_duration", "negative_tick", "zero_min", "min_over_max",
+             "sigma_1e200", "negative_sigma", "negative_min_gap", "unknown_policy", "unknown_response"],
     )
     def test_bad_policy_settings_rejected_at_load(self, agent, message):
         data = {"seed": 1, "agents": [{"policy": {"kind": "cascaded"}}, agent]}
         with pytest.raises(ValidationError) as err:
             SimRun.from_dict(data)
         assert str(err.value) == f"agents[1].{message}"
+
+    @pytest.mark.parametrize("responses", [(None,), (None, None, None)])
+    def test_a_run_needs_one_response_per_agent(self, responses):
+        with pytest.raises(ValidationError, match=r"^a run needs exactly two agents$"):
+            SimRun(seed=1, agents=(CascadedConfig(), CascadedConfig()), responses=responses)
 
     def test_scripted_steps_are_checked_on_construction(self):
         with pytest.raises(ValidationError, match=r"^steps\[1\]: "):

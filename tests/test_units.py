@@ -65,6 +65,10 @@ class TestBpeTrain:
         with pytest.raises(ValidationError):
             bpe_train([[0, 10]], 1, 10)
 
+    def test_rejects_negative_raw_id(self):
+        with pytest.raises(ValidationError, match=r"^raw unit id -1 outside alphabet \[0, 10\)$"):
+            bpe_train([[0, -1]], 1, 10)
+
     def test_rejects_undeduplicated_corpus(self):
         with pytest.raises(ValidationError):
             bpe_train([[1, 1, 2]], 1, 4)
@@ -134,9 +138,17 @@ class TestBpeCodec:
         with pytest.raises(ValidationError):
             bpe_encode(vocab, [10])
 
+    def test_encode_rejects_negative_raw_id(self):
+        with pytest.raises(ValidationError, match=r"^raw unit id -3 outside alphabet \[0, 10\)$"):
+            bpe_encode(BpeVocab(10, ((7, 8, 10),)), [7, -3])
+
     def test_vocab_json_roundtrip(self):
         vocab = bpe_train([[1, 2, 3, 1, 2, 3, 1, 2]], 3, 6)
         assert BpeVocab.from_json(vocab.to_json()) == vocab
+
+    @pytest.mark.parametrize("data", [{"base_alphabet_size": 4}, {"base_alphabet_size": 4, "merges": None}])
+    def test_vocab_json_without_merges_has_none(self, data):
+        assert BpeVocab.from_dict(data) == BpeVocab(4)
 
     def test_vocab_rejects_bad_merge_ids(self):
         with pytest.raises(ValidationError):
@@ -149,6 +161,7 @@ class TestBpeCodec:
         (((0, True, 3),), "merges: expected an integer, got true"),
         (((0, 1),), "merges: entry 0 is not a [left, right, new] triple"),
         ((range(3),), "merges: expected a list"),
+        (((5, 1, 3),), "merge (5,1)->3 references unknown ids"),
     ])
     def test_vocab_merges_are_read_as_json_merges_are(self, merges, message):
         assert BpeVocab(3, merges=[[0, 1.0, 3]]).merges == ((0, 1, 3),)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dde import FRAME_MS, ValidationError, VadConfig, vad_from_samples
-from dde.vad import load_conversation_audio, write_wav
+from dde.vad import load_conversation_audio
+from conftest import write_wav
 from oracles import _close_gaps
 
 FS = 16000
@@ -67,6 +68,10 @@ class TestVad:
     def test_empty_audio_rejected(self):
         with pytest.raises(ValidationError):
             vad_from_samples((np.array([], dtype=np.int16), silence(100)))
+
+    def test_empty_second_channel_rejected(self):
+        with pytest.raises(ValidationError, match="^empty audio$"):
+            vad_from_samples((silence(100), np.array([], dtype=np.int16)))
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValidationError):
