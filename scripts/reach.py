@@ -2,25 +2,22 @@
 """Which statements of src/dde does the Tier-1 suite never run, and which
 conditions does it take only one way?
 
-Runs the tests in-process under sys.settrace and prints each statement of
-src/dde none of whose executable lines ran, `raise` statements first, as
-`path:line: source`. Executable lines come from the compiled code objects
-(co_lines), so a line with no instruction of its own, such as the `if (` of a
-multi-line condition, is never reported; a statement counts as run when any
-of its lines ran, so a condition cut short by `and` is not reported either.
-
-Conditions are seen through an import hook that loads src/dde with each
+Runs the tests in-process with src/dde loaded through an import hook that
+puts a recorder before each statement, on that statement's line (docstrings
+and `from __future__` imports stay first and unrecorded), and wraps each
 `if`/`while` test, each conditional-expression test and each `and`/`or`
-operand inside such a test (looking through `not`) wrapped in a recorder,
-on the lines they were written on. After the statement report it prints
-each of them that was only true, only false or never evaluated, as
-`path:line: source: outcome`.
+operand inside such a test (looking through `not`) in a recorder, on the
+lines it was written on. It prints each statement whose recorder never ran,
+`raise` statements first, as `path:line: source`, then each condition that
+was only true, only false or never evaluated, as `path:line: source: outcome`.
+Code the compiler drops, such as an `if False:` body, and every statement
+of a file no test imports are reported as never run.
 
     python3 scripts/reach.py [pytest arguments]   # from the root of a checkout
 
-Failing tests are listed but do not stop the report: a wall-time bound can
-fail under tracing. The script exits 0 whenever the suite could be run; CI
-fails unless its summary line ends "0 of them raise".
+Failing tests are listed but do not stop the report. The script exits 0
+whenever the suite could be run; CI fails unless its summary line ends
+"0 of them raise".
 """
 
 import ast
@@ -28,75 +25,64 @@ import builtins
 import importlib.machinery
 import importlib.util
 import sys
-import threading
-from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dde"
 
-
-def executable_lines(code) -> set[int]:
-    """The lines holding instructions of `code` and of every code object nested in it."""
-    lines = {line for _, _, line in code.co_lines() if line is not None}
-    for const in code.co_consts:
-        if isinstance(const, type(code)):
-            lines |= executable_lines(const)
-    return lines
+RECORDER = "__reach__"  # a builtin while the hook is installed
 
 
-def never_run(source: str, filename: str, ran: set[int]) -> list[tuple[int, bool]]:
-    """(first line, is a raise) of each statement in `source` that has
-    executable lines and none of them in `ran`, in line order."""
-    tree = ast.parse(source, filename)
-    owner = {}  # line -> first line of the innermost statement spanning it
-    raises = set()
-    for node in ast.walk(tree):  # breadth first: inner statements come later
-        if isinstance(node, ast.stmt):
-            for line in range(node.lineno, node.end_lineno + 1):
-                owner[line] = node.lineno
-            if isinstance(node, ast.Raise):
-                raises.add(node.lineno)
-    reached = defaultdict(bool)
-    for line in executable_lines(compile(source, filename, "exec", dont_inherit=True)):
-        reached[owner.get(line, line)] |= line in ran
-    return [(line, line in raises) for line, hit in sorted(reached.items()) if not hit]
+def _place(path, node):
+    """Source order, each node before the nodes it holds."""
+    return path, node.lineno, node.col_offset, -node.end_lineno, -node.end_col_offset
 
 
-class LineTracer:
-    """Records the lines run in the given files; other code runs untraced."""
+class Found:
+    """The nodes of one kind in the instrumented files, numbered in the order
+    they were found, and a byte of outcome per node. A file run again, as
+    runpy does, shares the numbers of its first load."""
 
-    def __init__(self, filenames):
-        self.ran = {name: set() for name in filenames}
+    def __init__(self):
+        self.index, self.nodes, self.seen = {}, [], bytearray()
 
-    def __call__(self, frame, event, arg):
-        lines = self.ran.get(frame.f_code.co_filename)
-        if lines is None:
-            return None
-        lines.add(frame.f_lineno)
+    def number(self, path, node) -> int:
+        place = _place(path, node)
+        if place not in self.index:
+            self.index[place] = len(self.nodes)
+            self.nodes.append((path, node))
+            self.seen.append(0)
+        return self.index[place]
 
-        def local(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return local
-
-        return local
-
-
-RECORDER = "__reach_test__"  # a builtin while the hook is installed
+    def outcomes(self):
+        """(path, node, outcome) per node, in source order."""
+        for _, i in sorted(self.index.items()):
+            yield *self.nodes[i], self.seen[i]
 
 
-class Conditions(ast.NodeTransformer):
-    """Rewrites each condition `test` of a module as RECORDER(i, test), which
-    records whether it was true and returns it; the `and`/`or` operands in a
-    condition, looking through `not`, are rewritten too. number(node) gives i."""
+def _stays_first(owner, position, node) -> bool:
+    """A docstring, or a `from __future__` import: moved, it is neither."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "__future__"
+    docstring_owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return (position == 0 and isinstance(owner, docstring_owners) and isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str))
 
-    def __init__(self, number):
-        self.number = number
+
+class Instrument(ast.NodeTransformer):
+    """Puts `RECORDER.ran[i] = 1` before each statement of a module, and
+    rewrites each condition `test` as RECORDER(i, test), which records whether
+    it was true and returns it; the `and`/`or` operands in a condition, looking
+    through `not`, are rewritten too. i numbers the node in outcomes'
+    statements or conditions."""
+
+    def __init__(self, path, outcomes):
+        self.path, self.outcomes = path, outcomes
 
     def wrap(self, node):
         self.operands(node)
-        call = ast.Call(ast.Name(RECORDER, ast.Load()), [ast.Constant(self.number(node)), node], [])
+        i = self.outcomes.conditions.number(self.path, node)
+        call = ast.Call(ast.Name(RECORDER, ast.Load()), [ast.Constant(i), node], [])
         return ast.copy_location(call, node)
 
     def operands(self, node):
@@ -104,6 +90,23 @@ class Conditions(ast.NodeTransformer):
             self.operands(node.operand)
         elif isinstance(node, ast.BoolOp):
             node.values = [self.wrap(v) for v in node.values]
+
+    def record(self, node):
+        """The statement recording `node`, every part of it on node's first line."""
+        i = self.outcomes.statements.number(self.path, node)
+        return ast.increment_lineno(ast.parse(f"{RECORDER}.ran[{i}] = 1").body[0], node.lineno - 1)
+
+    def generic_visit(self, node):
+        super().generic_visit(node)
+        for name, value in ast.iter_fields(node):
+            if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
+                body = []
+                for position, stmt in enumerate(value):
+                    if not _stays_first(node, position, stmt):
+                        body.append(self.record(stmt))
+                    body.append(stmt)
+                setattr(node, name, body)
+        return node
 
     def visit_If(self, node):
         self.generic_visit(node)
@@ -114,21 +117,17 @@ class Conditions(ast.NodeTransformer):
     visit_While = visit_IfExp = visit_If
 
 
-def _place(path, node):
-    """Source order, each condition before the operands it holds."""
-    return path, node.lineno, node.col_offset, -node.end_lineno, -node.end_col_offset
-
-
 class Outcomes:
     """The recorder, and an import hook that instruments the given files with
-    it. seen[i] has bit 1 once condition i was true and bit 2 once false; a
-    file run again, as runpy does, shares the indices of its first load."""
+    it. statements.seen[i] is 1 once statement i ran; conditions.seen[i] has
+    bit 1 once condition i was true and bit 2 once false."""
 
     def __init__(self, filenames):
-        self.files, self.index, self.found, self.seen = set(filenames), {}, [], bytearray()
+        self.files, self.statements, self.conditions = set(filenames), Found(), Found()
+        self.ran = self.statements.seen
 
     def __call__(self, i, value):
-        self.seen[i] |= 1 if value else 2
+        self.conditions.seen[i] |= 1 if value else 2
         return value
 
     def find_spec(self, name, path=None, target=None):
@@ -139,27 +138,22 @@ class Outcomes:
         return None
 
     def instrument(self, source: str, path: str):
-        def number(node):
-            place = _place(path, node)
-            if place not in self.index:
-                self.index[place] = len(self.found)
-                self.found.append((path, node))
-                self.seen.append(0)
-            return self.index[place]
-
-        tree = Conditions(number).visit(ast.parse(source, path))
+        tree = Instrument(path, self).visit(ast.parse(source, path))
         return compile(ast.fix_missing_locations(tree), path, "exec", dont_inherit=True)
+
+    def never_run(self) -> list[tuple[str, int, bool]]:
+        """(path, line, is a raise) per line starting a statement that never ran, in source order."""
+        rows = {}
+        for path, node, ran in self.statements.outcomes():
+            if not ran:
+                rows[path, node.lineno] = rows.get((path, node.lineno), False) or isinstance(node, ast.Raise)
+        return [(path, line, is_raise) for (path, line), is_raise in rows.items()]
 
     def one_way(self, sources) -> list[tuple[str, int, str, str]]:
         """(path, line, source, outcome) per condition not seen both ways, in source order."""
         outcome = {0: "never evaluated", 1: "only true", 2: "only false"}
-        rows = []
-        for _, i in sorted(self.index.items()):
-            path, node = self.found[i]
-            if self.seen[i] != 3:
-                text = ast.get_source_segment(sources[path], node)
-                rows.append((path, node.lineno, text, outcome[self.seen[i]]))
-        return rows
+        return [(path, node.lineno, ast.get_source_segment(sources[path], node), outcome[seen])
+                for path, node, seen in self.conditions.outcomes() if seen != 3]
 
 
 class Loader(importlib.machinery.SourceFileLoader):
@@ -197,17 +191,12 @@ def main(argv) -> int:
 
     files = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
     sys.path.insert(0, str(PACKAGE.parent))
-    tracer, failed, outcomes = LineTracer(files), FailedTests(), Outcomes(files)
+    failed, outcomes = FailedTests(), Outcomes(files)
     setattr(builtins, RECORDER, outcomes)  # a builtin, so code that runpy runs finds it too
     sys.meta_path.insert(0, outcomes)
-    threading.settrace(tracer)
-    sys.settrace(tracer)
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), *argv], plugins=[failed])
     finally:
-        replaced = sys.gettrace() is not tracer
-        sys.settrace(None)
-        threading.settrace(None)
         sys.meta_path.remove(outcomes)
         delattr(builtins, RECORDER)
     if code in (pytest.ExitCode.INTERRUPTED, pytest.ExitCode.INTERNAL_ERROR, pytest.ExitCode.USAGE_ERROR):
@@ -215,15 +204,12 @@ def main(argv) -> int:
     print(f"\nreach: {failed.run} tests run, {len(failed.ids)} failed")
     for nodeid in failed.ids:
         print(f"  failed: {nodeid}")
-    if replaced:
-        print("  warning: a test replaced the line tracer; lines it ran after that are missing")
-    rows = []
     sources = {name: path.read_text(encoding="utf-8") for name, path in files.items()}
-    for name, path in files.items():
-        text = sources[name].splitlines()
-        for line, is_raise in never_run(sources[name], name, tracer.ran[name]):
-            rows.append((not is_raise, path.relative_to(ROOT), line, text[line - 1].strip()))
-    rows.sort()
+    for name, source in sources.items():  # numbers the nodes of files no test imported
+        outcomes.instrument(source, name)
+    lines = {name: source.splitlines() for name, source in sources.items()}
+    rows = sorted((not is_raise, files[name].relative_to(ROOT), line, lines[name][line - 1].strip())
+                  for name, line, is_raise in outcomes.never_run())
     n_raise = sum(not r[0] for r in rows)
     print(f"never run in src/dde: {len(rows)} statements, {n_raise} of them raise")
     for _, path, line, text in rows:

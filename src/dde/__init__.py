@@ -23,7 +23,6 @@ from .analytics import (
 )
 from .errors import (
     DuplexError,
-    MissingInputError,
     PolicyContractViolation,
     ValidationError,
 )

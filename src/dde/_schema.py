@@ -3,7 +3,8 @@
 Every reader here answers a bad value with ValidationError naming its JSON
 path, e.g. `channels[0][3].end_ms: expected an integer, got 19.9`, so that
 each entry point (traces, run configs, vocabularies, samples, reports and
-$DDE_CONFIG) rejects bad input the same way. The file readers answer a file
+$DDE_CONFIG) rejects bad input the same way; the value is repeated through
+`shown`, so at most SHOWN characters of it. The file readers answer a file
 that is not UTF-8 text with a ValidationError naming the file.
 """
 
@@ -61,6 +62,17 @@ def read_json_lines(path, what: str):
                 yield n, loads(line, what)
 
 
+# the most characters of an input value that an error repeats
+SHOWN = 40
+
+
+def shown(value, render=json.dumps) -> str:
+    """render(value) as an error repeats it: a rendering longer than SHOWN
+    characters becomes its first SHOWN, then `…(N characters)`."""
+    text = render(value)
+    return text if len(text) <= SHOWN else f"{text[:SHOWN]}…({len(text)} characters)"
+
+
 def expect_object(data, path) -> None:
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
@@ -71,7 +83,8 @@ def expect_known_keys(data, known, path="") -> None:
     such key in sorted order by its JSON path, e.g. `vad.bogus: unknown field`."""
     unknown = sorted(set(data) - set(known))
     if unknown:
-        name = f"{path}.{unknown[0]}" if path else unknown[0]
+        key = shown(unknown[0], str)
+        name = f"{path}.{key}" if path else key
         raise ValidationError(f"{name}: unknown field")
 
 
@@ -88,9 +101,9 @@ def integer(value) -> int:
             raise ValueError
         n = int(value)
     except (TypeError, ValueError):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}") from None
+        raise ValueError(f"expected an integer, got {shown(value)}") from None
     if not -INT_LIMIT <= n <= INT_LIMIT:
-        raise ValueError(f"expected an integer within ±{INT_LIMIT}, got {json.dumps(value)}")
+        raise ValueError(f"expected an integer within ±{INT_LIMIT}, got {shown(value)}")
     return n
 
 
@@ -113,14 +126,14 @@ def finite_float(value) -> float:
             raise ValueError
         return float(value)
     except _REJECTED:
-        raise ValueError(f"expected a finite number, got {json.dumps(value)}") from None
+        raise ValueError(f"expected a finite number, got {shown(value)}") from None
 
 
 def number(value):
     """A finite JSON number as written (5 stays 5); booleans, strings, NaN,
     the infinities and integers beyond ±INT_LIMIT are errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {json.dumps(value)}")
+        raise ValueError(f"expected a number, got {shown(value)}")
     return finite_float(value) if isinstance(value, float) else integer(value)
 
 
@@ -128,7 +141,7 @@ def one_of(*choices):
     """A reader that accepts only the given strings."""
     def read(value):
         if value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, got {json.dumps(value)}")
+            raise ValueError(f"expected one of {', '.join(choices)}, got {shown(value)}")
         return value
     return read
 

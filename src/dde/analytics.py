@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from ._schema import Record
-from .errors import MissingInputError, ValidationError
+from .errors import ValidationError
 from .labeler import Action
 from .segments import ConversationTrace, EventCounts, frame_grid, join_spans, speaker_index
 from .vad import FRAME_SAMPLES, SAMPLE_RATE, active_runs
@@ -237,14 +237,13 @@ def _audio_stats(trace: ConversationTrace, audio):
 
 
 def naturalness_report(
-    trace: ConversationTrace, audio=None, require=(), *, structures=None
+    trace: ConversationTrace, audio=None, *, structures=None
 ) -> NaturalnessStats:
     """Compute whichever naturalness metrics the available inputs allow.
 
     Word/event rates need segment annotations; pitch/energy spread needs the
-    per-speaker audio. `require` names fields that must come out non-None,
-    otherwise MissingInputError is raised. `structures`, both speakers'
-    TurnStructures, is computed when not given.
+    per-speaker audio. `structures`, both speakers' TurnStructures, is
+    computed when not given.
     """
     if structures is None:
         structures = turn_structure(trace, 0), turn_structure(trace, 1)
@@ -259,7 +258,7 @@ def naturalness_report(
     estd = pstd = mean_f0 = None
     if audio is not None:
         estd, pstd, mean_f0 = _audio_stats(trace, audio)
-    stats = NaturalnessStats(
+    return NaturalnessStats(
         wpm=wpm,
         fwpm=fwpm, rpm=rpm, lpm=lpm, bpm=bpm,
         spm_s=spm_s,
@@ -268,12 +267,6 @@ def naturalness_report(
         mean_f0_hz=mean_f0,
         estd=estd,
     )
-    for name in require:
-        if getattr(stats, name, None) is None:
-            raise MissingInputError(
-                f"metric {name!r} needs inputs that were not provided"
-            )
-    return stats
 
 
 def conversation_report(trace: ConversationTrace, audio=None) -> ConversationReport:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analytics, labeler, segments, simulate, units, vad
 from ._schema import at_least, expect_known_keys, expect_object, finite_float, integer
-from ._schema import number, one_of, read_field, read_json, read_value, section
+from ._schema import number, one_of, read_field, read_json, read_value, section, shown
 from .errors import DuplexError, ValidationError
 
 ENV_CONFIG = "DDE_CONFIG"
@@ -120,7 +120,7 @@ def _speakers(text):
     try:
         return (0, 1) if text == "both" else (segments.speaker_index(text),)
     except ValidationError:  # its text names the JSON forms, 0/1 too
-        raise ValidationError(f"expected A, B or both, got {text!r}") from None
+        raise ValidationError(f"expected A, B or both, got {shown(text, repr)}") from None
 
 
 def cmd_label(args, cfg) -> int:

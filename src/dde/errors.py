@@ -9,10 +9,6 @@ class ValidationError(DuplexError, ValueError):
     """Input violates a documented contract (bad segment, bad config, ...)."""
 
 
-class MissingInputError(DuplexError, LookupError):
-    """A requested metric needs an input (annotations, audio) that was not given."""
-
-
 class PolicyContractViolation(DuplexError, RuntimeError):
     """A simulation policy emitted an action that is illegal for its current mode."""
 

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from ._schema import at_least, expect_object, one_of, read_field, read_json_lines
+from ._schema import at_least, expect_object, one_of, read_field, read_json_lines, shown
 from .errors import ValidationError
 from .segments import SPEAKER_NAMES, TICK_MS, WINDOW_MS, ChannelBounds, ConversationTrace
 from .segments import speaker_index, window, window_json
@@ -46,7 +46,7 @@ class Action(IntEnum):
         try:
             return cls[name.strip().upper()]
         except (AttributeError, KeyError):  # AttributeError: name is not a string
-            raise ValidationError(f"unknown action {name!r}") from None
+            raise ValidationError(f"unknown action {shown(name, repr)}") from None
 
 
 @dataclass(frozen=True)

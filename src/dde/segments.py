@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._schema import Record, expect_object, items, read_field, read_json, read_json_lines, read_value, unit_ids
+from ._schema import Record, expect_object, items, read_field, read_json, read_json_lines, read_value, shown, unit_ids
 from .errors import ValidationError
 
 FRAME_MS = 20      # atomic activity/audio frame
@@ -34,7 +34,7 @@ def speaker_index(speaker) -> int:
             return SPEAKER_NAMES.index(s)
     elif not isinstance(speaker, bool) and speaker in (0, 1):
         return int(speaker)
-    raise ValidationError(f"unknown speaker {speaker!r}, expected A/B or 0/1")
+    raise ValidationError(f"unknown speaker {shown(speaker, repr)}, expected A/B or 0/1")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._schema import Record, expect_known_keys, expect_object, integer, items, read_field, read_json, read_value, unit_ids
+from ._schema import Record, expect_known_keys, expect_object, integer, items, read_field, read_json, read_value
+from ._schema import shown, unit_ids
 from .analytics import BACKCHANNEL_MAX_MS, PAUSE_MIN_MS, TURN_JOIN_MS
 from .errors import PolicyContractViolation, ValidationError
 from .labeler import Action
@@ -72,7 +73,7 @@ def _from_kind(records, data, path):
     expect_object(data, path)
     kind = data.get("kind")
     if not (isinstance(kind, str) and kind in records):
-        raise ValidationError(f"{path}.kind: unknown kind {kind!r}, expected {sorted(records)}")
+        raise ValidationError(f"{path}.kind: unknown kind {shown(kind, repr)}, expected {sorted(records)}")
     cls = records[kind]
     expect_known_keys(data, ["kind", *(f.name for f in fields(cls))], path)
     return cls.from_dict(data, path)

@@ -4,7 +4,6 @@ import pytest
 from dde import (
     Action,
     EventCounts,
-    MissingInputError,
     SpeechSegment,
     ValidationError,
     analytics,
@@ -338,14 +337,7 @@ class TestNaturalness:
 
     def test_required_fields_present(self):
         t = build_trace([("A", seg(0, 1000, words=3))], 2000)
-        assert naturalness_report(t, require=["wpm", "spm_s"]).wpm == pytest.approx(180.0)
-
-    def test_missing_input_raises_when_required(self):
-        t = build_trace([("A", seg(0, 1000))], 2000)
-        with pytest.raises(MissingInputError):
-            naturalness_report(t, require=["wpm"])
-        with pytest.raises(MissingInputError):
-            naturalness_report(t, require=["pstd_hz"])
+        assert naturalness_report(t).wpm == pytest.approx(180.0)
 
     def test_spm_counts_within_turn_silence(self):
         # one 300ms pause inside A's turn over a minute of conversation

@@ -270,8 +270,12 @@ def test_bad_trace_is_an_error_not_a_traceback(tmp_path, capsys, command, case):
 
 
 def _beyond(value):
-    """The reader's text for an integer outside the 2**53 - 1 range JSON keeps exact."""
-    return f"expected an integer within ±{2**53 - 1}, got {json.dumps(value)}"
+    """The reader's text for an integer outside the 2**53 - 1 range JSON keeps
+    exact; digits past the 40th character are counted, not repeated."""
+    text = json.dumps(value)
+    if len(text) > 40:
+        text = f"{text[:40]}…({len(text)} characters)"
+    return f"expected an integer within ±{2**53 - 1}, got {text}"
 
 
 # name -> (trace document, the whole error text of `dde analyze` after "error: ")
@@ -336,6 +340,11 @@ TRACE_ERRORS = {
     "start_2e53": (
         {"duration_ms": 1000, "channels": [[{"start_ms": 2**53, "end_ms": 20}], []]},
         f"channels[0][0].start_ms: {_beyond(2**53)}",
+    ),
+    # a rejected value was repeated in full, here as a 100,060-character line
+    "start_a_100000_character_string": (
+        {"duration_ms": 1000, "channels": [[{"start_ms": "7" * 100000, "end_ms": 20}], []]},
+        'channels[0][0].start_ms: expected an integer, got "' + "7" * 39 + "…(100002 characters)",
     ),
 }
 
@@ -713,6 +722,16 @@ INPUT_ERRORS = {
         {"gold.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": -4}\n',
          "pred.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": -4}\n'},
         EVAL, "@gold.jsonl:1.tick_index: expected an integer >= 0, got -4",
+    ),
+    # a rejected value or key was repeated in full
+    "eval_action_of_100000_characters": (
+        {"gold.jsonl": b'{"action": "%s", "agent": "A", "tick_index": 0}\n' % (b"S" * 100000),
+         "pred.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": 0}\n'},
+        EVAL, "@gold.jsonl:1.action: unknown action '" + "S" * 39 + "…(100002 characters)",
+    ),
+    "policy_key_of_100000_characters": (
+        {"run.json": {"seed": 1, "agents": _agents({**CASCADED, "k" * 100000: 1}, CASCADED)}},
+        RUN_CONFIG, "agents[0].policy." + "k" * 40 + "…(100000 characters): unknown field",
     ),
     # integers past 2**53 - 1 crashed with OverflowError when drawn or printed
     "uniform_min_10e400": (

@@ -1,6 +1,6 @@
 """The JSON boundary: record round trips, private-name imports, the package's
-public names, the names the benchmark tracer patches, streamed JSON lines, and
-a fuzz of every CLI input through `dde.cli.main`."""
+public names and version, the names the benchmark tracer patches, streamed
+JSON lines, and a fuzz of every CLI input through `dde.cli.main`."""
 
 import ast
 import contextlib
@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import dde
-from dde._schema import Record, integer, number, read_json_lines, read_value
+from dde._schema import Record, integer, number, read_json_lines, read_value, shown
 from dde.cli import main
 from dde.errors import ValidationError
 from dde.segments import FRAME_MS, ConversationTrace, SpeechSegment
@@ -195,7 +195,7 @@ def test_star_import_binds_the_public_names_of_the_submodules():
     exec("from dde import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == dde.__all__
-    assert len(dde.__all__) == 54
+    assert len(dde.__all__) == 53
     for name in dde.__all__:
         value = getattr(dde, name)
         assert not isinstance(value, types.ModuleType), name
@@ -203,6 +203,15 @@ def test_star_import_binds_the_public_names_of_the_submodules():
             getattr(importlib.import_module(f"dde.{m}"), name, None) is value
             for m in sorted(SIBLINGS - {"__init__"})
         ), name
+
+
+def test_the_version_is_written_once():
+    # read as text: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0].splitlines()
+    assert not any(line.split("=")[0].strip() == "version" for line in project)
+    assert 'dynamic = ["version"]' in project
+    assert 'version = {attr = "dde.__version__"}' in text.splitlines()
 
 
 def test_every_name_the_benchmark_tracer_patches_exists():
@@ -258,6 +267,13 @@ def test_read_value_passes_other_exceptions_through(exc):
     with pytest.raises(type(exc)) as info:
         read_value(1, "steps[2]", _raise(exc))
     assert info.value is exc
+
+
+def test_shown_repeats_at_most_40_characters_of_a_value():
+    assert shown("x" * 38) == '"' + "x" * 38 + '"'
+    assert shown("x" * 39) == '"' + "x" * 39 + "…(41 characters)"
+    assert shown(10**400) == "1" + "0" * 39 + "…(401 characters)"
+    assert shown("k" * 41, str) == "k" * 40 + "…(41 characters)"
 
 
 @pytest.mark.parametrize("value", [2**53 - 1, -(2**53 - 1), float(2**53 - 1), str(2**53 - 1)])
