@@ -11,6 +11,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -143,8 +144,8 @@ class ConversationTrace(Record):
 
     @cached_property
     def _json_parts(self):
-        """Each segment's fixed JSON parts, for window_json."""
-        return tuple([_fixed_json(s) for s in ch] for ch in self.channels)
+        """Each segment's start, end and fixed JSON parts, for window_json."""
+        return tuple([(s.start_ms, s.end_ms, *_fixed_json(s)) for s in ch] for ch in self.channels)
 
     def bounds(self, speaker) -> ChannelBounds:
         """The speaker's boundary index, built once per trace."""
@@ -302,32 +303,54 @@ def frame_grid(trace: ConversationTrace) -> FrameGrid:
 
 def _window_cuts(trace: ConversationTrace, end_ms: int, width_ms: int):
     """Which segments window(trace, end_ms, width_ms) keeps and how each is
-    cut: the window's duration and, per channel, (index, start, end, frames,
-    whole) for each kept segment, start and end re-based to the window.
+    cut: the window's left edge, its duration, whether its whole segments
+    keep their units, and per channel (head, whole, tail). `whole` slices
+    out the segments kept uncut; `head` and `tail` are the first and the
+    last kept segment as (index, start, end, frames) when the window cuts
+    it, else None. Start and end are re-based to the window.
 
-    `frames` is the slice of the segment's 20ms units that survives, or None
-    unless both cut points and the re-based start lie on the 20ms grid; word
-    and event counts survive iff the segment is `whole`, i.e. nothing is cut.
+    Segments are sorted and disjoint, so only the first kept segment can
+    start before the left edge and only the last can end after end_ms:
+    every other one is whole, shifted left by `left` with its words and
+    events. A whole segment keeps its units iff its re-based start lies on
+    the 20ms grid; a unit-annotated segment starts on the grid, so that is
+    iff `left` does. A cut segment loses its words and events, and `frames`
+    is the slice of its 20ms units that survives, or None unless both cut
+    points and the re-based start lie on the grid.
     """
     if not 0 < end_ms <= trace.duration_ms:
         raise ValidationError(f"window end {end_ms} outside (0, {trace.duration_ms}]")
     if width_ms <= 0:
         raise ValidationError("window width must be positive")
     left = max(0, end_ms - width_ms)
+
+    def cut(b, k):
+        start, end = b.starts[k], b.ends[k]
+        ns, ne = max(start, left), min(end, end_ms)
+        a, z = ns - start, ne - start
+        frames = None
+        if a % FRAME_MS == z % FRAME_MS == (ns - left) % FRAME_MS == 0:
+            frames = slice(a // FRAME_MS, z // FRAME_MS)
+        return k, ns - left, ne - left, frames
+
     channels = []
     for b in trace._bounds:
         lo, hi = b.overlapping(left, end_ms)
-        cuts = []
-        for k in range(lo, hi):
-            start, end = b.starts[k], b.ends[k]
-            ns, ne = max(start, left), min(end, end_ms)
-            a, z = ns - start, ne - start
-            frames = None
-            if a % FRAME_MS == z % FRAME_MS == (ns - left) % FRAME_MS == 0:
-                frames = slice(a // FRAME_MS, z // FRAME_MS)
-            cuts.append((k, ns - left, ne - left, frames, (ns, ne) == (start, end)))
-        channels.append(cuts)
-    return end_ms - left, channels
+        head = tail = None
+        if lo < hi and b.starts[lo] < left:
+            head = cut(b, lo)
+            lo += 1
+        if lo < hi and b.ends[hi - 1] > end_ms:
+            hi -= 1
+            tail = cut(b, hi)
+        channels.append((head, slice(lo, hi), tail))
+    return left, end_ms - left, left % FRAME_MS == 0, channels
+
+
+def _cut_segment(ch, k, start, end, frames) -> SpeechSegment:
+    """Segment ch[k] as a window cuts it (see _window_cuts)."""
+    units = ch[k].units
+    return SpeechSegment(start, end, units=None if units is None or frames is None else units[frames])
 
 
 def window(trace: ConversationTrace, end_ms: int, width_ms: int = WINDOW_MS) -> ConversationTrace:
@@ -337,52 +360,70 @@ def window(trace: ConversationTrace, end_ms: int, width_ms: int = WINDOW_MS) -> 
     timestamps re-based so the window starts at 0. Segments straddling either
     edge are truncated.
     """
-    duration, cuts = _window_cuts(trace, end_ms, width_ms)
+    left, duration, whole_units, cuts = _window_cuts(trace, end_ms, width_ms)
     channels = []
-    for ch, ch_cuts in zip(trace.channels, cuts):
-        kept = []
-        for k, start, end, frames, whole in ch_cuts:
-            s = ch[k]
+    for ch, (head, whole, tail) in zip(trace.channels, cuts):
+        kept = [_cut_segment(ch, *head)] if head else []
+        for s in ch[whole]:
             kept.append(SpeechSegment(
-                start, end, units=None if s.units is None or frames is None else s.units[frames],
-                words=s.words if whole else None, events=s.events if whole else None,
+                s.start_ms - left, s.end_ms - left, units=s.units if whole_units else None,
+                words=s.words, events=s.events,
             ))
+        if tail:
+            kept.append(_cut_segment(ch, *tail))
         channels.append(tuple(kept))
     return ConversationTrace(channels=tuple(channels), duration_ms=duration)
 
 
-def _fixed_json(seg: SpeechSegment):
-    """The pieces of seg's JSON that do not move with a window: the events
-    item, the unit ids as strings, the whole units item and the words item
-    with the closing brace."""
-    events = "" if seg.events is None else (
-        ', "events": ' + json.dumps(seg.events.to_dict(), sort_keys=True))
-    ids, units = None, ""
+def _fixed_json(seg: SpeechSegment, nl="", indent=""):
+    """The pieces of seg's JSON text that do not move with a window, laid out
+    as json.dumps(..., sort_keys=True) lays them out: compact, or, with `nl`
+    a newline and the indent of seg's items and `indent` one level more, as
+    with indent=len(indent). They are: what lies between the end time and
+    the start time (the events item and the start_ms key), the units item,
+    where in it each unit id starts and one separator past the last (None
+    without units), and the words item with the closing brace."""
+    sep = "," + (nl or " ")
+    inner = nl + indent
+    inner_sep = "," + (inner or " ")
+    events = ""
+    if seg.events is not None:
+        counts = inner_sep.join(f'"{k}": {json.dumps(n)}' for k, n in sorted(seg.events.to_dict().items()))
+        events = f'{sep}"events": {{{inner}{counts}{nl}}}'
+    units, at = "", None
     if seg.units is not None:
         ids = [str(u) for u in seg.units]  # units are ints, whose JSON is str(u)
-        units = ', "units": [' + ", ".join(ids) + "]"
-    words = "" if seg.words is None else ', "words": ' + json.dumps(seg.words)
-    return events, ids, units, words + "}"
+        units = f'{sep}"units": [{inner}'
+        at = list(accumulate([len(i) + len(inner_sep) for i in ids], initial=len(units)))
+        units += f"{inner_sep.join(ids)}{nl}]"
+    words = "" if seg.words is None else f'{sep}"words": {json.dumps(seg.words)}'
+    return f'{events}{sep}"start_ms": ', units, at, words + nl[:len(nl) - len(indent)] + "}"
+
+
+def _cut_json(parts, k, start, end, frames) -> str:
+    """The JSON text of the segment whose start, end and fixed parts are
+    parts[k], as a window cuts it (see _window_cuts)."""
+    _, _, _, units, at, _ = parts[k]
+    if at is None or frames is None:
+        units = ""
+    else:  # the ids of the kept frames, without the separator after the last
+        units = f', "units": [{units[at[frames.start]:at[frames.stop] - 2]}]'
+    return f'{{"end_ms": {end}, "start_ms": {start}{units}}}'
 
 
 def window_json(trace: ConversationTrace, end_ms: int, width_ms: int) -> str:
     """window(trace, end_ms, width_ms) as sorted-key JSON text, the same bytes
     as json.dumps(window(...).to_dict(), sort_keys=True), written from the
     same cuts and each segment's fixed JSON parts: no segment or trace is
-    built per window."""
-    duration, cuts = _window_cuts(trace, end_ms, width_ms)
+    built per window, and a whole segment only has its times shifted."""
+    left, duration, whole_units, cuts = _window_cuts(trace, end_ms, width_ms)
     channels = []
-    for parts, ch_cuts in zip(trace._json_parts, cuts):
-        texts = []
-        for k, start, end, frames, whole in ch_cuts:
-            events, ids, units, tail = parts[k]
-            if ids is None or frames is None:
-                units = ""
-            elif not whole:
-                units = ', "units": [' + ", ".join(ids[frames]) + "]"
-            if not whole:
-                events, tail = "", "}"
-            texts.append(f'{{"end_ms": {end}{events}, "start_ms": {start}{units}{tail}')
+    for parts, (head, whole, tail) in zip(trace._json_parts, cuts):
+        texts = [_cut_json(parts, *head)] if head else []
+        for s, e, mid, units, _, close in parts[whole]:
+            texts.append(f'{{"end_ms": {e - left}{mid}{s - left}{units if whole_units else ""}{close}')
+        if tail:
+            texts.append(_cut_json(parts, *tail))
         channels.append(", ".join(texts))
     return f'{{"channels": [[{channels[0]}], [{channels[1]}]], "duration_ms": {duration}}}'
 
@@ -392,9 +433,19 @@ def read_trace(path) -> ConversationTrace:
 
 
 def write_trace(trace: ConversationTrace, path) -> None:
+    """trace.to_json(indent=2) and a newline, each segment written from its
+    fixed JSON parts: with an indent, json.dumps runs in pure Python."""
+    nl = "\n" + " " * 8  # a trace's segments nest 3 levels deep
+    channels = []
+    for ch in trace.channels:
+        texts = []
+        for s in ch:
+            mid, units, _, close = _fixed_json(s, nl, "  ")
+            texts.append(f'{{{nl}"end_ms": {s.end_ms}{mid}{s.start_ms}{units}{close}')
+        channels.append("[\n      " + ",\n      ".join(texts) + "\n    ]" if texts else "[]")
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write(trace.to_json(indent=2))
-        fp.write("\n")
+        fp.write('{\n  "channels": [\n    ' + ",\n    ".join(channels)
+                 + f'\n  ],\n  "duration_ms": {trace.duration_ms}\n}}\n')
 
 
 def read_traces_jsonl(path) -> list[ConversationTrace]:

@@ -5,8 +5,9 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from dde import ConversationTrace, SpeechSegment, build_trace
+from dde import ConversationTrace, EventCounts, SpeechSegment, build_trace
 
 
 def random_trace(
@@ -45,6 +46,39 @@ def random_trace(
 def random_unaligned_trace(rng: np.random.Generator, max_duration_ms: int = 30000):
     """Arbitrary-millisecond boundaries (valid, just not frame-aligned)."""
     return random_trace(rng, max_duration_ms=max_duration_ms, align_ms=1)
+
+
+@st.composite
+def annotated_channel(draw):
+    """Sorted segments, each on or off the 20ms grid; on-grid ones may carry
+    units, and any may carry word and event counts."""
+    segs = []
+    t = draw(st.integers(0, 400))
+    for _ in range(draw(st.integers(0, 6))):
+        units = None
+        if draw(st.booleans()):
+            t = -(-t // 20) * 20
+            length = 20 * draw(st.integers(1, 40))
+            if draw(st.booleans()):
+                units = draw(st.lists(st.integers(0, 600), min_size=length // 20,
+                                      max_size=length // 20))
+        else:
+            length = draw(st.integers(1, 800))
+        segs.append(SpeechSegment(
+            t, t + length, units=units,
+            words=draw(st.none() | st.integers(0, 30)),
+            events=draw(st.none() | st.builds(EventCounts, *[st.integers(0, 3)] * 4)),
+        ))
+        t += length + draw(st.integers(1, 600))
+    return segs
+
+
+@st.composite
+def annotated_traces(draw):
+    channels = (draw(annotated_channel()), draw(annotated_channel()))
+    end = max([ch[-1].end_ms for ch in channels if ch], default=0)
+    duration = max(160, end + draw(st.integers(0, 500)))
+    return ConversationTrace(channels=channels, duration_ms=duration)
 
 
 def wav_bytes(n_channels=2, n_samples=3200, rate=16000, sample_width=2) -> bytes:

@@ -503,6 +503,17 @@ def window_per_tick_write_samples_jsonl(samples, path, context_mode="ref", trace
             fp.write("\n")
 
 
+# ------------------------------------------------ trace files, as they were
+# written before per-segment parts: the record encoded by json.dumps with
+# indent=2, which runs json's pure-Python encoder, kept verbatim (renamed):
+# write_trace must write the same bytes.
+
+def indent_encoder_write_trace(trace: ConversationTrace, path) -> None:
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write(trace.to_json(indent=2))
+        fp.write("\n")
+
+
 # ------------------------------------------------- per-class scores, as they
 # were before one table of (gold, predicted) counts, kept verbatim (renamed):
 # the package's report must give the same support, precision, recall, F1 and

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from dde import (
     Action,
-    ConversationTrace,
-    EventCounts,
     SpeechSegment,
     ValidationError,
     bpe_train,
@@ -19,7 +17,7 @@ from dde import (
     label_tick,
 )
 from dde.labeler import EOS_ID, PAD_ID, BOS_ID, UNIT_ID_OFFSET, write_samples_jsonl
-from conftest import random_trace
+from conftest import annotated_traces, random_trace
 from oracles import frame_label_sequence, window_per_tick_write_samples_jsonl
 
 
@@ -215,39 +213,6 @@ class TestBuildSamples:
         for s in build_samples(t, "A"):
             if s.action is not Action.SPK:
                 assert s.target_tokens == (int(s.action),)
-
-
-@st.composite
-def annotated_channel(draw):
-    """Sorted segments, each on or off the 20ms grid; on-grid ones may carry
-    units, and any may carry word and event counts."""
-    segs = []
-    t = draw(st.integers(0, 400))
-    for _ in range(draw(st.integers(0, 6))):
-        units = None
-        if draw(st.booleans()):
-            t = -(-t // 20) * 20
-            length = 20 * draw(st.integers(1, 40))
-            if draw(st.booleans()):
-                units = draw(st.lists(st.integers(0, 600), min_size=length // 20,
-                                      max_size=length // 20))
-        else:
-            length = draw(st.integers(1, 800))
-        segs.append(SpeechSegment(
-            t, t + length, units=units,
-            words=draw(st.none() | st.integers(0, 30)),
-            events=draw(st.none() | st.builds(EventCounts, *[st.integers(0, 3)] * 4)),
-        ))
-        t += length + draw(st.integers(1, 600))
-    return segs
-
-
-@st.composite
-def annotated_traces(draw):
-    channels = (draw(annotated_channel()), draw(annotated_channel()))
-    end = max([ch[-1].end_ms for ch in channels if ch], default=0)
-    duration = max(160, end + draw(st.integers(0, 500)))
-    return ConversationTrace(channels=channels, duration_ms=duration)
 
 
 class TestInlineWriterOracle:

@@ -1,7 +1,9 @@
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from dde import (
     ConversationTrace,
@@ -13,9 +15,9 @@ from dde import (
     speaker_index,
     window,
 )
-from dde.segments import FRAME_MS
-from conftest import random_trace, random_unaligned_trace
-from oracles import clip_by_frames, frame_activity, ms_activity, scan_window
+from dde.segments import FRAME_MS, window_json, write_trace
+from conftest import annotated_traces, random_trace, random_unaligned_trace
+from oracles import clip_by_frames, frame_activity, indent_encoder_write_trace, ms_activity, scan_window
 
 
 def seg(a, b, **kw):
@@ -270,6 +272,38 @@ class TestWindow:
             expected = ConversationTrace((() if kept is None else (kept,), ()), hi - lo)
             assert window(t, hi, hi - lo) == expected
 
+    # a whole unit-annotated segment [2000, 3000) inside [left, 4000): its
+    # re-based start is on the 20ms grid iff left is, and only then does it
+    # keep its units; its words and events stay either way
+    @pytest.mark.parametrize("left, keeps_units", [(1000, True), (1010, False)], ids=["on_grid", "off_grid"])
+    def test_whole_unit_segment_keeps_units_iff_left_edge_on_grid(self, left, keeps_units):
+        units = tuple(range(100, 150))
+        t = build_trace([("A", seg(2000, 3000, units=units, words=7, events=EventCounts(fillers=1))),
+                         ("B", seg(3500, 3600))], 5000)
+        expected = scan_window(t, 4000, 4000 - left)
+        assert expected.channels[0] == (
+            seg(2000 - left, 3000 - left, units=units if keeps_units else None,
+                words=7, events=EventCounts(fillers=1)),
+        )
+        assert window(t, 4000, 4000 - left) == expected
+        assert window_json(t, 4000, 4000 - left) == json.dumps(expected.to_dict(), sort_keys=True)
+
+    # the window's one kept segment is cut at both ends: it loses its words
+    # and events, and keeps the units of the frames it covers whole when
+    # both cuts lie on the grid
+    @pytest.mark.parametrize("left, end, kept_units", [
+        (1500, 2500, tuple(range(125, 175))),
+        (1510, 2510, None),
+        (1500, 2510, None),
+    ], ids=["on_grid", "off_grid", "end_off_grid"])
+    def test_single_segment_cut_at_both_ends(self, left, end, kept_units):
+        t = build_trace([("A", seg(1000, 3000, units=tuple(range(100, 200)), words=9,
+                                   events=EventCounts(laughs=2)))], 4000)
+        expected = scan_window(t, end, end - left)
+        assert expected.channels == ((seg(0, end - left, units=kept_units),), ())
+        assert window(t, end, end - left) == expected
+        assert window_json(t, end, end - left) == json.dumps(expected.to_dict(), sort_keys=True)
+
     def test_end_out_of_range_rejected(self):
         t = build_trace([], 1000)
         with pytest.raises(ValidationError):
@@ -378,6 +412,24 @@ class TestSerialization:
                 [{"start_ms": value, "end_ms": 40, "units": [value], "words": value}], []]}
             s = ConversationTrace.from_dict(data).channels[0][0]
             assert (s.start_ms, s.units, s.words) == (20, (20,), 20)
+
+
+class TestWriteTraceOracle:
+    """write_trace against the writer it replaced, trace.to_json(indent=2)
+    through json's pure-Python indent encoder: the same file bytes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(annotated_traces())
+    @example(ConversationTrace(((), ()), 0))
+    @example(ConversationTrace(((), (seg(0, 20),)), 20))
+    @example(ConversationTrace(
+        ((seg(40, 100, units=(123, 4567, 89000), words=12, events=EventCounts(10, 0, 2, 31)),
+          seg(101, 350, words=0)), ()), 400))
+    def test_same_bytes_as_indent_encoder_writer(self, tmp_path_factory, trace):
+        out = tmp_path_factory.mktemp("traces")
+        write_trace(trace, out / "new.json")
+        indent_encoder_write_trace(trace, out / "old.json")
+        assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()
 
 
 class TestActiveAt:
