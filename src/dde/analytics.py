@@ -211,23 +211,19 @@ def _audio_stats(trace: ConversationTrace, audio):
     rms_all = []
     f0_all = []
     for ch, samples in enumerate(audio):
-        samples = np.asarray(samples, dtype=np.float64) / _PCM_SCALE
-        n_frames = min(samples.size // FRAME_SAMPLES, grid.n_frames)
-        active = grid.frames[ch, :n_frames]
-        if not active.any():
-            continue
-        rms = _kernels.frame_rms(samples[: n_frames * FRAME_SAMPLES], FRAME_SAMPLES)
-        rms_all.append(rms[active])
-        # pitch only on speech: a run's slice yields exactly its frames, each
-        # with the window (clipped at the signal end) the whole channel gives it
-        for start, end in active_runs(active):
+        n_frames = min(len(samples) // FRAME_SAMPLES, grid.n_frames)
+        # energy and pitch on speech only: a run's slice yields exactly its frames,
+        # each with the window (clipped at the signal end) the whole channel gives it
+        for start, end in active_runs(grid.frames[ch, :n_frames]):
+            x = samples[start * per_ms : end * per_ms + window_len - FRAME_SAMPLES]
+            x = np.asarray(x, dtype=np.float64) / _PCM_SCALE
+            rms_all.append(_kernels.frame_rms(x[: (end - start) * per_ms], FRAME_SAMPLES))
             f0, strength = _kernels.f0_frames(
-                samples[start * per_ms : end * per_ms + window_len - FRAME_SAMPLES],
-                SAMPLE_RATE, FRAME_SAMPLES, window_len, lag_min, lag_max,
+                x, SAMPLE_RATE, FRAME_SAMPLES, window_len, lag_min, lag_max
             )
             f0_all.append(f0[(strength >= VOICING_THRESHOLD) & (f0 > 0)])
     estd = pstd = mean_f0 = None
-    if rms_all:  # f0_all too: each channel with speech frames has a run of them
+    if rms_all:  # f0_all too: each run appends to both
         estd = float(np.std(np.concatenate(rms_all)))
         pooled = np.concatenate(f0_all)
         if pooled.size:

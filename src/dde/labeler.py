@@ -135,10 +135,9 @@ def build_samples(
     if window_ms <= 0:
         raise ValidationError("window width must be positive")
     ai = speaker_index(agent)
-    own, other = trace.bounds(ai), trace.bounds(1 - ai)
+    own = trace.bounds(ai)
     samples = []
-    for i in range(trace.duration_ms // TICK_MS):
-        action = _label(own, other, i)
+    for i, action in enumerate(label_sequence(trace, ai)):
         target = None
         if action is Action.SPK:
             seg = trace.channels[ai][own.onset_index_in(i * TICK_MS, (i + 1) * TICK_MS)]

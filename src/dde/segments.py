@@ -26,6 +26,12 @@ MAX_DURATION_MS = 24 * 3600 * 1000  # longest trace or run: one day
 SPEAKER_NAMES = ("A", "B")
 
 
+def check_duration(duration_ms) -> None:
+    """Reject a trace or run longer than MAX_DURATION_MS."""
+    if duration_ms > MAX_DURATION_MS:
+        raise ValidationError(f"duration_ms: at most {MAX_DURATION_MS}, got {shown(duration_ms, str)}")
+
+
 def speaker_index(speaker) -> int:
     """Map 'A'/'B' or 0/1 to a channel index. Numbers read as integers do:
     1.0 is 1, and true or 0.5 is no speaker."""
@@ -121,8 +127,7 @@ class ConversationTrace(Record):
         )
         if self.duration_ms < 0:
             raise ValidationError("duration must be non-negative")
-        if self.duration_ms > MAX_DURATION_MS:
-            raise ValidationError(f"duration_ms: at most {MAX_DURATION_MS}, got {self.duration_ms}")
+        check_duration(self.duration_ms)
         for ci, ch in enumerate(self.channels):
             prev_end = None
             for seg in ch:

@@ -28,13 +28,13 @@ from .errors import PolicyContractViolation, ValidationError
 from .labeler import Action
 from .segments import (
     FRAME_MS,
-    MAX_DURATION_MS,
     SPEAKER_NAMES,
     TICK_MS,
     WINDOW_MS,
     ConversationTrace,
     SpeechSegment,
     build_trace,
+    check_duration,
     push_segment,
     speaker_index,
     window,
@@ -401,8 +401,7 @@ class SimRun:
             raise ValidationError(
                 f"duration must cover at least one {TICK_MS}ms tick"
             )
-        if self.duration_ms > MAX_DURATION_MS:
-            raise ValidationError(f"duration_ms: at most {MAX_DURATION_MS}, got {self.duration_ms}")
+        check_duration(self.duration_ms)
         if len(self.agents) != 2 or len(self.responses) != 2:
             raise ValidationError("a run needs exactly two agents")
         if self.seed < 0:

@@ -42,7 +42,7 @@ class VadConfig(Record):
 
 
 def _frame_energies_db(samples: np.ndarray) -> np.ndarray:
-    rms = _kernels.frame_rms(samples.astype(np.float64), FRAME_SAMPLES)
+    rms = _kernels.frame_rms(samples, FRAME_SAMPLES)
     return 10.0 * np.log10(rms * rms + _EPS)
 
 

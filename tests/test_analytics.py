@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,53 @@ class TestAudioStatsRunSliced:
     def test_speech_over_silent_audio(self):
         masks = [np.ones(40, bool), np.arange(40) % 2 == 0]
         assert self._stats(masks, 40 * 320, 10, silent_audio=True) == (0.0, None, None)
+
+    @pytest.mark.parametrize("convert", [
+        lambda x: x.astype(np.float32),
+        # float32 audio below 2**-111, which scaled to PCM's unit in float32
+        # would round to subnormals: the scaling must happen in float64
+        lambda x: (x / 3 * 2.0**-125).astype(np.float32),
+        lambda x: x.tolist(),
+        lambda x: x.astype(int).tolist(),
+    ], ids=["float32", "quiet_float32", "list_of_floats", "list_of_ints"])
+    def test_samples_of_any_type(self, convert):
+        rng = np.random.default_rng(12)
+        masks = [np.arange(70) % 5 < 3, np.arange(70) % 9 < 7]
+        events = [(sp, seg(20 * s, 20 * e)) for sp, mask in enumerate(masks) for s, e in _runs(mask)]
+        trace = build_trace(events, 20 * 70)
+        audio = [convert(_voice(rng, 70 * 320 + 100)) for _ in masks]
+        got = analytics._audio_stats(trace, audio)
+        assert got == all_frames_audio_stats(trace, audio)
+        assert None not in got
+
+
+def _tone_bursts(seconds):
+    """(trace, audio) of PCM16 tone bursts, 3 s on and 1 s off on each channel,
+    2 s apart between channels, with the bursts as the trace's speech."""
+    rng = np.random.default_rng(0)
+    t = np.arange(seconds * 16000) / 16000
+    events, audio = [], []
+    for sp in (0, 1):
+        on = (t * 1000 + sp * 2000) % 4000 < 3000
+        tone = np.where(on, 8000 * np.sin(2 * np.pi * (150 + 50 * sp) * t), 0.0)
+        audio.append(np.round(tone + 100 * rng.normal(size=t.size)).astype(np.int16))
+        events += [(sp, seg(20 * s, 20 * e)) for s, e in _runs(on[::320])]
+    return build_trace(events, seconds * 1000), audio
+
+
+def test_audio_report_memory_follows_the_longest_speech_run():
+    # energy and pitch are measured per speech run, never on a whole-channel
+    # float copy, so 4x the audio at the same run lengths needs no more memory
+    peaks = []
+    for seconds in (15, 60):
+        trace, audio = _tone_bursts(seconds)
+        tracemalloc.start()
+        try:
+            conversation_report(trace, audio)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestBackchannelCoverage:

@@ -635,6 +635,11 @@ INPUT_ERRORS = {
         {}, [*SIMULATE, "--policy", "cascaded", "--duration-s", "1e9"],
         "duration_ms: at most 86400000, got 1000000000000",
     ),
+    # and echoed such a duration in full: all 304 digits of 1e303
+    "simulate_1e300_s": (
+        {}, [*SIMULATE, "--policy", "cascaded", "--duration-s", "1e300"],
+        "duration_ms: at most 86400000, got 1000000000000000000161765076786456438212…(304 characters)",
+    ),
     # a samples file written twice used to be scored as if written once
     "eval_gold_written_twice": (
         {"gold.jsonl": b"".join(

@@ -30,6 +30,12 @@ class TestBuildTrace:
             ConversationTrace(channels=((),), duration_ms=0)
         assert str(exc.value) == "expected 2 channels, got 1"
 
+    def test_duration_past_a_day_repeats_at_most_40_characters(self):
+        assert ConversationTrace(((), ()), 24 * 3600 * 1000).duration_ms == 86400000
+        with pytest.raises(ValidationError) as exc:
+            ConversationTrace(((), ()), 10**400)
+        assert str(exc.value) == "duration_ms: at most 86400000, got 1" + "0" * 39 + "…(401 characters)"
+
     def test_empty(self):
         t = build_trace([], 5000)
         assert t.channels == ((), ())

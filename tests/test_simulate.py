@@ -152,6 +152,11 @@ class TestEngineBasics:
         assert trace.duration_ms == 1000
         assert [(s.start_ms, s.end_ms) for s in trace.channels[0]] == [(0, 480)]
 
+    def test_duration_past_a_day_repeats_at_most_40_characters(self):
+        with pytest.raises(ValidationError) as exc:
+            SimRun(seed=0, duration_ms=10**400)
+        assert str(exc.value) == "duration_ms: at most 86400000, got 1" + "0" * 39 + "…(401 characters)"
+
     def test_response_clipped_at_run_end(self):
         trace = run_selfchat(scripted_run([(0, "SPK", 99999)], duration_ms=1600))
         assert [(s.start_ms, s.end_ms) for s in trace.channels[0]] == [(0, 1600)]
