@@ -69,7 +69,11 @@ SHOWN = 40
 def shown(value, render=json.dumps) -> str:
     """render(value) as an error repeats it: a rendering longer than SHOWN
     characters becomes its first SHOWN, then `…(N characters)`."""
-    text = render(value)
+    try:
+        text = render(value)
+    except ValueError:  # an int past str()'s digit limit (sys.get_int_max_str_digits); decimal has none
+        from decimal import Decimal
+        text = str(Decimal(value))
     return text if len(text) <= SHOWN else f"{text[:SHOWN]}…({len(text)} characters)"
 
 

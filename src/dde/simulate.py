@@ -444,7 +444,9 @@ class SimRun:
 
 
 class SelfChat:
-    """Lock-step tick loop over two agents; deterministic for a given run."""
+    """Lock-step tick loop over two agents; deterministic for a given run.
+    The ticks run in one generator, made with the engine: step() takes one
+    tick of it, and run_selfchat drains it."""
 
     def __init__(self, run: SimRun):
         self.run = run
@@ -461,6 +463,7 @@ class SelfChat:
         self.actions: tuple[list, list] = ([], [])
         self.tick = 0
         self._last_context = 0, ConversationTrace(((), ()), 0)  # (tick start, its context)
+        self._ticks = self._tick_loop()
 
     @property
     def n_ticks(self) -> int:
@@ -492,57 +495,72 @@ class SelfChat:
             st.planned_end_ms = None
             st.utterance_units = None
 
+    def _tick_loop(self):
+        """The run's ticks, one per next(), both agents deciding on the tick's
+        start state; yields (action A, action B). Its locals hold what is fixed
+        for the run. An exception in a tick ends it, and with it the run."""
+        run, states, actions = self.run, self.states, self.actions
+        state_a, state_b = states
+        history_a, history_b = self.history
+        log_a, log_b = actions
+        agents = tuple(zip((0, 1), run.agents, states, actions))
+        duration_ms, commit = run.duration_ms, self._commit_if_done
+        SPK, STP = Action.SPK, Action.STP
+        for tick in range(duration_ms // TICK_MS):
+            now = tick * TICK_MS
+            tick_end = now + TICK_MS
+            commit(0, now)
+            commit(1, now)
+            # Both agents' views at the start of this tick, after _commit_if_done:
+            # every live utterance then began at an earlier tick and ends after now.
+            live_a = state_a.utterance_start_ms is not None
+            live_b = state_b.utterance_start_ms is not None
+            end_a = history_a[-1].end_ms if history_a else None
+            end_b = history_b[-1].end_ms if history_b else None
+            if live_a or live_b:
+                mutual_silence = 0
+            else:  # a segment ends after 0ms, so a last end of 0 means nothing yet
+                last = max(end_a or 0, end_b or 0)
+                mutual_silence = now - last if last else None
+            observations = (
+                Observation(now, live_b, end_b is not None, end_b, end_a, mutual_silence, self),
+                Observation(now, live_a, end_a is not None, end_a, end_b, mutual_silence, self),
+            )
+            changes = []
+            try:
+                for (agent, policy, state, log), obs in zip(agents, observations):
+                    mode = state.mode(tick)
+                    action, payload = policy.decide(obs, state, mode)
+                    if type(action) is not Action:
+                        action = Action(action)
+                    if action not in _LEGAL[mode]:
+                        raise PolicyContractViolation(tick, SPEAKER_NAMES[agent], mode, action)
+                    if action is SPK or action is STP:
+                        changes.append((agent, action, payload))
+                    log.append(action)
+            finally:  # a logged action takes effect even when the other agent's decision raises
+                for agent, action, payload in changes:
+                    state = states[agent]
+                    if action is SPK:
+                        commit(agent, tick_end)  # flush any finishing tail
+                        dur_ms, units = payload
+                        state.utterance_start_ms = now
+                        state.planned_end_ms = min(now + dur_ms, duration_ms)
+                        state.utterance_units = units
+                    else:  # STP
+                        state.planned_end_ms = tick_end
+            self.tick = tick + 1
+            yield log_a[-1], log_b[-1]
+
     def step(self):
-        """Advance one tick, both agents deciding on its start state; returns (action A, action B)."""
-        tick, run = self.tick, self.run
-        now = tick * TICK_MS
-        tick_end = now + TICK_MS
-        if tick_end > run.duration_ms:  # tick >= n_ticks
+        """Advance one tick; returns (action A, action B). A step that raised
+        aborted the run, and every later step raises ValidationError."""
+        if self.tick >= self.n_ticks:
             raise ValidationError("run already finished")
-        self._commit_if_done(0, now)
-        self._commit_if_done(1, now)
-        # Both agents' views at the start of this tick, after _commit_if_done:
-        # every live utterance then began at an earlier tick and ends after now.
-        live_a = self.states[0].utterance_start_ms is not None
-        live_b = self.states[1].utterance_start_ms is not None
-        a, b = self.history
-        end_a = a[-1].end_ms if a else None
-        end_b = b[-1].end_ms if b else None
-        if live_a or live_b:
-            mutual_silence = 0
-        else:  # a segment ends after 0ms, so a last end of 0 means nothing yet
-            last = max(end_a or 0, end_b or 0)
-            mutual_silence = now - last if last else None
-        observations = (
-            Observation(now, live_b, end_b is not None, end_b, end_a, mutual_silence, self),
-            Observation(now, live_a, end_a is not None, end_a, end_b, mutual_silence, self),
-        )
-        changes = []
-        try:
-            for agent, policy in enumerate(run.agents):
-                state = self.states[agent]
-                mode = state.mode(tick)
-                action, payload = policy.decide(observations[agent], state, mode)
-                if type(action) is not Action:
-                    action = Action(action)
-                if action not in _LEGAL[mode]:
-                    raise PolicyContractViolation(tick, SPEAKER_NAMES[agent], mode, action)
-                if action is Action.SPK or action is Action.STP:
-                    changes.append((agent, action, payload))
-                self.actions[agent].append(action)
-        finally:  # a logged action takes effect even when the other agent's decision raises
-            for agent, action, payload in changes:
-                state = self.states[agent]
-                if action is Action.SPK:
-                    self._commit_if_done(agent, tick_end)  # flush any finishing tail
-                    dur_ms, units = payload
-                    state.utterance_start_ms = now
-                    state.planned_end_ms = min(now + dur_ms, run.duration_ms)
-                    state.utterance_units = units
-                else:  # STP
-                    state.planned_end_ms = tick_end
-        self.tick = tick + 1
-        return self.actions[0][-1], self.actions[1][-1]
+        decided = next(self._ticks, None)
+        if decided is None:
+            raise ValidationError(f"run aborted at tick {self.tick}")
+        return decided
 
     def finish(self) -> ConversationTrace:
         for agent in (0, 1):
@@ -553,8 +571,8 @@ class SelfChat:
 def run_selfchat(run: SimRun) -> ConversationTrace:
     """Run the whole tick loop and return the realized conversation."""
     chat = SelfChat(run)
-    for _ in range(chat.n_ticks):
-        chat.step()
+    for _ in chat._ticks:
+        pass
     return chat.finish()
 
 

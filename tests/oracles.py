@@ -9,9 +9,10 @@ from functools import lru_cache
 import numpy as np
 
 from dde import _kernels, analytics
-from dde.errors import ValidationError
+from dde.errors import PolicyContractViolation, ValidationError
 from dde.labeler import Action
-from dde.segments import ConversationTrace, SpeechSegment, frame_grid
+from dde.segments import SPEAKER_NAMES, ConversationTrace, SpeechSegment, frame_grid
+from dde.simulate import _LEGAL, Observation, SelfChat
 from dde.units import BpeVocab, _check_raw
 from dde.vad import FRAME_SAMPLES, SAMPLE_RATE
 
@@ -537,3 +538,62 @@ def per_class_scan_report(gold, predicted) -> analytics.ClassReport:
             f1=analytics.f1_score(precision, recall),
         )
     return analytics.ClassReport(per_class=per_class, accuracy=correct / len(gold))
+
+
+# ---------------------------------------------- the self-chat tick, as it ran
+# before the generator: each step() a method call that reads the run's state
+# from self, kept verbatim (renamed): SelfChat must log the same actions,
+# finish with the same trace and raise the same violation at the same tick.
+
+class MethodStepSelfChat(SelfChat):
+    def step(self):
+        """Advance one tick, both agents deciding on its start state; returns (action A, action B)."""
+        tick, run = self.tick, self.run
+        now = tick * TICK_MS
+        tick_end = now + TICK_MS
+        if tick_end > run.duration_ms:  # tick >= n_ticks
+            raise ValidationError("run already finished")
+        self._commit_if_done(0, now)
+        self._commit_if_done(1, now)
+        # Both agents' views at the start of this tick, after _commit_if_done:
+        # every live utterance then began at an earlier tick and ends after now.
+        live_a = self.states[0].utterance_start_ms is not None
+        live_b = self.states[1].utterance_start_ms is not None
+        a, b = self.history
+        end_a = a[-1].end_ms if a else None
+        end_b = b[-1].end_ms if b else None
+        if live_a or live_b:
+            mutual_silence = 0
+        else:  # a segment ends after 0ms, so a last end of 0 means nothing yet
+            last = max(end_a or 0, end_b or 0)
+            mutual_silence = now - last if last else None
+        observations = (
+            Observation(now, live_b, end_b is not None, end_b, end_a, mutual_silence, self),
+            Observation(now, live_a, end_a is not None, end_a, end_b, mutual_silence, self),
+        )
+        changes = []
+        try:
+            for agent, policy in enumerate(run.agents):
+                state = self.states[agent]
+                mode = state.mode(tick)
+                action, payload = policy.decide(observations[agent], state, mode)
+                if type(action) is not Action:
+                    action = Action(action)
+                if action not in _LEGAL[mode]:
+                    raise PolicyContractViolation(tick, SPEAKER_NAMES[agent], mode, action)
+                if action is Action.SPK or action is Action.STP:
+                    changes.append((agent, action, payload))
+                self.actions[agent].append(action)
+        finally:  # a logged action takes effect even when the other agent's decision raises
+            for agent, action, payload in changes:
+                state = self.states[agent]
+                if action is Action.SPK:
+                    self._commit_if_done(agent, tick_end)  # flush any finishing tail
+                    dur_ms, units = payload
+                    state.utterance_start_ms = now
+                    state.planned_end_ms = min(now + dur_ms, run.duration_ms)
+                    state.utterance_units = units
+                else:  # STP
+                    state.planned_end_ms = tick_end
+        self.tick = tick + 1
+        return self.actions[0][-1], self.actions[1][-1]

@@ -276,6 +276,11 @@ def test_shown_repeats_at_most_40_characters_of_a_value():
     assert shown("k" * 41, str) == "k" * 40 + "…(41 characters)"
 
 
+@pytest.mark.parametrize("render", [json.dumps, str, repr])
+def test_shown_renders_an_int_past_the_int_to_str_digit_limit(render):
+    assert shown(-(10**5000), render) == "-1" + "0" * 38 + "…(5002 characters)"
+
+
 @pytest.mark.parametrize("value", [2**53 - 1, -(2**53 - 1), float(2**53 - 1), str(2**53 - 1)])
 def test_integer_reads_up_to_2_53_minus_1(value):
     assert integer(value) == int(value)

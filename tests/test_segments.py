@@ -36,6 +36,12 @@ class TestBuildTrace:
             ConversationTrace(((), ()), 10**400)
         assert str(exc.value) == "duration_ms: at most 86400000, got 1" + "0" * 39 + "…(401 characters)"
 
+    def test_duration_past_the_int_to_str_digit_limit(self):
+        """str() refuses an int of more than 4300 digits; the error still names it."""
+        with pytest.raises(ValidationError) as exc:
+            ConversationTrace(((), ()), 10**5000)
+        assert str(exc.value) == "duration_ms: at most 86400000, got 1" + "0" * 39 + "…(5001 characters)"
+
     def test_empty(self):
         t = build_trace([], 5000)
         assert t.channels == ((), ())

@@ -32,6 +32,7 @@ from dde.analytics import BACKCHANNEL_MAX_MS, PAUSE_MIN_MS, TURN_JOIN_MS
 from dde.simulate import (
     MIN_BURST_TICKS, PAUSE_TICKS, SELF_RESUME_MS, CorpusResponse, LogNormalResponse, UniformResponse,
 )
+from oracles import MethodStepSelfChat
 
 
 def scripted_run(steps_a, steps_b=(), duration_ms=30000, seed=0):
@@ -90,6 +91,21 @@ class TestEngineBasics:
         with pytest.raises(ValidationError) as exc:
             chat.step()
         assert str(exc.value) == "run already finished"
+
+    def test_step_after_an_aborted_step_raises(self):
+        """A's SPK is logged and takes effect, then B's CON while Listening
+        aborts tick 3; no later step decides that tick again."""
+        chat = SelfChat(scripted_run([(3, "SPK", 480)], [(3, "CON")], duration_ms=1600))
+        for _ in range(3):
+            chat.step()
+        with pytest.raises(PolicyContractViolation, match="^agent B emitted CON while Listening at tick 3$"):
+            chat.step()
+        for _ in range(2):
+            with pytest.raises(ValidationError) as exc:
+                chat.step()
+            assert str(exc.value) == "run aborted at tick 3"
+        assert chat.actions == ([Action.SIL] * 3 + [Action.SPK], [Action.SIL] * 3)
+        assert chat.finish().channels == ((SpeechSegment(480, 960),), ())
 
     def test_illegal_action_raises(self):
         chat = SelfChat(scripted_run([(0, "CON")], duration_ms=1600))
@@ -156,6 +172,12 @@ class TestEngineBasics:
         with pytest.raises(ValidationError) as exc:
             SimRun(seed=0, duration_ms=10**400)
         assert str(exc.value) == "duration_ms: at most 86400000, got 1" + "0" * 39 + "…(401 characters)"
+
+    def test_duration_past_the_int_to_str_digit_limit(self):
+        """str() refuses an int of more than 4300 digits; the error still names it."""
+        with pytest.raises(ValidationError) as exc:
+            SimRun(seed=0, duration_ms=10**5000)
+        assert str(exc.value) == "duration_ms: at most 86400000, got 1" + "0" * 39 + "…(5001 characters)"
 
     def test_response_clipped_at_run_end(self):
         trace = run_selfchat(scripted_run([(0, "SPK", 99999)], duration_ms=1600))
@@ -481,6 +503,68 @@ class TestContextParity:
         compared, exceptions = self._compare(runs, explain)
         assert counts["final_chunk"] > 0 and exceptions["spk_in_final_chunk"] > 0
         assert compared > 2000 and sum(exceptions.values()) < compared / 10
+
+
+class TestTickLoopOracle:
+    """SelfChat, whose ticks run in one generator, against
+    oracles.MethodStepSelfChat, whose step() read the run's state from self
+    on every call, over random runs of every policy kind, some returning int
+    actions, some reading their context: the same actions, contexts and
+    finished trace, from step() and from run_selfchat, and where a random
+    script breaks the contract, the same violation at the same tick after
+    the same actions."""
+
+    @staticmethod
+    def _stepped(chat):
+        """Steps chat to its end: what each step returned, and the violation
+        that stopped it as (text, tick), or None."""
+        returned = []
+        try:
+            for _ in range(chat.n_ticks):
+                returned.append(chat.step())
+        except PolicyContractViolation as err:
+            return returned, (str(err), err.tick_index)
+        return returned, None
+
+    def test_same_runs_as_the_method_step_engine(self):
+        rng = np.random.default_rng(30)
+        outcomes = Counter()
+        for _ in range(80):
+            duration_ms = int(rng.integers(160, 16000))
+            kinds = [POLICY_KINDS[int(k)] for k in rng.integers(3, size=2)]
+            pairs = [_random_agent(rng, kind, duration_ms // TICK_MS) for kind in kinds]
+            run = SimRun(
+                seed=int(rng.integers(1000)),
+                duration_ms=duration_ms,
+                agents=tuple(policy for policy, _ in pairs),
+                responses=tuple(response for _, response in pairs),
+                opening_speaker=[None, 0, 1][int(rng.integers(3))],
+                window_ms=int(rng.integers(1, 25000)),
+            )
+            int_actions, reads = rng.random() < 0.5, rng.random() < 0.5
+
+            def variant(seen):
+                plain = _int_run(run) if int_actions else run
+                return _reading_run(plain, seen) if reads else plain
+
+            outcome = {}
+            for engine in (MethodStepSelfChat, SelfChat):
+                seen = {}
+                chat = engine(variant(seen))
+                returned, stop = self._stepped(chat)
+                outcome[engine] = returned, chat.tick, chat.actions, stop, chat.finish(), seen
+            assert outcome[SelfChat] == outcome[MethodStepSelfChat]
+            *_, stop, trace, seen = outcome[MethodStepSelfChat]
+            drained = {}
+            if stop is None:
+                assert run_selfchat(variant(drained)) == trace
+            else:
+                with pytest.raises(PolicyContractViolation) as err:
+                    run_selfchat(variant(drained))
+                assert (str(err.value), err.value.tick_index) == stop
+            assert drained == seen
+            outcomes.update(violation=stop is not None, finished=stop is None, int_actions=int_actions, reads=reads)
+        assert min(outcomes.values()) >= 15, outcomes
 
 
 class _RecordsModes:
