@@ -163,10 +163,18 @@ def items(value, path=None, read=None) -> tuple:
     return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(value))
 
 
-def unit_ids(value) -> tuple[int, ...]:
-    """Unit ids from a JSON list; a string is an error, not a list of digits."""
+class UnitIds(tuple):
+    """Unit ids as unit_ids returns them: a record that holds them has them
+    read already, and reads them no further."""
+
+
+def unit_ids(value) -> UnitIds:
+    """Unit ids from a JSON list, each read as integer() reads it; a string is
+    an error, not a list of digits. A list of ints within ±INT_LIMIT, the
+    common case, is checked by its type set, min and max alone."""
     ids = items(value)
-    return ids if set(map(type, ids)) <= {int} else items(ids, read=integer)
+    checked = ids and set(map(type, ids)) == {int} and -INT_LIMIT <= min(ids) and max(ids) <= INT_LIMIT
+    return UnitIds(ids if checked else items(ids, read=integer))
 
 
 def _as_is(value):

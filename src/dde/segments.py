@@ -15,7 +15,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._schema import Record, expect_object, items, read_field, read_json, read_json_lines, read_value, shown, unit_ids
+from ._schema import (
+    Record, UnitIds, expect_object, items, read_field, read_json, read_json_lines, read_value, shown, unit_ids,
+)
 from .errors import ValidationError
 
 FRAME_MS = 20      # atomic activity/audio frame
@@ -80,7 +82,8 @@ class SpeechSegment(Record):
                 f"segment end {self.end_ms} must exceed start {self.start_ms}"
             )
         if self.units is not None:
-            object.__setattr__(self, "units", read_value(self.units, "units", unit_ids))
+            if type(self.units) is not UnitIds:  # made in code, not read from JSON
+                object.__setattr__(self, "units", read_value(self.units, "units", unit_ids))
             if self.start_ms % FRAME_MS or self.end_ms % FRAME_MS:
                 raise ValidationError(
                     "unit-annotated segments must be 20ms-aligned: "

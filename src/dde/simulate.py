@@ -554,12 +554,16 @@ class SelfChat:
 
     def step(self):
         """Advance one tick; returns (action A, action B). A step that raised
-        aborted the run, and every later step raises ValidationError."""
+        aborted the run, and every later step raises ValidationError. The
+        last tick closes the generator, whose frame refers back to the chat,
+        so a finished chat is freed without the cyclic collector."""
         if self.tick >= self.n_ticks:
             raise ValidationError("run already finished")
         decided = next(self._ticks, None)
         if decided is None:
             raise ValidationError(f"run aborted at tick {self.tick}")
+        if self.tick == self.n_ticks:
+            self._ticks.close()
         return decided
 
     def finish(self) -> ConversationTrace:

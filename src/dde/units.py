@@ -6,10 +6,10 @@ deduplicated (runs of identical adjacent ids collapse to one).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import groupby
 
 from . import _kernels
@@ -100,20 +100,21 @@ def _check_raw(seq, base_alphabet_size: int) -> None:
         prev = u
 
 
-def _rewrite(seq: list[int], left: int, right: int, new: int):
+def _rewrite(seq: list[int], left: int, right: int, new: int) -> list:
     """Replace each (left, right) of seq by new, in place and from left to
-    right, and yield each site's neighbours (prev, next) as they stand when
-    it is replaced, None past either end."""
+    right, and return each site's neighbours (prev, next) as they stood when
+    it was replaced, None past either end."""
+    sites = []
     j = 0
     try:
         while True:
             j = seq.index(left, j)
             if j + 1 < len(seq) and seq[j + 1] == right:
-                yield (seq[j - 1] if j else None), (seq[j + 2] if j + 2 < len(seq) else None)
+                sites.append(((seq[j - 1] if j else None), (seq[j + 2] if j + 2 < len(seq) else None)))
                 seq[j : j + 2] = (new,)
             j += 1
     except ValueError:  # no left at or after j
-        return
+        return sites
 
 
 def bpe_train(corpus, num_merges: int, base_alphabet_size: int) -> BpeVocab:
@@ -123,54 +124,75 @@ def bpe_train(corpus, num_merges: int, base_alphabet_size: int) -> BpeVocab:
     the lexicographically smallest pair) and assigns the next free id.
     Training stops early once no pair occurs twice.
 
-    Pairs are counted once. Each merge then rewrites its sites in place, in
-    the sequences that may hold its left id, and at each site takes out the
-    pairs (prev, left), (left, right) and (right, next) and adds (prev, new)
-    and (new, next), so the counts stay exact. The best pair comes off a heap
-    of (-count, pair), whose order is the tie rule: an entry whose count is
-    no longer the pair's is stale and dropped, and each merge pushes one
-    entry for every pair whose count it changed.
+    Pairs are counted once, each under the integer key left * size + right:
+    every id is below size, so keys sort as their pairs do. Each merge then
+    rewrites its sites in place, in the sequences that may hold its left id,
+    and at each site takes out the pairs (prev, left) and (right, next) and
+    adds the pairs it creates, (prev, new) and (new, next); the merged pair
+    loses one count per site. So the counts stay exact.
+
+    The best pair comes off a heap of (-count, key), whose order is the tie
+    rule. An entry may overstate its pair's count, never understate it: a
+    pair gains count only in the merge that creates it, which pushes it once
+    it occurs twice, and every other change lowers a count. An entry found
+    stale on top is re-keyed to the pair's count while the pair occurs
+    twice, and popped otherwise. The merged pair's entry stays on top with
+    its count now 0, so the next round pops it.
     """
     if num_merges < 0:
         raise ValidationError("num_merges must be >= 0")
+    size = base_alphabet_size + num_merges
     seqs = []
     holders = defaultdict(list)  # id -> the indices of the sequences that may hold it
+    counts = {}  # left * size + right -> occurrences of the pair (left, right)
     for i, seq in enumerate(corpus):
         seq = list(seq)
         _check_raw(seq, base_alphabet_size)
         seqs.append(seq)
         for u in set(seq):
             holders[u].append(i)
-    counts = Counter(pair for seq in seqs for pair in zip(seq, seq[1:]))
-    heap = [(-n, pair) for pair, n in counts.items() if n >= 2]
+        for left, right in zip(seq, seq[1:]):
+            key = left * size + right
+            counts[key] = counts.get(key, 0) + 1
+    heap = [(-n, key) for key, n in counts.items() if n >= 2]
     heapify(heap)
     merges = []
-    for new in range(base_alphabet_size, base_alphabet_size + num_merges):
-        while heap and -heap[0][0] != counts[heap[0][1]]:
-            heappop(heap)
+    for new in range(base_alphabet_size, size):
+        while heap:
+            top, best = heap[0]
+            n = counts[best]
+            if n == -top:
+                break
+            if n >= 2:
+                heapreplace(heap, (-n, best))
+            else:
+                heappop(heap)
         if not heap:
             break
-        best = left, right = heappop(heap)[1]
+        left, right = divmod(best, size)
         merges.append((left, right, new))
-        changed = {best}
+        created = set()
+        born = holders[new]
         for i in holders[left]:
-            seq = seqs[i]
-            length = len(seq)
-            for prev, nxt in _rewrite(seq, left, right, new):
-                counts[best] -= 1
+            sites = _rewrite(seqs[i], left, right, new)
+            if not sites:
+                continue
+            counts[best] -= len(sites)
+            born.append(i)
+            for prev, nxt in sites:
                 if prev is not None:
-                    counts[prev, left] -= 1
-                    counts[prev, new] += 1
-                    changed.update(((prev, left), (prev, new)))
+                    counts[prev * size + left] -= 1
+                    key = prev * size + new
+                    counts[key] = counts.get(key, 0) + 1
+                    created.add(key)
                 if nxt is not None:
-                    counts[right, nxt] -= 1
-                    counts[new, nxt] += 1
-                    changed.update(((right, nxt), (new, nxt)))
-            if len(seq) < length:
-                holders[new].append(i)
-        for pair in changed:
-            if counts[pair] >= 2:
-                heappush(heap, (-counts[pair], pair))
+                    counts[right * size + nxt] -= 1
+                    key = new * size + nxt
+                    counts[key] = counts.get(key, 0) + 1
+                    created.add(key)
+        for key in created:
+            if counts[key] >= 2:
+                heappush(heap, (-counts[key], key))
     return BpeVocab(base_alphabet_size=base_alphabet_size, merges=tuple(merges))
 
 

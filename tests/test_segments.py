@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from dde import (
     ValidationError,
     build_trace,
     frame_grid,
+    read_trace,
     speaker_index,
     window,
 )
+from dde._schema import unit_ids
 from dde.segments import FRAME_MS, window_json, write_trace
 from conftest import annotated_traces, random_trace, random_unaligned_trace
 from oracles import clip_by_frames, frame_activity, indent_encoder_write_trace, ms_activity, scan_window
@@ -424,6 +427,26 @@ class TestSerialization:
                 [{"start_ms": value, "end_ms": 40, "units": [value], "words": value}], []]}
             s = ConversationTrace.from_dict(data).channels[0][0]
             assert (s.start_ms, s.units, s.words) == (20, (20,), 20)
+
+    def test_a_trace_read_from_json_reads_each_segments_units_once(self, rng, tmp_path):
+        # from_dict read them, and then SpeechSegment read them again
+        trace = random_trace(rng, with_units=True, max_duration_ms=20000)
+        path = tmp_path / "trace.json"
+        write_trace(trace, path)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is unit_ids.__code__
+
+        before = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            read = read_trace(path)
+        finally:
+            sys.setprofile(before)
+        assert read == trace
+        assert calls == sum(s.units is not None for ch in trace.channels for s in ch) > 0
 
 
 class TestWriteTraceOracle:

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -91,6 +93,24 @@ class TestEngineBasics:
         with pytest.raises(ValidationError) as exc:
             chat.step()
         assert str(exc.value) == "run already finished"
+
+    @pytest.mark.parametrize("make_run", [
+        lambda: stochastic_run(3, duration_ms=4800),
+        lambda: cascaded_run(3, duration_ms=4800),
+    ], ids=["stochastic", "cascaded"])
+    def test_a_chat_stepped_to_its_end_needs_no_cyclic_collector(self, make_run):
+        # the suspended tick generator referred back to the chat
+        gc.disable()
+        try:
+            chat = SelfChat(make_run())
+            for _ in range(chat.n_ticks):
+                chat.step()
+            chat.finish()
+            freed = weakref.ref(chat)
+            del chat
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_step_after_an_aborted_step_raises(self):
         """A's SPK is logged and takes effect, then B's CON while Listening

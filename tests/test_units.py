@@ -252,6 +252,14 @@ class TestBpeOracleEquivalence:
         # (0, 3) -> 4 takes (3, 1) from 3 to 2, a tie with the smaller (1, 2):
         # the stale entry for (3, 1) at 3 sits on top of the count heap
         ([[0, 3, 1], [0, 3, 2], [0, 3], [0, 3], [3, 1], [3, 1], [1, 2], [1, 2]], 5),
+        # (0, 1) -> 4 takes (1, 2) from 3 to 2: its entry on top at 3 is
+        # re-keyed to 2 and merged, not dropped
+        ([[0, 1], [0, 1], [0, 1], [0, 1, 2], [1, 2], [1, 2]], 3),
+        # (0, 1) -> 4 creates (4, 4) and (4, 2) once each: neither is merged
+        ([[0, 1, 0, 1, 2]], 3),
+        # (1, 2) and (2, 0) tie at 2: the smaller pair by its left id goes
+        # first, though its right id is the larger
+        ([[1, 2], [1, 2], [2, 0], [2, 0]], 3),
     ])
     def test_edge_corpora(self, corpus, num_merges):
         vocab = bpe_train(corpus, num_merges, 4)
