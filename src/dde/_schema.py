@@ -167,6 +167,8 @@ class UnitIds(tuple):
     """Unit ids as unit_ids returns them: a record that holds them has them
     read already, and reads them no further."""
 
+    __slots__ = ()
+
 
 def unit_ids(value) -> UnitIds:
     """Unit ids from a JSON list, each read as integer() reads it; a string is
