@@ -85,16 +85,13 @@ def report(rows):
     return lines
 
 
-def export(commit, prefix):
-    """A temp dir holding the committed tree of `commit`."""
-    tree = tempfile.mkdtemp(prefix=prefix)
+def export(commit, tree):
+    """Write the committed tree of `commit` into the dir `tree`."""
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", commit], stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout, check=True)
+    untar = subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout)
     archive.stdout.close()
-    if archive.wait():
-        shutil.rmtree(tree)
-        sys.exit(f"error: git archive {commit} failed")
-    return tree
+    if archive.wait() or untar.returncode:
+        sys.exit(f"error: could not export {commit}")
 
 
 def run(tree, args):
@@ -119,7 +116,8 @@ def main(argv=None):
     trees = []
     try:
         for commit, prefix in ((args.base, "ab-base-"), (args.head, "ab-head-")):
-            trees.append(export(commit, prefix))
+            trees.append(tempfile.mkdtemp(prefix=prefix))
+            export(commit, trees[-1])
         spec = json.loads(Path(trees[0], "BENCHMARK.json").read_text())
         pairs = []
         for i in range(args.pairs):

@@ -172,13 +172,12 @@ def bpe_train(corpus, num_merges: int, base_alphabet_size: int) -> BpeVocab:
         left, right = divmod(best, size)
         merges.append((left, right, new))
         created = set()
-        born = holders[new]
         for i in holders[left]:
             sites = _rewrite(seqs[i], left, right, new)
             if not sites:
                 continue
             counts[best] -= len(sites)
-            born.append(i)
+            holders[new].append(i)
             for prev, nxt in sites:
                 if prev is not None:
                     counts[prev * size + left] -= 1

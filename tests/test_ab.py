@@ -67,8 +67,8 @@ def test_wins_are_counted_per_pair_and_a_gain_needs_ten_pairs_and_nine_wins(ab):
 
 
 def test_a_head_that_fails_more_operations_is_broken(ab):
-    runs = [(100.0, 44.0, 0.15)] * 2
-    rows = by_name(ab.summarize(SPEC, [(result(*runs[0]), result(*runs[1], failed=1))] * 2))
+    run = (100.0, 44.0, 0.15)
+    rows = by_name(ab.summarize(SPEC, [(result(*run), result(*run, failed=1))] * 2))
     assert rows["failed_ratio"]["verdict"] == "BROKEN"
     assert rows["failed_ratio"]["head"] == (1 / 40,) * 3
 
