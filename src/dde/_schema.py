@@ -179,6 +179,14 @@ def unit_ids(value) -> UnitIds:
     return UnitIds(ids if checked else items(ids, read=integer))
 
 
+def non_negative(ids: UnitIds) -> UnitIds:
+    """ids, when none of them is negative: raw unit ids, as a segment's units
+    and a corpus response's sequences hold them."""
+    if ids and min(ids) < 0:
+        raise ValidationError("unit ids must be non-negative")
+    return ids
+
+
 def _as_is(value):
     return value
 

@@ -16,7 +16,8 @@ from itertools import accumulate
 import numpy as np
 
 from ._schema import (
-    Record, UnitIds, expect_object, items, read_field, read_json, read_json_lines, read_value, shown, unit_ids,
+    Record, UnitIds, expect_object, items, non_negative, read_field, read_json, read_json_lines, read_value,
+    shown, unit_ids,
 )
 from .errors import ValidationError
 
@@ -94,8 +95,7 @@ class SpeechSegment(Record):
                 raise ValidationError(
                     f"{len(self.units)} units for a {n_frames}-frame segment"
                 )
-            if min(self.units) < 0:  # non-empty: n_frames >= 1
-                raise ValidationError("unit ids must be non-negative")
+            non_negative(self.units)
         if self.words is not None and self.words < 0:
             raise ValidationError("word count must be non-negative")
 

@@ -1,4 +1,5 @@
-"""The A/B tool's summary of paired benchmark runs, on canned numbers."""
+"""The A/B tool's summary of paired benchmark runs and its diff of CLI
+outputs, on canned results."""
 
 import importlib.util
 import json
@@ -77,3 +78,37 @@ def test_spread_wider_than_the_bound_is_unresolved(ab):
     base = [(100.0, 44.0, 0.10), (100.0, 44.0, 0.20), (100.0, 44.0, 0.10), (100.0, 44.0, 0.20)]
     row = by_name(ab.summarize(SPEC, pairs(base, base)))["setup_s"]
     assert row["verdict"] == "unresolved"
+
+
+def outcome(code=0, stdout="", stderr="", outputs=None):
+    """One case's result as the --diff corpus runner records it."""
+    return {"code": code, "stdout": stdout, "stderr": stderr, "outputs": outputs or {}}
+
+
+CASES = [{"name": f"case {i}", "argv": ["analyze", "--trace", f"@t{i}.json"]} for i in range(5)]
+
+
+def test_a_diff_of_equal_runs_is_all_identical(ab):
+    runs = [outcome(), outcome(1, stderr="error: bad\n"), outcome(stdout="row\n", outputs={"t.json": "ab12"}),
+            outcome(2, stderr="usage: dde\nerror: x\n"), outcome(code="raised KeyError: 'x'")]
+    assert ab.compare(CASES, runs, [dict(r) for r in runs]) == {"cases": 5, "identical": 5, "differing": {}}
+
+
+def test_differing_cases_are_grouped_by_the_first_stderr_line(ab):
+    base = [outcome(), outcome(1, stderr="error: old text\n"), outcome(outputs={"t.json": "ab12"}),
+            outcome(1, stderr="error: gone\n"), outcome(stdout="x\n")]
+    head = [outcome(), outcome(1, stderr="error: new text\nmore\n"), outcome(outputs={"t.json": "cd34"}),
+            outcome(), outcome(stdout="x\n", stderr="error: new text\n")]
+    doc = ab.compare(CASES, base, head)
+    assert (doc["cases"], doc["identical"]) == (5, 1)
+    groups = doc["differing"]
+    # the head's first line, else the base's; output bytes alone differ under "(no stderr)"
+    assert {g: [c["case"] for c in cs] for g, cs in groups.items()} == {
+        "error: new text": ["case 1", "case 4"], "(no stderr)": ["case 2"], "error: gone": ["case 3"]}
+    case = groups["error: gone"][0]
+    assert case["argv"] == CASES[3]["argv"] and (case["base"]["code"], case["head"]["code"]) == (1, 0)
+
+
+def test_a_diff_needs_one_result_per_case_on_each_side(ab):
+    with pytest.raises(ValueError):
+        ab.compare(CASES, [outcome()] * 5, [outcome()] * 4)

@@ -20,7 +20,7 @@ def calibrate():
 
 def test_shipped_defaults_are_a_fine_grid_point(calibrate):
     defaults = StochasticConfig()
-    grid = calibrate.search_grid(fine=True)
+    grid = calibrate.search_grid()
     for name, axis in grid.items():
         value = getattr(defaults, name)
         assert value in axis, (name, value, axis)

@@ -718,6 +718,19 @@ INPUT_ERRORS = {
         {"run.json": {"seed": 1, "agents": _agents(CASCADED, CASCADED, response={"kind": "corpus", "sequences": {}})}},
         RUN_CONFIG, "agents[0].response: sequences: expected a list",
     ),
+    # failed only once A spoke, with no path; as B's response in one tick, the run exited 0
+    "corpus_negative_id": (
+        {"run.json": {"seed": 1, "agents": _agents(
+            CASCADED, CASCADED, response={"kind": "corpus", "sequences": [[-1] * 8]})}},
+        RUN_CONFIG, "agents[0].response: sequences: unit ids must be non-negative",
+    ),
+    "corpus_negative_id_b_one_tick": (
+        {"run.json": {"seed": 1, "duration_ms": 160, "agents": [
+            {"policy": CASCADED},
+            {"policy": CASCADED, "response": {"kind": "corpus", "sequences": [[1, 2, 3, 4, 5, 6, 7, -1]]}},
+        ]}},
+        RUN_CONFIG, "agents[1].response: sequences: unit ids must be non-negative",
+    ),
     # merges that were not a list were read as no merges
     "vocab_merges_a_string": (
         {"trace.json": UNITS_TRACE, "vocab.json": {"base_alphabet_size": 10, "merges": ""}}, APPLY,

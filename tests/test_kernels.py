@@ -165,6 +165,24 @@ class TestBatchedF0:
             assert np.array_equal(strength, strength_loop), name
             assert (strength > 0).any() == (name != "scaled_by_1e-150"), name
 
+    def test_a_tie_with_the_left_neighbour_is_a_peak(self):
+        # zero-sum integers inside [lag_max, m - lag_max), so every lag's
+        # denominator is the energy E and r = (dot at the lag) / E exactly:
+        # 12, 11, 11, -8, -18, 6, 12, 10, -4 at lags 4..12. The first lag
+        # reading at least 0.85 of the peak and no less than its neighbours is
+        # lag 6, which only ties lag 5 on its left; the next peak is lag 10
+        w = [-2, 2, 0, -2, 0, 2, 0, -2, -2, 0, 2, -1, -1, -2, 0, 0, 2, 1, -2, 1,
+             1, 1, -2, 2, -1, 2, 2, 0, -1, 1, -1, 1, -1, 0, -2, 1, 2, 1, 1, -3]
+        x = np.zeros(64)
+        x[12:52] = w
+        args = (1100.0, 64, 64, 4, 12)
+        f0, strength = _kernels.f0_frames(x, *args)
+        energy = float(np.dot(w, w))
+        # the parabola through 11, 11, -8 puts the peak half a lag left of lag 6
+        assert f0.tolist() == [1100.0 / 5.5] and strength.tolist() == [11 / energy]
+        f0_loop, strength_loop = frame_loop_f0_frames(x, *args)
+        assert np.array_equal(f0, f0_loop) and np.array_equal(strength, strength_loop)
+
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 275), (3, 480), (256, 480)])
     def test_centred_windows_start_on_a_64_byte_boundary(self, n, m):
         for _ in range(20):  # heap states differ from one allocation to the next

@@ -1038,9 +1038,13 @@ class TestRunConfig:
              "policy.kind: unknown kind 'bogus', expected ['cascaded', 'scripted', 'stochastic']"),
             ({"policy": {"kind": "cascaded"}, "response": {"kind": "bogus"}},
              "response.kind: unknown kind 'bogus', expected ['corpus', 'lognormal', 'uniform']"),
+            # read only once the agent spoke, with no path
+            ({"policy": {"kind": "cascaded"}, "response": {"kind": "corpus", "sequences": [[0] * 8, [-1] * 8]}},
+             "response: sequences: unit ids must be non-negative"),
         ],
         ids=["zero_duration", "negative_duration", "negative_tick", "zero_min", "min_over_max",
-             "sigma_1e200", "negative_sigma", "negative_min_gap", "unknown_policy", "unknown_response"],
+             "sigma_1e200", "negative_sigma", "negative_min_gap", "unknown_policy", "unknown_response",
+             "negative_corpus_id"],
     )
     def test_bad_policy_settings_rejected_at_load(self, agent, message):
         data = {"seed": 1, "agents": [{"policy": {"kind": "cascaded"}}, agent]}
