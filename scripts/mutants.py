@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutants of the rules the tests pin, each with the tests that kill it.
 
-    python3 scripts/mutants.py [NAME ...]
+    python3 scripts/mutants.py
 
 Each entry of MUTANTS breaks one rule of src/dde by exact text: the tick
 labels and their order, the turn, pause, gap and backchannel arithmetic,
@@ -16,7 +16,6 @@ a time and runs only its tests, with -x; the mutant is killed when one of
 them fails. An old text found other than exactly once is an error, so a
 change that moves the code updates the table. It prints one line per
 mutant, then `killed N of M`, and exits 1 unless every mutant is killed.
-Names on the command line pick entries by name.
 
 A change that deletes or edits a test runs this script and quotes its last
 line in CHANGES.md.
@@ -226,24 +225,21 @@ def pytest(tree, tests):
     return done.returncode, done.stdout
 
 
-def main(names):
-    chosen = [m for m in MUTANTS if not names or m[0] in names]
-    if names and len(chosen) != len(set(names)):
-        sys.exit(f"error: no mutant named {sorted(set(names) - {m[0] for m in chosen})[0]!r}")
+def main():
     with tempfile.TemporaryDirectory(prefix="mutants-") as tree:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tree, part), ignore=shutil.ignore_patterns("__pycache__"))
         sources = {}
-        for name, file, old, new, _ in chosen:
+        for name, file, old, new, _ in MUTANTS:
             path = Path(tree, "src", "dde", file)
             sources.setdefault(path, path.read_text())
             apply(sources[path], old, new, f"{name} ({file})")
-        tests = sorted({t for m in chosen for t in m[4]})
+        tests = sorted({t for m in MUTANTS for t in m[4]})
         code, out = pytest(tree, tests)
         if code:
             sys.exit(f"error: the named tests fail unmutated:\n{out}")
         killed = 0
-        for name, file, old, new, kills in chosen:
+        for name, file, old, new, kills in MUTANTS:
             path = Path(tree, "src", "dde", file)
             path.write_text(apply(sources[path], old, new, name))
             code, out = pytest(tree, kills)
@@ -253,9 +249,9 @@ def main(names):
             print(f"{verdict:<8} {name} ({file})", flush=True)
             if code not in (0, 1):
                 print(out, file=sys.stderr)
-    print(f"killed {killed} of {len(chosen)}")
-    return 0 if killed == len(chosen) else 1
+    print(f"killed {killed} of {len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -192,9 +192,9 @@ class StochasticConfig(_Record):
     """Duplex-style behavior: backchannels while listening, probabilistic
     initiation after short mutual silence, stop-on-overlap, and mid-response
     pause insertion. The defaults are checked, not chosen, by
-    scripts/calibrate_stochastic.py: over seeds 100-119 they lie inside all
-    four target windows and rank 5th of the 243 points around them
-    (scripts/calibration.txt); no recorded search chose them."""
+    scripts/calibrate_stochastic.py; its committed output,
+    scripts/calibration.txt, ends with their row and rank among the points
+    around them. No recorded search chose them."""
 
     p_backchannel_per_tick: float = 0.007
     backchannel_ms: int = 480

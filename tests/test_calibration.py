@@ -28,3 +28,10 @@ def test_shipped_defaults_are_a_fine_grid_point(calibrate):
     point = {name: getattr(defaults, name) for name in grid}
     assert StochasticConfig(**point) == defaults
 
+
+def test_readme_quotes_the_committed_search():
+    lines = (SCRIPT.parent / "calibration.txt").read_text().splitlines()
+    rank = lines[-2].removeprefix("shipped defaults, ").removesuffix(":")
+    shipped, top = lines[-1].split()[1], lines[1].split()[1]
+    readme = " ".join((SCRIPT.parent.parent / "README.md").read_text().split())
+    assert f"at {rank}, distance {shipped}; the top row is at distance {top}." in readme
