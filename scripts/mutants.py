@@ -6,8 +6,8 @@
 Each entry of MUTANTS breaks one rule of src/dde by exact text: the tick
 labels and their order, the turn, pause, gap and backchannel arithmetic,
 the window and frame-grid cuts, the BPE merge loop and its tie rule, the
-engine's context and the order of its tick, the F0 pick and the JSON
-readers. An entry is (name, file under src/dde, old text, new text, test
+engine's context and the order of its tick, the F0 pick, the samples line
+tables and the JSON readers. An entry is (name, file under src/dde, old text, new text, test
 node ids); old and new may be tuples of texts, replaced pairwise.
 
 The script copies src/ and tests/ into a temp dir and runs every named
@@ -75,7 +75,8 @@ MUTANTS = [
     # ---- turns, pauses, backchannels and gaps (analytics, segments.join_spans)
     ("TURN_JOIN_MS silence joins a turn", "segments.py",
      "if joined and start - joined[-1][1] < gap_ms:", "if joined and start - joined[-1][1] <= gap_ms:",
-     [f"{ANALYTICS}::TestSweepOracleEquivalence::test_matches_ms_sweep"]),
+     [f"{ANALYTICS}::TestTurnStructure::test_gap_at_threshold_splits_turns[400]",
+      f"{ANALYTICS}::TestSweepOracleEquivalence::test_matches_ms_sweep"]),
     ("PAUSE_MIN_MS silence is a pause", "analytics.py",
      "if PAUSE_MIN_MS < gap < TURN_JOIN_MS:", "if PAUSE_MIN_MS <= gap < TURN_JOIN_MS:",
      [f"{ANALYTICS}::TestSweepOracleEquivalence::test_silence_stats_match_ms_sweep"]),
@@ -183,7 +184,25 @@ MUTANTS = [
     ("PCM scaled in the input's own dtype", "analytics.py",
      "np.asarray(x, dtype=np.float64) / _PCM_SCALE", "np.asarray(x) / _PCM_SCALE",
      [f"{ANALYTICS}::TestAudioStatsRunSliced::test_samples_of_any_type"]),
+    # ---- samples lines (labeler.write_samples_jsonl's per-call tables)
+    ("tail table keyed by action", "labeler.py",
+     ("tail = tails.get(target)", "tail = tails[target] ="),
+     ("tail = tails.get(s.action)", "tail = tails[s.action] ="),
+     [f"{LABELER}::TestWriterTables"]),
+    ("head table keyed by action alone", "labeler.py",
+     ("heads = {(agent, a):", "heads[s.agent, s.action]"),
+     ("heads = {a:", "heads[s.action]"),
+     [f"{LABELER}::TestWriterTables"]),
     # ---- JSON readers and records (_schema, segments, analytics, cli)
+    ("integer() returns early below -INT_LIMIT", "_schema.py",
+     "if type(value) is int and -INT_LIMIT <= value <= INT_LIMIT:",
+     "if type(value) is int and value <= INT_LIMIT:",
+     ["tests/test_schema.py::test_integer_rejects_beyond_2_53_minus_1[-9007199254740992]",
+      "tests/test_schema.py::test_number_reads_integers_through_integer[-9007199254740992]"]),
+    ("integer() returns a bool early", "_schema.py",
+     "if type(value) is int and", "if isinstance(value, int) and",
+     [f"{SEGMENTS}::TestSerialization::test_bad_fields_name_their_json_path"
+      "[data10-channels[1][0].start_ms: expected an integer, got true]"]),
     ("read_value lets OverflowError through", "_schema.py",
      "_REJECTED = (TypeError, ValueError, OverflowError)", "_REJECTED = (TypeError, ValueError)",
      ["tests/test_schema.py::test_read_value_names_a_rejected_value"]),

@@ -100,6 +100,8 @@ def integer(value) -> int:
     """An integer from a JSON number or numeric string: 20, 20.0 and "20" read
     as 20; booleans, non-integral numbers, integers beyond ±INT_LIMIT and
     anything else are errors, not 1, truncated or an overflow later."""
+    if type(value) is int and -INT_LIMIT <= value <= INT_LIMIT:
+        return value
     try:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
@@ -201,14 +203,17 @@ def read_value(value, name, read):
 
 def read_field(data, key, path="", convert=integer, default=_REQUIRED):
     """convert(data[key]); an absent or null key gives `default`. Bad values
-    raise ValidationError naming the JSON path, e.g. channels[0][3].end_ms."""
-    name = f"{path}.{key}" if path else key
+    raise ValidationError naming the JSON path, e.g. channels[0][3].end_ms,
+    a name formatted only then."""
     value = data.get(key)
     if value is None:
         if default is _REQUIRED:
-            raise ValidationError(f"{name}: missing")
+            raise ValidationError(f"{f'{path}.{key}' if path else key}: missing")
         return default
-    return read_value(value, name, convert)
+    try:
+        return convert(value)
+    except _REJECTED:  # read_value converts it again, and names the rejection
+        return read_value(value, f"{path}.{key}" if path else key, convert)
 
 
 def section(cfg, key) -> dict:

@@ -18,6 +18,7 @@ the earlier rule wins: initiations are the rarest, most valuable events.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -136,9 +137,10 @@ def build_samples(
         raise ValidationError("window width must be positive")
     ai = speaker_index(agent)
     own = trace.bounds(ai)
+    single = {a: (int(a),) for a in Action if a is not Action.SPK}  # shared by the samples
     samples = []
     for i, action in enumerate(label_sequence(trace, ai)):
-        target = None
+        target = single.get(action)
         if action is Action.SPK:
             seg = trace.channels[ai][own.onset_index_in(i * TICK_MS, (i + 1) * TICK_MS)]
             if seg.units is not None:
@@ -146,44 +148,30 @@ def build_samples(
                 if vocab is not None:
                     ids = bpe_encode(vocab, ids)
                 target = encode_target(Action.SPK, ids)
-        else:
-            target = (int(action),)
-        samples.append(
-            TrainingSample(
-                trace=trace, agent=ai, tick_index=i, action=action,
-                target_tokens=target, window_ms=window_ms,
-            )
-        )
+        samples.append(TrainingSample(trace, ai, i, action, target, window_ms))
     return samples
 
 
 def action_histogram(samples) -> dict[str, int]:
-    hist = {a.name: 0 for a in Action}
-    for s in samples:
-        hist[s.action.name] += 1
-    return hist
-
-
-def _line(s: TrainingSample, key: str, context: str) -> str:
-    """s with its context text under key, as json.dumps with sorted keys would
-    write it; key must sort between "agent" and "target_tokens"."""
-    tokens = ""
-    if s.target_tokens is not None:
-        tokens = f', "target_tokens": [{", ".join(map(str, s.target_tokens))}]'
-    return (f'{{"action": "{s.action.name}", "agent": "{SPEAKER_NAMES[s.agent]}", '
-            f'"{key}": {context}{tokens}, "tick_index": {s.tick_index}}}\n')
+    """Samples per action, every action in Action order, zero counts included."""
+    counts = Counter(s.action for s in samples)
+    return {a.name: counts[a] for a in Action}
 
 
 def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> None:
-    """One JSON line per sample, keys sorted. In "inline" mode each line holds
-    the sample's context, written by window_json and equal to
-    json.dumps(sample.context.to_dict(), sort_keys=True); in "ref" mode a
-    context_ref to trace_path. Any other mode is an error."""
+    """One JSON line per sample, as json.dumps with sorted keys writes it: its
+    (agent, action) head and its target's tail, each formatted once per call,
+    around its context. In "inline" mode that is the sample's context, written
+    by window_json; in "ref" mode a context_ref to trace_path. Any other mode
+    is an error."""
     if context_mode not in ("inline", "ref"):
         raise ValidationError(f"context_mode: expected inline or ref, got {context_mode!r}")
     inline = context_mode == "inline"
     key = "context" if inline else "context_ref"
     ref_trace = json.dumps(None if trace_path is None else str(trace_path))
+    heads = {(agent, a): f'{{"action": "{a.name}", "agent": "{name}", "{key}": '
+             for agent, name in enumerate(SPEAKER_NAMES) for a in Action}
+    tails = {None: ', "tick_index": '}
     with open(path, "w", encoding="utf-8") as fp:
         for s in samples:
             end_ms = TICK_MS * (s.tick_index + 1)
@@ -191,18 +179,24 @@ def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> N
                 context = window_json(s.trace, end_ms, s.window_ms)
             else:
                 context = f'{{"end_ms": {end_ms}, "trace": {ref_trace}, "window_ms": {s.window_ms}}}'
-            fp.write(_line(s, key, context))
+            target = s.target_tokens
+            if type(target) is list:  # a list has no hash; its tuple has the same tail
+                target = tuple(target)
+            tail = tails.get(target)
+            if tail is None:
+                tail = tails[target] = f', "target_tokens": [{", ".join(map(str, target))}], "tick_index": '
+            fp.write(f"{heads[s.agent, s.action]}{context}{tail}{s.tick_index}}}\n")
 
 
 def read_actions_jsonl(path) -> dict[tuple[str, int], Action]:
     """(agent, tick_index) -> action, as needed for prediction scoring. A
     second line for the same (agent, tick_index) is an error."""
     out, first = {}, {}
+    agents, ticks = one_of(*SPEAKER_NAMES), at_least(0)
     for n, rec in read_json_lines(path, "samples line"):
         where = f"{path}:{n}"
         expect_object(rec, where)
-        agent = read_field(rec, "agent", where, one_of(*SPEAKER_NAMES))
-        key = (agent, read_field(rec, "tick_index", where, at_least(0)))
+        key = (read_field(rec, "agent", where, agents), read_field(rec, "tick_index", where, ticks))
         if key in first:
             raise ValidationError(
                 f"{where}: duplicate sample for agent {key[0]} at tick {key[1]} (first at line {first[key]})"

@@ -39,10 +39,11 @@ class TestTurnStructure:
         assert ts.turns == ((0, 500),)
         assert ts.pauses == ()
 
-    def test_gap_at_threshold_splits_turns(self):
-        t = build_trace([("A", seg(0, 1000)), ("A", seg(1450, 2000))], 3000)
+    @pytest.mark.parametrize("gap_ms", [400, 450])  # 400 is TURN_JOIN_MS itself
+    def test_gap_at_threshold_splits_turns(self, gap_ms):
+        t = build_trace([("A", seg(0, 1000)), ("A", seg(1000 + gap_ms, 2000))], 3000)
         ts = turn_structure(t, "A")
-        assert ts.turns == ((0, 1000), (1450, 2000))
+        assert ts.turns == ((0, 1000), (1000 + gap_ms, 2000))
         assert ts.pauses == ()
 
     def test_gap_just_under_threshold_groups(self):

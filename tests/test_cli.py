@@ -762,6 +762,27 @@ INPUT_ERRORS = {
          "pred.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": -4}\n'},
         EVAL, "@gold.jsonl:1.tick_index: expected an integer >= 0, got -4",
     ),
+    # values integer()'s early return for plain ints within ±INT_LIMIT must still reject
+    "eval_tick_true": (
+        {"gold.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": true}\n', "pred.jsonl": b""},
+        EVAL, "@gold.jsonl:1.tick_index: expected an integer, got true",
+    ),
+    "eval_tick_1_5": (
+        {"gold.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": 1.5}\n', "pred.jsonl": b""},
+        EVAL, "@gold.jsonl:1.tick_index: expected an integer, got 1.5",
+    ),
+    "eval_tick_2e53": (
+        {"gold.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": 9007199254740992}\n', "pred.jsonl": b""},
+        EVAL, "@gold.jsonl:1.tick_index: expected an integer within ±9007199254740991, got 9007199254740992",
+    ),
+    "eval_agent_missing": (
+        {"gold.jsonl": b'{"action": "SIL", "tick_index": 0}\n', "pred.jsonl": b""},
+        EVAL, "@gold.jsonl:1.agent: missing",
+    ),
+    "eval_line_a_list": (
+        {"gold.jsonl": b'["SIL", "A", 0]\n', "pred.jsonl": b""},
+        EVAL, "@gold.jsonl:1: expected a JSON object, got list",
+    ),
     # a rejected value or key was repeated in full
     "eval_action_of_100000_characters": (
         {"gold.jsonl": b'{"action": "%s", "agent": "A", "tick_index": 0}\n' % (b"S" * 100000),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dde import (
     Action,
     SpeechSegment,
+    TrainingSample,
     ValidationError,
     bpe_train,
     build_samples,
@@ -16,7 +17,8 @@ from dde import (
     label_sequence,
     label_tick,
 )
-from dde.labeler import EOS_ID, PAD_ID, BOS_ID, UNIT_ID_OFFSET, write_samples_jsonl
+from dde.cli import main
+from dde.labeler import EOS_ID, PAD_ID, BOS_ID, UNIT_ID_OFFSET, action_histogram, write_samples_jsonl
 from conftest import annotated_traces, random_trace
 from oracles import frame_label_sequence, window_per_tick_write_samples_jsonl
 
@@ -267,3 +269,52 @@ class TestInlineWriterOracle:
             write_samples_jsonl(samples, tmp_path / "s.jsonl", "inlne", "t.json")
         assert str(exc.value) == "context_mode: expected inline or ref, got 'inlne'"
         assert not (tmp_path / "s.jsonl").exists()
+
+
+class TestWriterTables:
+    """write_samples_jsonl formats each line head once per (agent, action) and
+    each target tail once per distinct target. Hand-built samples, in an
+    order and with targets build_samples would not give, against the writer
+    it replaced."""
+
+    @staticmethod
+    def samples():
+        short = build_trace([("A", seg(0, 320, units=(7, 8) * 8)), ("B", seg(200, 900))], 1600)
+        long = build_trace([("B", seg(100, 2500)), ("A", seg(3000, 3100, units=(1, 2, 1, 2, 3)))], 4800)
+        sil = (int(Action.SIL),)
+        spk = (int(Action.SPK), 14, 15, EOS_ID)
+        return [
+            TrainingSample(short, 1, 3, Action.SIL, sil, 333),
+            TrainingSample(long, 0, 18, Action.SPK, spk, 160),
+            TrainingSample(short, 0, 0, Action.SPK, None, 160),
+            TrainingSample(long, 1, 0, Action.SPK, spk, 333),
+            TrainingSample(short, 0, 9, Action.SIL, sil, 160),
+            TrainingSample(long, 0, 1, Action.CON, [int(Action.CON)], 333),  # a list, as the old writer took
+            TrainingSample(short, 1, 2, Action.SPK, (int(Action.SPK), 16, EOS_ID), 160),
+            TrainingSample(long, 1, 29, Action.STP, (int(Action.STP),), 333),
+            TrainingSample(short, 1, 4, Action.SPK, spk, 333),
+            TrainingSample(long, 0, 7, Action.SIL, None, 160),
+        ]
+
+    @pytest.mark.parametrize("mode", ["inline", "ref"])
+    def test_same_bytes_as_window_per_tick_writer(self, tmp_path, mode):
+        samples = self.samples()
+        write_samples_jsonl(samples, tmp_path / "new.jsonl", mode, "t.json")
+        window_per_tick_write_samples_jsonl(samples, tmp_path / "old.jsonl", mode, "t.json")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+
+class TestActionHistogram:
+    def test_every_action_in_action_order(self):
+        samples = build_samples(build_trace([("A", seg(1000, 3000))], 5000), "A")
+        assert list(action_histogram(samples).items()) == [("SIL", 19), ("CON", 11), ("SPK", 1), ("STP", 0)]
+
+    def test_no_samples_count_zero_for_every_action(self):
+        assert list(action_histogram([]).items()) == [("SIL", 0), ("CON", 0), ("SPK", 0), ("STP", 0)]
+
+    def test_label_prints_the_histogram_line_whole(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        trace.write_text(build_trace([("A", seg(1000, 3000)), ("B", seg(2500, 4000))], 5000).to_json())
+        out = tmp_path / "s.jsonl"
+        assert main(["label", "--trace", str(trace), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 62 samples\nSIL=40 CON=19 SPK=2 STP=1\n"
