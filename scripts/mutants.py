@@ -7,8 +7,9 @@ Each entry of MUTANTS breaks one rule of src/dde by exact text: the tick
 labels and their order, the turn, pause, gap and backchannel arithmetic,
 the window and frame-grid cuts, the BPE merge loop and its tie rule, the
 engine's context and the order of its tick, the F0 pick, the samples line
-tables and the JSON readers. An entry is (name, file under src/dde, old text, new text, test
-node ids); old and new may be tuples of texts, replaced pairwise.
+tables and the JSON readers. An entry is (name, file under src/dde, old
+text, new text, test node ids); old and new may be tuples of texts,
+replaced pairwise.
 
 The script copies src/ and tests/ into a temp dir and runs every named
 test there once, unmutated: they must pass. Then it applies one mutant at

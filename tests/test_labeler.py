@@ -289,7 +289,7 @@ class TestWriterTables:
             TrainingSample(short, 0, 0, Action.SPK, None, 160),
             TrainingSample(long, 1, 0, Action.SPK, spk, 333),
             TrainingSample(short, 0, 9, Action.SIL, sil, 160),
-            TrainingSample(long, 0, 1, Action.CON, [int(Action.CON)], 333),  # a list, as the old writer took
+            TrainingSample(long, 0, 1, Action.CON, [int(Action.CON)], 333),  # a list, which the replaced writer took too
             TrainingSample(short, 1, 2, Action.SPK, (int(Action.SPK), 16, EOS_ID), 160),
             TrainingSample(long, 1, 29, Action.STP, (int(Action.STP),), 333),
             TrainingSample(short, 1, 4, Action.SPK, spk, 333),
