@@ -181,6 +181,14 @@ def _flag_cases(corpus, scratch):
         {"overlaps_per_min": 5.7, "backchannels_per_min": 2.1, "pauses_per_min": 12.2, "avg_gap_ms": 393}))
     files["gold.jsonl"], files["pred.jsonl"] = (
         corpus.blob("".join(json.dumps(r) + "\n" for r in side).encode()) for side in samples)
+    # two-line JSON-lines inputs whose second line is bad: cut short, not an object, or a reversed segment
+    first = json.dumps(traces["plain.json"]) + "\n"
+    bad_lines = {"cut": first[:40], "list": "[1]",
+                 "reversed": json.dumps({"duration_ms": 1000, "channels": [[{"start_ms": 5, "end_ms": 2}], []]})}
+    for name, line in bad_lines.items():
+        files[f"convs_{name}.jsonl"] = corpus.blob(f"{first}{line}\n".encode())
+    first = json.dumps(samples[0][0]) + "\n"
+    files["gold_cut.jsonl"] = corpus.blob(f"{first}{first[:20]}\n".encode())
     files["pipeline.json"] = corpus.blob(_json_bytes({
         "report_format": "json", "window_ms": 4000, "sim": {"seed": 3, "duration_ms": 20000, "policy": "stochastic"},
         "bpe": {"num_merges": 5, "base_alphabet_size": 50},
@@ -226,6 +234,7 @@ def _flag_cases(corpus, scratch):
         for fmt in ([], ["--format", "json"], ["--format", "table"]):
             for extra in ([], ["--compare", "@ref.json"], ["--out", "@report.txt"]):
                 commands.append(["analyze", "--trace", f"@{trace}", *fmt, *extra])
+    commands += [["analyze", "--trace", f"@convs_{name}.jsonl"] for name in bad_lines]
     for audio in (["--audio", "@conv.wav"], ["--audio-a", "@a.wav", "--audio-b", "@b.wav"]):
         for extra in ([], ["--energy-threshold-db", "6"], ["--min-speech-ms", "100"], ["--min-gap-ms", "200"]):
             commands.append(["ingest", *audio, *extra, "--out", "@t.json"])
@@ -237,6 +246,7 @@ def _flag_cases(corpus, scratch):
                      "--out", "@e.jsonl"])
     for fmt in ([], ["--format", "json"], ["--format", "table"]):
         commands.append(["eval-actions", "--gold", "@gold.jsonl", "--predicted", "@pred.jsonl", *fmt])
+    commands.append(["eval-actions", "--gold", "@gold_cut.jsonl", "--predicted", "@pred.jsonl"])
     for i, argv in enumerate(commands):
         needed = {a[1:] for a in argv if a.startswith("@")}
         inputs = {n: b for n, b in files.items() if n in needed or n.split("/")[0] in needed}

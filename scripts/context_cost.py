@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """What reading Observation.context on every tick costs the self-chat engine.
 
-Runs one stochastic self-chat at each of 1, 2, 4 and 8 minutes with both
-agents wrapped in a policy that reads `obs.context` on every tick and then
-decides as the stochastic policy does, and checks that each trace is the one
-the plain policy makes. Prints the best of --repeats in µs of CPU time per
+Runs one stochastic self-chat of seed 1 at each of 1, 2, 4 and 8 minutes
+with both agents wrapped in a policy that reads `obs.context` on every tick
+and then decides as the stochastic policy does, and checks that each trace
+is the one the plain policy makes. Prints the best of --repeats in µs of CPU time per
 tick for each length, with and without the reads, and for each the exponent
 of a least-squares fit of log run time against log length: 1 means the cost
 of a tick does not grow with the run.
 
-    python3 scripts/context_cost.py [--seed N] [--repeats N]
+    python3 scripts/context_cost.py [--repeats N]
 """
 
 import argparse
@@ -25,6 +25,7 @@ from dde.segments import TICK_MS
 from dde.simulate import run_selfchat, stochastic_run
 
 MINUTES = (1, 2, 4, 8)
+SEED = 1
 
 
 class ReadsContext:
@@ -50,10 +51,9 @@ def fitted_exponent(xs, ys) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
-    plain = [stochastic_run(args.seed, minutes * 60000) for minutes in MINUTES]
+    plain = [stochastic_run(SEED, minutes * 60000) for minutes in MINUTES]
     reading = [dataclasses.replace(run, agents=tuple(map(ReadsContext, run.agents))) for run in plain]
     runs = reading + plain
     seconds, traces = [math.inf] * len(runs), [None] * len(runs)

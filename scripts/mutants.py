@@ -6,8 +6,9 @@
 Each entry of MUTANTS breaks one rule of src/dde by exact text: the tick
 labels and their order, the turn, pause, gap and backchannel arithmetic,
 the window and frame-grid cuts, the BPE merge loop and its tie rule, the
-engine's context and the order of its tick, the F0 pick, the samples line
-tables and the JSON readers. An entry is (name, file under src/dde, old
+engine's context and the order of its tick, the traces the engine and the
+VAD make of their merged channels, the F0 pick, the samples line tables,
+the JSON readers and the trace file layout. An entry is (name, file under src/dde, old
 text, new text, test node ids); old and new may be tuples of texts,
 replaced pairwise.
 
@@ -163,6 +164,13 @@ MUTANTS = [
      "                for agent, action, payload in changes:",
      "                for agent, action, payload in (changes if len(log_b) > tick else ()):",
      [f"{SIMULATE}::TestEngineBasics::test_step_after_an_aborted_step_raises"]),
+    ("finish() without its final commits", "simulate.py",
+     "            self._commit_if_done(agent, self.run.duration_ms)\n", "            pass\n",
+     [f"{SIMULATE}::TestFinishOracle"]),
+    # ---- traces made from merged channels (vad)
+    ("VAD channels swapped", "vad.py",
+     "_segment_channel(x, cfg)] for x in (a, b)]", "_segment_channel(x, cfg)] for x in (b, a)]",
+     ["tests/test_vad.py::TestVadOracle::test_channels_are_their_spans_as_build_trace_merges_them"]),
     # ---- F0 pick and frames (_kernels)
     ("F0: a tie with the left neighbour is no peak", "_kernels.py",
      "interior = (b >= a) & (b >= c)", "interior = (b > a) & (b >= c)",
@@ -214,6 +222,19 @@ MUTANTS = [
      "if ids and min(ids) < 0:", "if ids and max(ids) < 0:",
      [f"{SEGMENTS}::TestSegmentValidation::test_negative_unit_ids_rejected",
       f"{SIMULATE}::TestRunConfig::test_bad_policy_settings_rejected_at_load"]),
+    ("JSON lines without their line prefix", "_schema.py",
+     "yield n, read(loads(line, what))\n                except ValidationError as exc:\n"
+     '                    raise ValidationError(f"{path}:{n}: {exc}") from None',
+     "yield n, read(loads(line, what))\n                except ValidationError as exc:\n"
+     "                    raise",
+     [f"{CLI}::test_input_error_text[eval_gold_second_line_cut]"]),
+    ("read_traces_jsonl without its line prefix", "segments.py",
+     'return [trace for _, trace in read_json_lines(path, "trace JSON", ConversationTrace.from_dict)]',
+     'return [ConversationTrace.from_dict(doc) for _, doc in read_json_lines(path, "trace JSON")]',
+     [f"{CLI}::test_input_error_text[analyze_jsonl_second_line_segment_reversed]"]),
+    ("trace files indented by one space", "segments.py",
+     'inner = nl and nl + "  "', 'inner = nl and nl + " "',
+     [f"{SEGMENTS}::TestWriteTraceOracle"]),
     ("segment JSON drops events", "segments.py",
      'd["events"] = self.events.to_dict()', "pass",
      ["tests/test_schema.py::test_every_record_round_trips"]),

@@ -53,13 +53,21 @@ def read_json(path, what: str):
         return loads(fp.read(), what)
 
 
-def read_json_lines(path, what: str):
-    """(line number, JSON value) per non-blank line of file `path`, streamed."""
+def _as_is(value):
+    return value
+
+
+def read_json_lines(path, what: str, read=_as_is):
+    """(line number, read(JSON value)) per non-blank line of file `path`, streamed;
+    a line that loads or read rejects is an error `<path>:<n>: <reason>`."""
     with _utf8_text(path) as fp:
         for n, line in enumerate(fp, 1):
             line = line.strip()
             if line:
-                yield n, loads(line, what)
+                try:
+                    yield n, read(loads(line, what))
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{n}: {exc}") from None
 
 
 # the most characters of an input value that an error repeats
@@ -187,10 +195,6 @@ def non_negative(ids: UnitIds) -> UnitIds:
     if ids and min(ids) < 0:
         raise ValidationError("unit ids must be non-negative")
     return ids
-
-
-def _as_is(value):
-    return value
 
 
 def read_value(value, name, read):

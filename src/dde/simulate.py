@@ -33,7 +33,7 @@ from .segments import (
     WINDOW_MS,
     ConversationTrace,
     SpeechSegment,
-    build_trace,
+    build_trace,  # not called here: pipebench/spans.py patches the name in this module
     check_duration,
     push_segment,
     speaker_index,
@@ -569,9 +569,10 @@ class SelfChat:
         return decided
 
     def finish(self) -> ConversationTrace:
+        """The histories, kept sorted and merged by push_segment, as the run's trace."""
         for agent in (0, 1):
             self._commit_if_done(agent, self.run.duration_ms)
-        return build_trace([(a, s) for a in (0, 1) for s in self.history[a]], self.run.duration_ms)
+        return ConversationTrace(self.history, self.run.duration_ms)
 
 
 def run_selfchat(run: SimRun) -> ConversationTrace:

@@ -16,6 +16,7 @@ import numpy as np
 from . import _kernels
 from ._schema import Record
 from .errors import ValidationError
+# build_trace is not called here: pipebench/spans.py patches the name in this module
 from .segments import FRAME_MS, ConversationTrace, SpeechSegment, build_trace, join_spans
 
 SAMPLE_RATE = 16000
@@ -41,11 +42,6 @@ class VadConfig(Record):
             raise ValidationError("min_gap_ms must be non-negative")
 
 
-def _frame_energies_db(samples: np.ndarray) -> np.ndarray:
-    rms = _kernels.frame_rms(samples, FRAME_SAMPLES)
-    return 10.0 * np.log10(rms * rms + _EPS)
-
-
 def active_runs(mask: np.ndarray):
     """(start_ms, end_ms) of each run of True frames."""
     padded = np.concatenate(([False], mask, [False]))
@@ -56,7 +52,10 @@ def active_runs(mask: np.ndarray):
 
 
 def _segment_channel(samples: np.ndarray, cfg: VadConfig):
-    energies = _frame_energies_db(samples)
+    """(start_ms, end_ms) of each speech run of one channel: sorted and at
+    least a frame apart, so they make a trace's channel as they are."""
+    rms = _kernels.frame_rms(samples, FRAME_SAMPLES)
+    energies = 10.0 * np.log10(rms * rms + _EPS)
     floor = np.percentile(energies, _NOISE_FLOOR_PERCENTILE)
     spans = join_spans(active_runs(energies > floor + cfg.energy_threshold_db), cfg.min_gap_ms)
     min_ms = -(-cfg.min_speech_ms // FRAME_MS) * FRAME_MS  # whole frames, >= min_speech_ms
@@ -79,11 +78,8 @@ def vad_from_samples(pcm, cfg: VadConfig | None = None) -> ConversationTrace:
     duration_ms = (a.size // FRAME_SAMPLES) * FRAME_MS
     if duration_ms == 0:
         raise ValidationError("audio shorter than one 20ms frame")
-    events = []
-    for speaker, samples in ((0, a), (1, b)):
-        for start, end in _segment_channel(samples, cfg):
-            events.append((speaker, SpeechSegment(start, end)))
-    return build_trace(events, duration_ms)
+    channels = [[SpeechSegment(start, end) for start, end in _segment_channel(x, cfg)] for x in (a, b)]
+    return ConversationTrace(channels, duration_ms)
 
 
 def read_wav(path):

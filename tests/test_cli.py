@@ -491,6 +491,7 @@ GOOD_RATES = {"overlaps_per_min": 5.7, "backchannels_per_min": 2.1, "pauses_per_
 LABEL = ["label", "--trace", "@trace.json", "--vocab", "@vocab.json", "--out", "@s.jsonl"]
 APPLY = ["tokenize", "apply", "--vocab", "@vocab.json", "--traces", "@trace.json", "--out", "@e.jsonl"]
 EVAL = ["eval-actions", "--gold", "@gold.jsonl", "--predicted", "@pred.jsonl"]
+GOOD_CONV_LINE = b'{"duration_ms": 1000, "channels": [[{"start_ms": 0, "end_ms": 400}], []]}\n'
 COMPARE = ["analyze", "--trace", "@trace.json", "--compare", "@ref.json"]
 ANALYZE = ["analyze", "--trace", "@trace.json"]
 SIMULATE = ["simulate", "--out", "@t.json"]
@@ -782,6 +783,25 @@ INPUT_ERRORS = {
     "eval_line_a_list": (
         {"gold.jsonl": b'["SIL", "A", 0]\n', "pred.jsonl": b""},
         EVAL, "@gold.jsonl:1: expected a JSON object, got list",
+    ),
+    # a bad line of a JSON-lines input named neither its file nor its line; json's
+    # "line 1" is the line's own first line
+    "analyze_jsonl_second_line_segment_reversed": (
+        {"convs.jsonl": GOOD_CONV_LINE + b'{"duration_ms": 1000, "channels": [[{"start_ms": 5, "end_ms": 2}], []]}\n'},
+        ["analyze", "--trace", "@convs.jsonl"], "@convs.jsonl:2: channels[0][0]: segment end 2 must exceed start 5",
+    ),
+    "analyze_jsonl_second_line_a_list": (
+        {"convs.jsonl": GOOD_CONV_LINE + b"[1]\n"},
+        ["analyze", "--trace", "@convs.jsonl"], "@convs.jsonl:2: trace: expected a JSON object, got list",
+    ),
+    "analyze_jsonl_second_line_cut": (
+        {"convs.jsonl": GOOD_CONV_LINE + b'{"duration_ms": 1000, "channels": [[{"start_ms": \n'},
+        ["analyze", "--trace", "@convs.jsonl"],
+        "@convs.jsonl:2: malformed trace JSON: Expecting value: line 1 column 49 (char 48)",
+    ),
+    "eval_gold_second_line_cut": (
+        {"gold.jsonl": b'{"action": "SIL", "agent": "A", "tick_index": 0}\n{"action": "SI\n', "pred.jsonl": b""},
+        EVAL, "@gold.jsonl:2: malformed samples line: Unterminated string starting at: line 1 column 12 (char 11)",
     ),
     # a rejected value or key was repeated in full
     "eval_action_of_100000_characters": (

@@ -587,6 +587,38 @@ class TestTickLoopOracle:
         assert min(outcomes.values()) >= 15, outcomes
 
 
+
+class TestFinishOracle:
+    """SelfChat.finish() makes its histories the trace as they are. Over
+    random runs like TestTickLoopOracle's, stepped to their end or to the
+    violation that aborts them, on and off the tick grid, finish() leaves no
+    utterance live and returns the trace build_trace makes, sorting and
+    merging, of the histories it has committed to."""
+
+    def test_same_trace_as_build_trace_over_the_committed_histories(self):
+        rng = np.random.default_rng(34)
+        outcomes = Counter()
+        for _ in range(120):
+            off_grid = rng.random() < 0.5
+            duration_ms = TICK_MS * int(rng.integers(1, 100)) + (int(rng.integers(1, TICK_MS)) if off_grid else 0)
+            kinds = [POLICY_KINDS[int(k)] for k in rng.integers(3, size=2)]
+            pairs = [_random_agent(rng, kind, duration_ms // TICK_MS) for kind in kinds]
+            chat = SelfChat(SimRun(
+                seed=int(rng.integers(1000)),
+                duration_ms=duration_ms,
+                agents=tuple(policy for policy, _ in pairs),
+                responses=tuple(response for _, response in pairs),
+                opening_speaker=[None, 0, 1][int(rng.integers(3))],
+            ))
+            _, stop = TestTickLoopOracle._stepped(chat)
+            live = any(st.utterance_start_ms is not None for st in chat.states)
+            trace = chat.finish()
+            assert all(st.utterance_start_ms is None for st in chat.states)
+            assert trace == build_trace([(a, s) for a in (0, 1) for s in chat.history[a]], duration_ms)
+            outcomes.update(aborted=stop is not None, finished=stop is None, off_grid=off_grid,
+                            on_grid=not off_grid, live_at_the_end=live)
+        assert min(outcomes.values()) >= 15, outcomes
+
 class _RecordsModes:
     """`policy`, keeping each mode it decides in, one per tick, in `modes`."""
 

@@ -3,6 +3,8 @@ import pytest
 
 from dde import FRAME_MS, ValidationError, VadConfig, vad_from_samples
 from dde.vad import load_conversation_audio
+from dde import SpeechSegment, build_trace
+from dde.vad import _segment_channel
 from conftest import write_wav
 from oracles import _close_gaps
 
@@ -137,6 +139,23 @@ class TestVadOracle:
             for ch, spans in zip(t.channels, bursts):
                 expected = [(a, b) for a, b in _close_gaps(spans, cfg.min_gap_ms) if b - a >= min_ms]
                 assert [(s.start_ms, s.end_ms) for s in ch] == expected, (spans, cfg)
+
+    def test_channels_are_their_spans_as_build_trace_merges_them(self, rng):
+        """vad_from_samples puts each channel's spans into the trace as they
+        are: the trace build_trace makes of them, sorting and merging, on
+        this class's inputs and on tone bursts, with gaps bridged or not."""
+        inputs = []
+        for _ in range(60):
+            n_frames = int(rng.integers(1, 200))
+            pcm = [floor_and_bursts(random_bursts(rng, n_frames), n_frames) for _ in range(2)]
+            inputs.append((pcm, int(rng.choice([0, rng.integers(0, 300)])), int(rng.integers(20, 300))))
+        tones = burst_signal([(0, 200), (280, 500), (503, 997), (1400, 1460)], 2000)
+        other = burst_signal([(100, 900), (1000, 1800)], 2000, freq=220.0)
+        inputs += [([tones, other], gap, 20) for gap in (0, 40, 100)] + [([other, tones], 0, 100)]
+        for pcm, min_gap_ms, min_speech_ms in inputs:
+            cfg = VadConfig(min_gap_ms=min_gap_ms, min_speech_ms=min_speech_ms)
+            spans = [(ch, SpeechSegment(s, e)) for ch, x in enumerate(pcm) for s, e in _segment_channel(x, cfg)]
+            assert vad_from_samples(pcm, cfg) == build_trace(spans, 20 * (pcm[0].size // 320)), cfg
 
 
 class TestVadConfig:
