@@ -4,10 +4,10 @@
 Runs one stochastic self-chat of seed 1 at each of 1, 2, 4 and 8 minutes
 with both agents wrapped in a policy that reads `obs.context` on every tick
 and then decides as the stochastic policy does, and checks that each trace
-is the one the plain policy makes. Prints the best of --repeats in µs of CPU time per
-tick for each length, with and without the reads, and for each the exponent
-of a least-squares fit of log run time against log length: 1 means the cost
-of a tick does not grow with the run.
+is the one the plain policy makes. Prints the best of --repeats in µs of
+CPU time per tick for each length, with and without the reads, and for each
+the exponent of a least-squares fit of log run time against log length: 1
+means the cost of a tick does not grow with the run.
 
     python3 scripts/context_cost.py [--repeats N]
 """

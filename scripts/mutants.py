@@ -169,7 +169,7 @@ MUTANTS = [
      [f"{SIMULATE}::TestFinishOracle"]),
     # ---- traces made from merged channels (vad)
     ("VAD channels swapped", "vad.py",
-     "_segment_channel(x, cfg)] for x in (a, b)]", "_segment_channel(x, cfg)] for x in (b, a)]",
+     "_segment_channel(x, cfg) for x in (a, b)]", "_segment_channel(x, cfg) for x in (b, a)]",
      ["tests/test_vad.py::TestVadOracle::test_channels_are_their_spans_as_build_trace_merges_them"]),
     # ---- F0 pick and frames (_kernels)
     ("F0: a tie with the left neighbour is no peak", "_kernels.py",

@@ -125,7 +125,9 @@ class ConversationTrace(Record):
     def __post_init__(self):
         if len(self.channels) != 2:
             raise ValidationError(f"expected 2 channels, got {len(self.channels)}")
-        object.__setattr__(self, "channels", tuple(map(tuple, self.channels)))
+        object.__setattr__(
+            self, "channels", tuple(tuple(ch) for ch in self.channels)
+        )
         if self.duration_ms < 0:
             raise ValidationError("duration must be non-negative")
         check_duration(self.duration_ms)
@@ -386,7 +388,7 @@ def _fixed_json(seg: SpeechSegment, nl=""):
     unit id starts and one separator past the last (else None), and the
     words item with the closing brace. window_json cuts a segment's ids out
     of its units item at those offsets; joining the kept ids again instead
-    made `dde label` about 14% slower on a 2-core x86 host."""
+    made `dde label` about 15% slower on a 2-core x86 host."""
     sep = "," + (nl or " ")
     inner = nl and nl + "  "  # indent=2: one level in from seg's items
     inner_sep = "," + (inner or " ")

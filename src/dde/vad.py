@@ -52,14 +52,14 @@ def active_runs(mask: np.ndarray):
 
 
 def _segment_channel(samples: np.ndarray, cfg: VadConfig):
-    """(start_ms, end_ms) of each speech run of one channel: sorted and at
-    least a frame apart, so they make a trace's channel as they are."""
+    """The speech runs of one channel as segments, sorted and at least a
+    frame apart: a trace's channel as they are."""
     rms = _kernels.frame_rms(samples, FRAME_SAMPLES)
     energies = 10.0 * np.log10(rms * rms + _EPS)
     floor = np.percentile(energies, _NOISE_FLOOR_PERCENTILE)
     spans = join_spans(active_runs(energies > floor + cfg.energy_threshold_db), cfg.min_gap_ms)
     min_ms = -(-cfg.min_speech_ms // FRAME_MS) * FRAME_MS  # whole frames, >= min_speech_ms
-    return [(s, e) for s, e in spans if e - s >= min_ms]
+    return [SpeechSegment(s, e) for s, e in spans if e - s >= min_ms]
 
 
 def vad_from_samples(pcm, cfg: VadConfig | None = None) -> ConversationTrace:
@@ -78,8 +78,7 @@ def vad_from_samples(pcm, cfg: VadConfig | None = None) -> ConversationTrace:
     duration_ms = (a.size // FRAME_SAMPLES) * FRAME_MS
     if duration_ms == 0:
         raise ValidationError("audio shorter than one 20ms frame")
-    channels = [[SpeechSegment(start, end) for start, end in _segment_channel(x, cfg)] for x in (a, b)]
-    return ConversationTrace(channels, duration_ms)
+    return ConversationTrace([_segment_channel(x, cfg) for x in (a, b)], duration_ms)
 
 
 def read_wav(path):

@@ -587,7 +587,6 @@ class TestTickLoopOracle:
         assert min(outcomes.values()) >= 15, outcomes
 
 
-
 class TestFinishOracle:
     """SelfChat.finish() makes its histories the trace as they are. Over
     random runs like TestTickLoopOracle's, stepped to their end or to the
@@ -618,6 +617,7 @@ class TestFinishOracle:
             outcomes.update(aborted=stop is not None, finished=stop is None, off_grid=off_grid,
                             on_grid=not off_grid, live_at_the_end=live)
         assert min(outcomes.values()) >= 15, outcomes
+
 
 class _RecordsModes:
     """`policy`, keeping each mode it decides in, one per tick, in `modes`."""

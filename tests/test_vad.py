@@ -3,7 +3,7 @@ import pytest
 
 from dde import FRAME_MS, ValidationError, VadConfig, vad_from_samples
 from dde.vad import load_conversation_audio
-from dde import SpeechSegment, build_trace
+from dde import build_trace
 from dde.vad import _segment_channel
 from conftest import write_wav
 from oracles import _close_gaps
@@ -154,8 +154,8 @@ class TestVadOracle:
         inputs += [([tones, other], gap, 20) for gap in (0, 40, 100)] + [([other, tones], 0, 100)]
         for pcm, min_gap_ms, min_speech_ms in inputs:
             cfg = VadConfig(min_gap_ms=min_gap_ms, min_speech_ms=min_speech_ms)
-            spans = [(ch, SpeechSegment(s, e)) for ch, x in enumerate(pcm) for s, e in _segment_channel(x, cfg)]
-            assert vad_from_samples(pcm, cfg) == build_trace(spans, 20 * (pcm[0].size // 320)), cfg
+            events = [(ch, s) for ch, x in enumerate(pcm) for s in _segment_channel(x, cfg)]
+            assert vad_from_samples(pcm, cfg) == build_trace(events, 20 * (pcm[0].size // 320)), cfg
 
 
 class TestVadConfig:
