@@ -569,7 +569,8 @@ class SelfChat:
         return decided
 
     def finish(self) -> ConversationTrace:
-        """The histories, kept sorted and merged by push_segment, as the run's trace."""
+        """Commit what still sounds at the run end; the histories, which
+        push_segment keeps sorted and merged, are then the run's trace."""
         for agent in (0, 1):
             self._commit_if_done(agent, self.run.duration_ms)
         return ConversationTrace(self.history, self.run.duration_ms)
