@@ -5,12 +5,12 @@
 
 Each entry of MUTANTS breaks one rule of src/dde by exact text: the tick
 labels and their order, the turn, pause, gap and backchannel arithmetic,
-the window and frame-grid cuts, the BPE merge loop and its tie rule, the
-engine's context and the order of its tick, the traces the engine and the
-VAD make of their merged channels, the F0 pick, the samples line tables,
-the JSON readers and the trace file layout. An entry is (name, file under src/dde, old
-text, new text, test node ids); old and new may be tuples of texts,
-replaced pairwise.
+the window and frame-grid cuts, the BPE merge loop, its tie rule and its
+site walk, the engine's context and the order of its tick, the traces the
+engine and the VAD make of their merged channels, the F0 pick, the samples
+line tables, the JSON readers and the trace file layout. An entry is (name,
+file under src/dde, old text, new text, test node ids); old and new may be
+tuples of texts, replaced pairwise.
 
 The script copies src/ and tests/ into a temp dir and runs every named
 test there once, unmutated: they must pass. Then it applies one mutant at
@@ -125,6 +125,23 @@ MUTANTS = [
     ("BPE merged pair count not lowered", "units.py",
      "            counts[best] -= len(sites)\n", "",
      [EDGE]),
+    # the site walk (units._rewrite) and the copy of left past its end; a
+    # mutant that stops advancing j would never end, so none is listed
+    ("BPE walk end not lowered at a site", "units.py",
+     "            end -= 1\n", "",
+     [f"{UNITS}::TestRewrite::test_runs_of_a_self_pair", f"{EDGE}[corpus2-4]",
+      f"{UNITS}::TestBpeOracleEquivalence::test_hand_vocabs",
+      f"{UNITS}::TestBpeOracleEquivalence::test_long_sequences_under_a_workload_scale_vocab"]),
+    ("BPE walk pairs a last left with the copy past the end", "units.py",
+     "if j + 1 < end and", "if j + 1 <= end and",
+     [f"{UNITS}::TestRewrite::test_runs_of_a_self_pair",
+      f"{UNITS}::TestBpeOracleEquivalence::test_hand_vocabs"]),
+    ("BPE walk starts one left short", "units.py",
+     "j = seq.index(left)\n", "j = seq.index(left, 1)\n",
+     [f"{UNITS}::TestRewrite::test_a_site_whose_right_id_ends_the_sequence"]),
+    ("BPE walk stops one id short", "units.py",
+     "end = len(seq) - 1", "end = len(seq) - 2",
+     [f"{UNITS}::TestRewrite::test_a_site_whose_right_id_ends_the_sequence"]),
     ("bpe_train rewrites the caller's lists", "units.py",
      "        seq = list(seq)\n        _check_raw(seq, base_alphabet_size)",
      "        _check_raw(seq, base_alphabet_size)",

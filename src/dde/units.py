@@ -103,18 +103,24 @@ def _check_raw(seq, base_alphabet_size: int) -> None:
 def _rewrite(seq: list[int], left: int, right: int, new: int) -> list:
     """Replace each (left, right) of seq by new, in place and from left to
     right, and return each site's neighbours (prev, next) as they stood when
-    it was replaced, None past either end."""
+    it was replaced, None past either end.
+
+    A copy of left stands past the end while the walk runs, so list.index
+    always finds one and the walk stops when it reaches that copy: no call
+    raises. Counting the left ids first does the same at 30 ids but scans a
+    long sequence twice: 5.9 against 4.1 ms to encode 20,000 ids."""
     sites = []
-    j = 0
-    try:
-        while True:
-            j = seq.index(left, j)
-            if j + 1 < len(seq) and seq[j + 1] == right:
-                sites.append(((seq[j - 1] if j else None), (seq[j + 2] if j + 2 < len(seq) else None)))
-                seq[j : j + 2] = (new,)
-            j += 1
-    except ValueError:  # no left at or after j
-        return sites
+    seq.append(left)
+    end = len(seq) - 1  # the copy's index
+    j = seq.index(left)
+    while j < end:
+        if j + 1 < end and seq[j + 1] == right:
+            sites.append(((seq[j - 1] if j else None), (seq[j + 2] if j + 2 < end else None)))
+            seq[j : j + 2] = (new,)
+            end -= 1
+        j = seq.index(left, j + 1)
+    seq.pop()
+    return sites
 
 
 def bpe_train(corpus, num_merges: int, base_alphabet_size: int) -> BpeVocab:
@@ -203,6 +209,11 @@ def bpe_encode(vocab: BpeVocab, seq) -> tuple[int, ...]:
     that uses that id ranks later. So the ranks of the sequence's pairs go
     on a heap once, each merge pushes the ranks of the pairs it creates, and
     ranks come off in order; a rank whose pair is gone finds no site.
+
+    A loop that merges at min() of a per-position rank list gives the same
+    tokens and ran 20% faster at workload lengths, but it is quadratic: 36.7
+    against 3.9 ms at 2000 ids and 3668 against 49 ms at 20,000 (2-core x86,
+    CPython 3.11). So the heap stays.
     """
     seq = list(seq)
     _check_raw(seq, vocab.base_alphabet_size)

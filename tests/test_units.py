@@ -13,6 +13,7 @@ from dde import (
     unit_error_rate,
     units_duration_ms,
 )
+from dde.units import _rewrite
 from oracles import pass_per_merge_bpe_encode, pass_per_merge_bpe_train, recursive_levenshtein
 
 raw_seqs = st.lists(st.integers(min_value=0, max_value=19), max_size=60)
@@ -98,6 +99,44 @@ class TestBpeTrain:
         seq = [3, 1, 2, 1, 2]
         assert bpe_encode(vocab, seq) != tuple(seq)
         assert seq == [3, 1, 2, 1, 2]
+
+
+class TestRewrite:
+    """The site walk that training and encoding share, pinned directly."""
+
+    @pytest.mark.parametrize("n,sites,after", [
+        (1, [], [3]),
+        (2, [(None, None)], [9]),
+        (3, [(None, 3)], [9, 3]),
+        (4, [(None, 3), (9, None)], [9, 9]),
+        (5, [(None, 3), (9, 3)], [9, 9, 3]),
+        (6, [(None, 3), (9, 3), (9, None)], [9, 9, 9]),
+        (7, [(None, 3), (9, 3), (9, 3)], [9, 9, 9, 3]),
+    ])
+    def test_runs_of_a_self_pair(self, n, sites, after):
+        # each site uses up two of the run's left ids
+        seq = [3] * n
+        assert _rewrite(seq, 3, 3, 9) == sites
+        assert seq == after
+
+    def test_a_site_whose_right_id_ends_the_sequence(self):
+        seq = [1, 2, 0, 1, 2]
+        assert _rewrite(seq, 1, 2, 5) == [(None, 0), (0, None)]
+        assert seq == [5, 0, 5]
+
+    def test_left_ids_that_no_right_id_follows(self):
+        seq = [1, 0, 1, 2, 1, 3, 1]
+        assert _rewrite(seq, 1, 2, 5) == [(0, 1)]
+        assert seq == [1, 0, 5, 1, 3, 1]
+        seq = [1, 0, 1]
+        assert _rewrite(seq, 1, 2, 5) == []
+        assert seq == [1, 0, 1]
+
+    @pytest.mark.parametrize("seq", [[], [0], [0, 2, 3, 2]])
+    def test_a_sequence_without_the_left_id(self, seq):
+        before = list(seq)
+        assert _rewrite(seq, 1, 2, 5) == []
+        assert seq == before
 
 
 class TestBpeCodec:
@@ -291,6 +330,19 @@ class TestBpeOracleEquivalence:
         assert vocab == pass_per_merge_bpe_train(corpus, 200, 500)
         assert len(vocab.merges) == 200
         for seq in corpus:
+            assert bpe_encode(vocab, seq) == pass_per_merge_bpe_encode(vocab, seq)
+
+    def test_long_sequences_under_a_workload_scale_vocab(self, rng):
+        # sequences of about 5000 ids, far past the workload's 30, encoded
+        # with the vocab of test_workload_scale_corpus's kind of corpus
+        weights = 1.0 / np.arange(1, 501)
+        p = weights / weights.sum()
+        corpus = [list(dedup(rng.choice(500, size=rng.integers(5, 58), p=p).tolist())) for _ in range(270)]
+        vocab = bpe_train(corpus, 200, 500)
+        assert len(vocab.merges) == 200
+        for _ in range(3):
+            seq = dedup(rng.choice(500, size=5500, p=p).tolist())
+            assert len(seq) > 4500
             assert bpe_encode(vocab, seq) == pass_per_merge_bpe_encode(vocab, seq)
 
     def test_hand_vocabs(self):
