@@ -6,10 +6,10 @@ stands in for): overlaps ~5.7 in [2.8, 8.6], backchannels ~2.1 in [1.0, 3.2],
 pauses ~12.2 in [6.1, 18.3], avg gap ~393ms in [200, 590].
 
 Searches each FINE_STEPS field of StochasticConfig's shipped defaults and
-one step either side of it (243 points), evaluates each point over seeds
-100-119, and prints the 25 best rows, those inside all four windows first,
-each group ranked by distance to the target center. Then it prints the
-shipped point's row and rank. scripts/calibration.txt is this output, and
+one step either side of it (243 points), evaluates each point over 5-min
+runs of seeds 100-119, and prints the 25 best rows, those inside all four
+windows first, each group ranked by distance to the target center. Then it
+prints the shipped point's row and rank. scripts/calibration.txt is this output, and
 CI requires a re-run to reproduce it byte for byte.
 """
 
@@ -31,18 +31,19 @@ WINDOWS = {
     "gap": (200.0, 590.0),
 }
 SEEDS = range(100, 120)
+DURATION_MS = 300000
 
 
-def evaluate(cfg: StochasticConfig, seeds, duration_ms=300000):
+def evaluate(cfg: StochasticConfig):
     sums = {k: 0.0 for k in TARGETS}
-    for seed in seeds:
-        trace = run_selfchat(stochastic_run(seed, duration_ms, cfg))
+    for seed in SEEDS:
+        trace = run_selfchat(stochastic_run(seed, DURATION_MS, cfg))
         rep = conversation_report(trace)
         sums["overlaps"] += rep.overlaps_per_min
         sums["backchannels"] += rep.backchannels_per_min
         sums["pauses"] += rep.pauses_per_min
         sums["gap"] += rep.avg_gap_ms if rep.avg_gap_ms is not None else 0.0
-    return {k: v / len(seeds) for k, v in sums.items()}
+    return {k: v / len(SEEDS) for k, v in sums.items()}
 
 
 def distance(means):
@@ -92,7 +93,7 @@ def main():
     results = []
     for combo in itertools.product(*(grid[n] for n in names)):
         cfg = StochasticConfig(**dict(zip(names, combo)))
-        means = evaluate(cfg, SEEDS)
+        means = evaluate(cfg)
         results.append((distance(means), in_windows(means), combo, means))
     results.sort(key=lambda r: (not r[1], r[0]))
     print(f"{'ok':<3} {'dist':>6}  " + " ".join(f"{n[:12]:>12}" for n in names)

@@ -4,13 +4,13 @@
 Runs one stochastic self-chat of seed 1 at each of 1, 2, 4 and 8 minutes
 with both agents wrapped in a policy that reads `obs.context` on every tick
 and then decides as the stochastic policy does, and checks that each trace
-is the one the plain policy makes. The shortest reading run goes once,
-untimed, before any timed run. Prints the best of --repeats in µs of
-CPU time per tick for each length, with and without the reads, and for each
-the exponent of a least-squares fit of log run time against log length: 1
-means the cost of a tick does not grow with the run.
+is the one the plain policy makes. Every run goes once untimed, to pay the
+process's warm-up, then 7 times timed, interleaved. Prints the best of the 7
+in µs of CPU time per tick for each length, with and without the reads, and
+for each the exponent of a least-squares fit of log run time against log
+length: 1 means the cost of a tick does not grow with the run.
 
-    python3 scripts/context_cost.py [--repeats N]
+    python3 scripts/context_cost.py
 """
 
 import argparse
@@ -50,21 +50,17 @@ def fitted_exponent(xs, ys) -> float:
     return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     plain = [stochastic_run(SEED, minutes * 60000) for minutes in MINUTES]
     reading = [dataclasses.replace(run, agents=tuple(map(ReadsContext, run.agents))) for run in plain]
     runs = reading + plain
-    seconds, traces = [math.inf] * len(runs), [None] * len(runs)
-    run_selfchat(runs[0])  # untimed: the process's first run pays its warm-up
-    for _ in range(args.repeats):  # the runs interleave, so a slow spell spreads over all of them
+    traces = [run_selfchat(run) for run in runs]  # untimed: they pay the warm-up
+    seconds = [math.inf] * len(runs)
+    for _ in range(7):  # the runs interleave, so a slow spell spreads over all of them
         for i, run in enumerate(runs):
             t0 = time.process_time()
-            traces[i] = run_selfchat(run)
+            run_selfchat(run)
             seconds[i] = min(seconds[i], time.process_time() - t0)
     n = len(MINUTES)
     for i, (minutes, run) in enumerate(zip(MINUTES, plain)):

@@ -235,6 +235,8 @@ MUTANTS = [
     ("read_value lets TypeError through", "_schema.py",
      "_REJECTED = (TypeError, ValueError, OverflowError)", "_REJECTED = (ValueError, OverflowError)",
      [CLI]),
+    ("unit_ids drops its lower bound", "_schema.py",
+     "-INT_LIMIT <= min(ids) and ", "", [f"{CLI}::test_trace_error_text[units_minus_2e60]"]),
     ("negative unit ids tested by max", "_schema.py",
      "if ids and min(ids) < 0:", "if ids and max(ids) < 0:",
      [f"{SEGMENTS}::TestSegmentValidation::test_negative_unit_ids_rejected",

@@ -231,9 +231,8 @@ def _reader(hint, default):
     """(reader, default) for a field annotated `hint`. The reader is a Record
     class for a nested record, else a converter. `X | None` reads as X, and
     null or absent as the default, None when the field has none."""
-    args = [a for a in typing.get_args(hint) if a is not type(None)]
-    if typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 1:
-        hint = args[0]
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
         default = None if default is MISSING else default
     read = {int: integer, float: finite_float, tuple[int, ...]: unit_ids}.get(hint, _as_is)
     if isinstance(hint, type) and issubclass(hint, Record):

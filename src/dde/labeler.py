@@ -50,6 +50,9 @@ class Action(IntEnum):
             raise ValidationError(f"unknown action {shown(name, repr)}") from None
 
 
+_SINGLE_TARGETS = {a: (int(a),) for a in Action if a is not Action.SPK}  # every action's target but SPK's
+
+
 @dataclass(frozen=True)
 class TrainingSample:
     """One (context, next action) pair for a speaker at a tick boundary."""
@@ -82,16 +85,12 @@ def _label(own: ChannelBounds, other: ChannelBounds, tick_index: int) -> Action:
     return Action.SIL
 
 
-def _check_tick(trace: ConversationTrace, tick_index: int) -> None:
+def label_tick(trace: ConversationTrace, agent, tick_index: int) -> Action:
+    """Next-action label for one speaker at one complete tick."""
     if tick_index < 0 or TICK_MS * (tick_index + 1) > trace.duration_ms:
         raise ValidationError(
             f"tick {tick_index} not fully inside a {trace.duration_ms}ms trace"
         )
-
-
-def label_tick(trace: ConversationTrace, agent, tick_index: int) -> Action:
-    """Next-action label for one speaker at one complete tick."""
-    _check_tick(trace, tick_index)
     ai = speaker_index(agent)
     return _label(trace.bounds(ai), trace.bounds(1 - ai), tick_index)
 
@@ -117,7 +116,7 @@ def encode_target(action: Action, bpe_unit_ids=None) -> tuple[int, ...]:
         return (int(Action.SPK), *(int(u) + UNIT_ID_OFFSET for u in bpe_unit_ids), EOS_ID)
     if bpe_unit_ids is not None:
         raise ValidationError(f"{action.name} targets take no units")
-    return (int(action),)
+    return _SINGLE_TARGETS[action]
 
 
 def build_samples(
@@ -137,10 +136,9 @@ def build_samples(
         raise ValidationError("window width must be positive")
     ai = speaker_index(agent)
     own = trace.bounds(ai)
-    single = {a: (int(a),) for a in Action if a is not Action.SPK}  # shared by the samples
     samples = []
     for i, action in enumerate(label_sequence(trace, ai)):
-        target = single.get(action)
+        target = _SINGLE_TARGETS.get(action)
         if action is Action.SPK:
             seg = trace.channels[ai][own.onset_index_in(i * TICK_MS, (i + 1) * TICK_MS)]
             if seg.units is not None:

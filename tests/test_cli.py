@@ -342,6 +342,10 @@ TRACE_ERRORS = {
         {"duration_ms": 1000, "channels": [[{"start_ms": 0, "end_ms": 20, "units": [2**60]}], []]},
         f"channels[0][0].units: {_beyond(2**60)}",
     ),
+    "units_minus_2e60": (
+        {"duration_ms": 1000, "channels": [[{"start_ms": 0, "end_ms": 20, "units": [-(2**60)]}], []]},
+        f"channels[0][0].units: {_beyond(-(2**60))}",
+    ),
     "start_2e53": (
         {"duration_ms": 1000, "channels": [[{"start_ms": 2**53, "end_ms": 20}], []]},
         f"channels[0][0].start_ms: {_beyond(2**53)}",
@@ -370,13 +374,14 @@ def test_trace_error_text(tmp_path, capsys, case):
     ["tokenize", "apply", "--vocab", "empty_vocab.json", "--traces", "bad.json", "--out", "tokens.jsonl"],
 ])
 def test_unit_id_past_2_53_is_an_error_in_every_command_that_reads_units(tmp_path, monkeypatch, capsys, command):
-    doc, message = TRACE_ERRORS["units_2e60"]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.json").write_text(json.dumps(doc))
     (tmp_path / "empty_vocab.json").write_text('{"base_alphabet_size": 500}')
-    assert run_cli(*command) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "empty_vocab.json"]
+    for case in ("units_2e60", "units_minus_2e60"):
+        doc, message = TRACE_ERRORS[case]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert run_cli(*command) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "empty_vocab.json"]
 
 
 def _agents(*policies, response=None):
