@@ -9,8 +9,8 @@ Searches each FINE_STEPS field of StochasticConfig's shipped defaults and
 one step either side of it (243 points), evaluates each point over 5-min
 runs of seeds 100-119, and prints the 25 best rows, those inside all four
 windows first, each group ranked by distance to the target center. Then it
-prints the shipped point's row and rank. scripts/calibration.txt is this output, and
-CI requires a re-run to reproduce it byte for byte.
+prints the shipped point's row and rank. scripts/calibration.txt is this
+output, and CI requires a re-run to reproduce it byte for byte.
 """
 
 import itertools
