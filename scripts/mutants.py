@@ -8,7 +8,8 @@ labels and their order, the turn, pause, gap and backchannel arithmetic,
 the window and frame-grid cuts, the BPE merge loop, its tie rule and its
 site walk, the engine's context and the order of its tick, the traces the
 engine and the VAD make of their merged channels, the F0 pick, the samples
-line tables, the JSON readers and the trace file layout. An entry is (name,
+line tables, the one pass over both speakers' samples and its spool, the
+JSON readers and the trace file layout. An entry is (name,
 file under src/dde, old text, new text, test node ids); old and new may be
 tuples of texts, replaced pairwise.
 
@@ -219,14 +220,33 @@ MUTANTS = [
      ("heads = {(agent, a):", "heads[s.agent, s.action]"),
      ("heads = {a:", "heads[s.action]"),
      [f"{LABELER}::TestWriterTables"]),
+    # ---- one pass over both speakers' ticks (labeler.write_samples_jsonl's spool)
+    ("halves paired across window widths", "labeler.py",
+     " and a.window_ms == b.window_ms", "",
+     [f"{LABELER}::TestBothSpeakersOnePass::test_halves_without_shared_contexts_written_per_sample"]),
+    ("halves paired across ticks", "labeler.py",
+     " and a.tick_index == b.tick_index", "",
+     [f"{LABELER}::TestBothSpeakersOnePass::test_halves_without_shared_contexts_written_per_sample"]),
+    ("halves of unequal length paired", "labeler.py",
+     "if not odd and all(", "if all(",
+     [f"{LABELER}::TestBothSpeakersOnePass::test_halves_without_shared_contexts_written_per_sample"]),
+    ("B's line gets the next tick's context", "labeler.py",
+     "        return pairs()\n", "        return zip(islice(samples, half), islice(samples, half + 1, None))\n",
+     [f"{LABELER}::TestInlineWriterOracle"]),
+    ("spool written over A's lines", "labeler.py",
+     "            fp.flush()\n", "            fp.flush()\n            fp.buffer.seek(0)\n",
+     [f"{LABELER}::TestInlineWriterOracle"]),
+    ("spool copied before it is flushed", "labeler.py",
+     "            spool.flush()\n", "",
+     [f"{LABELER}::TestInlineWriterOracle"]),
     # ---- JSON readers and records (_schema, segments, analytics, cli)
     ("integer() returns early below -INT_LIMIT", "_schema.py",
-     "if type(value) is int and -INT_LIMIT <= value <= INT_LIMIT:",
-     "if type(value) is int and value <= INT_LIMIT:",
+     "return type(value) is int and -INT_LIMIT <= value <= INT_LIMIT",
+     "return type(value) is int and value <= INT_LIMIT",
      ["tests/test_schema.py::test_integer_rejects_beyond_2_53_minus_1[-9007199254740992]",
       "tests/test_schema.py::test_number_reads_integers_through_integer[-9007199254740992]"]),
     ("integer() returns a bool early", "_schema.py",
-     "if type(value) is int and", "if isinstance(value, int) and",
+     "return type(value) is int and", "return isinstance(value, int) and",
      [f"{SEGMENTS}::TestSerialization::test_bad_fields_name_their_json_path"
       "[data10-channels[1][0].start_ms: expected an integer, got true]"]),
     ("read_value lets OverflowError through", "_schema.py",
@@ -236,7 +256,13 @@ MUTANTS = [
      "_REJECTED = (TypeError, ValueError, OverflowError)", "_REJECTED = (ValueError, OverflowError)",
      [CLI]),
     ("unit_ids drops its lower bound", "_schema.py",
-     "-INT_LIMIT <= min(ids) and ", "", [f"{CLI}::test_trace_error_text[units_minus_2e60]"]),
+     "if least >= -INT_LIMIT:", "if True:", [f"{CLI}::test_trace_error_text[units_minus_2e60]"]),
+    ("ids from -1 up read as unsigned", "_schema.py",
+     "if least >= 0:", "if least >= -1:",
+     [f"{SEGMENTS}::TestSegmentValidation::test_negative_unit_ids_rejected"]),
+    ("a missing field without a default taken as absent", "_schema.py",
+     "if value is None and default is not _REQUIRED:", "if value is None:",
+     [f"{SEGMENTS}::TestSerialization::test_bad_fields_name_their_json_path[data3-channels[1][0].end_ms]"]),
     ("negative unit ids tested by max", "_schema.py",
      "if ids and min(ids) < 0:", "if ids and max(ids) < 0:",
      [f"{SEGMENTS}::TestSegmentValidation::test_negative_unit_ids_rejected",

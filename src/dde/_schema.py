@@ -104,11 +104,16 @@ def expect_known_keys(data, known, path="") -> None:
 INT_LIMIT = 2**53 - 1
 
 
+def _plain_int(value) -> bool:
+    """True for a value integer() returns unchanged: a plain int within ±INT_LIMIT."""
+    return type(value) is int and -INT_LIMIT <= value <= INT_LIMIT
+
+
 def integer(value) -> int:
     """An integer from a JSON number or numeric string: 20, 20.0 and "20" read
     as 20; booleans, non-integral numbers, integers beyond ±INT_LIMIT and
     anything else are errors, not 1, truncated or an overflow later."""
-    if type(value) is int and -INT_LIMIT <= value <= INT_LIMIT:
+    if _plain_int(value):
         return value
     try:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -180,18 +185,32 @@ class UnitIds(tuple):
     __slots__ = ()
 
 
+class _UnsignedIds(UnitIds):
+    """UnitIds that unit_ids found none negative of, so that non_negative
+    takes their min no second time."""
+
+    __slots__ = ()
+
+
 def unit_ids(value) -> UnitIds:
     """Unit ids from a JSON list, each read as integer() reads it; a string is
     an error, not a list of digits. A list of ints within ±INT_LIMIT, the
     common case, is checked by its type set, min and max alone."""
     ids = items(value)
-    checked = ids and set(map(type, ids)) == {int} and -INT_LIMIT <= min(ids) and max(ids) <= INT_LIMIT
-    return UnitIds(ids if checked else items(ids, read=integer))
+    if ids and set(map(type, ids)) == {int} and max(ids) <= INT_LIMIT:
+        least = min(ids)
+        if least >= 0:
+            return _UnsignedIds(ids)
+        if least >= -INT_LIMIT:
+            return UnitIds(ids)
+    return UnitIds(items(ids, read=integer))
 
 
 def non_negative(ids: UnitIds) -> UnitIds:
     """ids, when none of them is negative: raw unit ids, as a segment's units
     and a corpus response's sequences hold them."""
+    if type(ids) is _UnsignedIds:
+        return ids
     if ids and min(ids) < 0:
         raise ValidationError("unit ids must be non-negative")
     return ids
@@ -228,16 +247,17 @@ def section(cfg, key) -> dict:
 
 
 def _reader(hint, default):
-    """(reader, default) for a field annotated `hint`. The reader is a Record
-    class for a nested record, else a converter. `X | None` reads as X, and
-    null or absent as the default, None when the field has none."""
+    """(reader, default, unchanged) for a field annotated `hint`. The reader
+    is a Record class for a nested record, else a converter. `X | None` reads
+    as X, and null or absent as the default, None when the field has none.
+    `unchanged` tests for a value the reader returns as it is, or is None."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         hint = next(a for a in typing.get_args(hint) if a is not type(None))
         default = None if default is MISSING else default
     read = {int: integer, float: finite_float, tuple[int, ...]: unit_ids}.get(hint, _as_is)
     if isinstance(hint, type) and issubclass(hint, Record):
         read = hint
-    return read, _REQUIRED if default is MISSING else default
+    return read, _REQUIRED if default is MISSING else default, _plain_int if read is integer else None
 
 
 @cache
@@ -250,16 +270,21 @@ def read_record(cls, data, path):
     """Dataclass `cls` with each field read from `data` by read_field: `int`,
     `float` and `tuple[int, ...]` fields through integer, finite_float and
     unit_ids, nested records by their own from_dict, other types as given
-    (cls validates them). Absent fields take their default; unknown keys are
-    ignored."""
+    (cls validates them). Absent fields take their default, and a value its
+    reader would return unchanged, such as an in-bound int, is taken at once;
+    unknown keys are ignored."""
     expect_object(data, path)
     kwargs = {}
-    for name, read, default in _plan(cls):
-        if isinstance(read, type):
-            value = read_field(data, name, path, _as_is, default)
-            kwargs[name] = value if value is default else read.from_dict(value, f"{path}.{name}")
+    for name, read, default, unchanged in _plan(cls):
+        value = data.get(name)
+        if value is None and default is not _REQUIRED:  # as read_field would give it
+            kwargs[name] = default
+        elif unchanged is not None and unchanged(value):
+            kwargs[name] = value
+        elif isinstance(read, type):
+            kwargs[name] = read.from_dict(read_field(data, name, path, _as_is), f"{path}.{name}")
         else:
-            kwargs[name] = read_field(data, name, path, read, default)
+            kwargs[name] = read_field(data, name, path, read)
     try:
         return cls(**kwargs)
     except ValidationError as exc:

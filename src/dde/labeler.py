@@ -18,9 +18,14 @@ the earlier rule wins: initiations are the rarest, most valuable events.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import ExitStack
 from enum import IntEnum
+from itertools import islice, repeat
+from pathlib import Path
+from typing import NamedTuple
 
 from ._schema import at_least, expect_object, one_of, read_field, read_json_lines, shown
 from .errors import ValidationError
@@ -53,16 +58,21 @@ class Action(IntEnum):
 _SINGLE_TARGETS = {a: (int(a),) for a in Action if a is not Action.SPK}  # every action's target but SPK's
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    """One (context, next action) pair for a speaker at a tick boundary."""
+class TrainingSample(NamedTuple):
+    """One (context, next action) pair for a speaker at a tick boundary. A
+    tuple, so that building one sets no field by a call of its own; its
+    fields cannot be assigned, and its repr leaves out the trace."""
 
-    trace: ConversationTrace = field(repr=False)  # the whole source trace, shared
+    trace: ConversationTrace        # the whole source trace, shared
     agent: int                      # channel whose action is labeled
     tick_index: int
     action: Action
     target_tokens: tuple[int, ...] | None = None
     window_ms: int = WINDOW_MS
+
+    def __repr__(self):
+        shown_fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[1:], self[1:]))
+        return f"{type(self).__qualname__}({shown_fields})"
 
     @property
     def context(self) -> ConversationTrace:
@@ -156,12 +166,37 @@ def action_histogram(samples) -> dict[str, int]:
     return {a.name: counts[a] for a in Action}
 
 
+def _paired_halves(samples):
+    """The samples of list `samples`' first half side by side with those of
+    its second half, when each pair shares its context: the same trace, tick
+    and window width, as A's and B's samples at a tick do. None when some
+    pair does not, or the halves differ in length."""
+    half, odd = divmod(len(samples), 2)
+
+    def pairs():  # no copy of either half
+        return zip(islice(samples, half), islice(samples, half, None))
+
+    if not odd and all(
+        a.trace is b.trace and a.tick_index == b.tick_index and a.window_ms == b.window_ms for a, b in pairs()
+    ):
+        return pairs()
+    return None
+
+
 def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> None:
-    """One JSON line per sample, as json.dumps with sorted keys writes it: its
-    (agent, action) head and its target's tail, each formatted once per call,
-    around its context. In "inline" mode that is the sample's context, written
-    by window_json; in "ref" mode a context_ref to trace_path. Any other mode
-    is an error."""
+    """One JSON line per sample of list `samples`, as json.dumps with sorted
+    keys writes it: its (agent, action) head and its target's tail, each
+    formatted once per call, around its context. In "inline" mode that is the
+    sample's context, written by window_json; in "ref" mode a context_ref to
+    trace_path. Any other mode is an error.
+
+    Inline samples whose second half has the first half's contexts, place by
+    place, as `dde label --speaker both` lists A's ticks and then B's, take
+    one pass over the ticks: each context is formatted once, for a line of
+    the first half written to `path` and one of the second half written to
+    an unnamed spool file beside it, whose bytes follow the first half's
+    lines. No context outlives its two lines, and neither half is copied, so
+    memory does not grow with the list."""
     if context_mode not in ("inline", "ref"):
         raise ValidationError(f"context_mode: expected inline or ref, got {context_mode!r}")
     inline = context_mode == "inline"
@@ -170,20 +205,35 @@ def write_samples_jsonl(samples, path, context_mode="ref", trace_path=None) -> N
     heads = {(agent, a): f'{{"action": "{a.name}", "agent": "{name}", "{key}": '
              for agent, name in enumerate(SPEAKER_NAMES) for a in Action}
     tails = {None: ', "tick_index": '}
-    with open(path, "w", encoding="utf-8") as fp:
-        for s in samples:
+
+    def line(s, context):
+        target = s.target_tokens
+        if type(target) is list:  # a list has no hash; its tuple has the same tail
+            target = tuple(target)
+        tail = tails.get(target)
+        if tail is None:
+            tail = tails[target] = f', "target_tokens": [{", ".join(map(str, target))}], "tick_index": '
+        return f"{heads[s.agent, s.action]}{context}{tail}{s.tick_index}}}\n"
+
+    pairs = _paired_halves(samples) if inline else None
+    with ExitStack() as files:
+        fp = files.enter_context(open(path, "w", encoding="utf-8"))
+        if pairs is not None:
+            spool = files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", dir=Path(path).parent))
+        for s, partner in zip(samples, repeat(None)) if pairs is None else pairs:
             end_ms = TICK_MS * (s.tick_index + 1)
             if inline:
                 context = window_json(s.trace, end_ms, s.window_ms)
             else:
                 context = f'{{"end_ms": {end_ms}, "trace": {ref_trace}, "window_ms": {s.window_ms}}}'
-            target = s.target_tokens
-            if type(target) is list:  # a list has no hash; its tuple has the same tail
-                target = tuple(target)
-            tail = tails.get(target)
-            if tail is None:
-                tail = tails[target] = f', "target_tokens": [{", ".join(map(str, target))}], "tick_index": '
-            fp.write(f"{heads[s.agent, s.action]}{context}{tail}{s.tick_index}}}\n")
+            fp.write(line(s, context))
+            if partner is not None:
+                spool.write(line(partner, context))
+        if pairs is not None:  # the spool's bytes as they are, not decoded and encoded again
+            spool.flush()
+            spool.buffer.seek(0)
+            fp.flush()
+            shutil.copyfileobj(spool.buffer, fp.buffer)
 
 
 def read_actions_jsonl(path) -> dict[tuple[str, int], Action]:

@@ -83,7 +83,7 @@ class SpeechSegment(Record):
                 f"segment end {self.end_ms} must exceed start {self.start_ms}"
             )
         if self.units is not None:
-            if type(self.units) is not UnitIds:  # made in code, not read from JSON
+            if not isinstance(self.units, UnitIds):  # made in code, not read from JSON
                 object.__setattr__(self, "units", read_value(self.units, "units", unit_ids))
             if self.start_ms % FRAME_MS or self.end_ms % FRAME_MS:
                 raise ValidationError(

@@ -1,3 +1,6 @@
+import inspect
+import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -17,7 +20,9 @@ from dde import (
     label_sequence,
     label_tick,
 )
+from dde import labeler
 from dde.cli import main
+from dde.segments import window_json
 from dde.labeler import EOS_ID, PAD_ID, BOS_ID, UNIT_ID_OFFSET, action_histogram, write_samples_jsonl
 from conftest import annotated_traces, random_trace
 from oracles import frame_label_sequence, window_per_tick_write_samples_jsonl
@@ -318,3 +323,111 @@ class TestActionHistogram:
         out = tmp_path / "s.jsonl"
         assert main(["label", "--trace", str(trace), "--out", str(out)]) == 0
         assert capsys.readouterr().out == f"wrote {out}: 62 samples\nSIL=40 CON=19 SPK=2 STP=1\n"
+
+
+class TestTrainingSampleContract:
+    """What callers may rely on in a sample, whatever class holds its fields."""
+
+    @staticmethod
+    def sample(**changes):
+        trace = build_trace([("A", seg(0, 320, units=(7, 8) * 8))], 1600)
+        fields = dict(trace=trace, agent=1, tick_index=3, action=Action.SIL, target_tokens=(3,), window_ms=333)
+        return TrainingSample(**{**fields, **changes})
+
+    def test_field_names_order_and_defaults(self):
+        params = inspect.signature(TrainingSample).parameters
+        assert [(p.name, p.default) for p in params.values()] == [
+            ("trace", inspect.Parameter.empty), ("agent", inspect.Parameter.empty),
+            ("tick_index", inspect.Parameter.empty), ("action", inspect.Parameter.empty),
+            ("target_tokens", None), ("window_ms", 20000),
+        ]
+        s = TrainingSample(build_trace([], 320), 0, 1, Action.SIL)
+        assert (s.target_tokens, s.window_ms) == (None, 20000)
+
+    def test_repr_leaves_out_the_trace(self):
+        assert repr(self.sample()) == (
+            "TrainingSample(agent=1, tick_index=3, action=<Action.SIL: 3>, target_tokens=(3,), window_ms=333)"
+        )
+
+    def test_equal_fields_equal_samples(self):
+        # an equal trace that is another object still makes an equal sample
+        other_trace = build_trace([("A", seg(0, 320, units=(7, 8) * 8))], 1600)
+        assert self.sample() == self.sample() == self.sample(trace=other_trace)
+        for changes in (dict(trace=build_trace([], 1600)), dict(agent=0), dict(tick_index=4),
+                        dict(action=Action.CON), dict(target_tokens=None), dict(window_ms=160)):
+            assert self.sample() != self.sample(**changes), changes
+
+    @pytest.mark.parametrize("name", ["trace", "agent", "tick_index", "action", "target_tokens", "window_ms"])
+    def test_assigning_a_field_raises(self, name):
+        s = self.sample()
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+
+
+def _alternating_turns(minutes):
+    """A trace of 1.4 s unit-annotated turns, each starting 1 s after the
+    other speaker's, over `minutes` minutes."""
+    events = [("AB"[k % 2], seg(1000 * k, 1000 * k + 1400, units=tuple(range(k % 5, k % 5 + 70))))
+              for k in range(minutes * 60 - 2)]
+    return build_trace(events, minutes * 60000)
+
+
+class TestBothSpeakersOnePass:
+    """Samples of both speakers over one trace, A's ticks before B's, as `dde
+    label --speaker both` lists them: each tick's context is formatted once."""
+
+    def test_window_json_once_per_tick(self, tmp_path, monkeypatch):
+        trace = _alternating_turns(1)
+        samples = build_samples(trace, "A", 5000) + build_samples(trace, "B", 5000)
+        calls = []
+        real = labeler.window_json
+        monkeypatch.setattr(labeler, "window_json", lambda *a: calls.append(a[1]) or real(*a))
+        write_samples_jsonl(samples, tmp_path / "new.jsonl", "inline")
+        assert calls == [160 * (i + 1) for i in range(trace.duration_ms // 160)]
+        window_per_tick_write_samples_jsonl(samples, tmp_path / "old.jsonl", "inline")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("second_half", [
+        lambda trace, b: b + b[:1],  # one sample more than the first half
+        lambda trace, b: build_samples(trace, "B", 333),  # another width
+        lambda trace, b: b[::-1],  # the same ticks in another order
+        lambda trace, b: build_samples(build_trace([], trace.duration_ms), "B", 5000),  # another trace
+    ], ids=["odd", "width", "order", "trace"])
+    def test_halves_without_shared_contexts_written_per_sample(self, tmp_path, second_half):
+        trace = _alternating_turns(1)
+        samples = build_samples(trace, "A", 5000)
+        samples += second_half(trace, build_samples(trace, "B", 5000))
+        write_samples_jsonl(samples, tmp_path / "new.jsonl", "inline")
+        window_per_tick_write_samples_jsonl(samples, tmp_path / "old.jsonl", "inline")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+    def test_memory_does_not_grow_with_the_trace(self, tmp_path):
+        peaks = []
+        for minutes in (1, 4):
+            trace = _alternating_turns(minutes)
+            samples = build_samples(trace, "A") + build_samples(trace, "B")
+            window_json(trace, 160, 160)  # the trace's cached JSON parts are the trace's, not the writer's
+            tracemalloc.start()
+            try:
+                write_samples_jsonl(samples, tmp_path / "s.jsonl", "inline")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
+    def test_failed_write_raises_the_same_error_and_leaves_no_spool(self, tmp_path, monkeypatch):
+        trace = _alternating_turns(1)
+        ticks = trace.duration_ms // 160
+        # one more tick for each speaker, past the trace's end
+        samples = [*build_samples(trace, "A", 333), TrainingSample(trace, 0, ticks, Action.SIL, (3,), 333),
+                   *build_samples(trace, "B", 333), TrainingSample(trace, 1, ticks, Action.SIL, (3,), 333)]
+        (tmp_path / "out").mkdir()
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        with pytest.raises(ValidationError) as new:
+            write_samples_jsonl(samples, tmp_path / "out" / "new.jsonl", "inline")
+        with pytest.raises(ValidationError) as old:
+            window_per_tick_write_samples_jsonl(samples, tmp_path / "old.jsonl", "inline")
+        assert str(new.value) == str(old.value) == f"window end {160 * (ticks + 1)} outside (0, {trace.duration_ms}]"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["new.jsonl"]
+        assert list((tmp_path / "tmp").iterdir()) == []
