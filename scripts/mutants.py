@@ -267,6 +267,21 @@ MUTANTS = [
      "if ids and min(ids) < 0:", "if ids and max(ids) < 0:",
      [f"{SEGMENTS}::TestSegmentValidation::test_negative_unit_ids_rejected",
       f"{SIMULATE}::TestRunConfig::test_bad_policy_settings_rejected_at_load"]),
+    ("in-bound int field read through read_field", "_schema.py",
+     "elif read is integer and _plain_int(value):\n            kwargs[name] = value",
+     "elif read is integer and _plain_int(value):\n            kwargs[name] = read_field(data, name, path, read)",
+     [f"{SEGMENTS}::TestSerialization::test_only_a_field_to_convert_goes_through_read_field"]),
+    ("absent field read through read_field", "_schema.py",
+     "# as read_field would give it\n            kwargs[name] = default",
+     "\n            kwargs[name] = read_field(data, name, path, read, default)",
+     [f"{SEGMENTS}::TestSerialization::test_only_a_field_to_convert_goes_through_read_field"]),
+    ("read ids' min taken again", "_schema.py",
+     "    if isinstance(ids, UnitIds):\n        return ids\n", "",
+     [f"{SEGMENTS}::TestSerialization::test_a_trace_read_from_json_takes_each_segments_min_of_units_once"]),
+    ("items names the list's path on failure", "_schema.py",
+     'return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(value))',
+     "raise",
+     [f"{CLI}::test_trace_error_text"]),
     ("JSON lines without their line prefix", "_schema.py",
      "yield n, read(loads(line, what))\n                except ValidationError as exc:\n"
      '                    raise ValidationError(f"{path}:{n}: {exc}") from None',

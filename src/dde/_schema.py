@@ -167,49 +167,47 @@ def one_of(*choices):
 
 def items(value, path=None, read=None) -> tuple:
     """The items of JSON list `value`, each through read(item), or with `path`
-    through read(item, f"{path}[i]"). Anything else is `expected a list`, not
-    its characters or keys: a ValueError, or a ValidationError naming `path`."""
+    through read(item, f"{path}[i]"), though that path is formatted only when
+    a read raises ValidationError. Anything else is `expected a list`, not its
+    characters or keys: a ValueError, or a ValidationError naming `path`."""
     if not isinstance(value, (list, tuple)):
         raise ValueError("expected a list") if path is None else ValidationError(f"{path}: expected a list")
     if read is None:
         return tuple(value)
     if path is None:
         return tuple(map(read, value))
-    return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(value))
+    try:  # a path per item costs more than a second read of a list that fails
+        return tuple(read(item, path) for item in value)
+    except ValidationError:
+        return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(value))
 
 
 class UnitIds(tuple):
-    """Unit ids as unit_ids returns them: a record that holds them has them
-    read already, and reads them no further."""
+    """Unit ids that unit_ids read and found none negative of: a record that
+    holds them reads them no further, and non_negative takes no second min."""
 
     __slots__ = ()
 
 
-class _UnsignedIds(UnitIds):
-    """UnitIds that unit_ids found none negative of, so that non_negative
-    takes their min no second time."""
-
-    __slots__ = ()
-
-
-def unit_ids(value) -> UnitIds:
+def unit_ids(value) -> tuple:
     """Unit ids from a JSON list, each read as integer() reads it; a string is
     an error, not a list of digits. A list of ints within ±INT_LIMIT, the
-    common case, is checked by its type set, min and max alone."""
+    common case, is checked by its type set, min and max alone, and is
+    UnitIds when its min is not negative; any other list is a plain tuple."""
     ids = items(value)
     if ids and set(map(type, ids)) == {int} and max(ids) <= INT_LIMIT:
         least = min(ids)
         if least >= 0:
-            return _UnsignedIds(ids)
-        if least >= -INT_LIMIT:
             return UnitIds(ids)
-    return UnitIds(items(ids, read=integer))
+        if least >= -INT_LIMIT:
+            return ids
+    return items(ids, read=integer)
 
 
-def non_negative(ids: UnitIds) -> UnitIds:
+def non_negative(ids: tuple) -> tuple:
     """ids, when none of them is negative: raw unit ids, as a segment's units
     and a corpus response's sequences hold them."""
-    if type(ids) is _UnsignedIds:
+    if isinstance(ids, UnitIds):
         return ids
     if ids and min(ids) < 0:
         raise ValidationError("unit ids must be non-negative")
@@ -247,17 +245,16 @@ def section(cfg, key) -> dict:
 
 
 def _reader(hint, default):
-    """(reader, default, unchanged) for a field annotated `hint`. The reader
-    is a Record class for a nested record, else a converter. `X | None` reads
-    as X, and null or absent as the default, None when the field has none.
-    `unchanged` tests for a value the reader returns as it is, or is None."""
+    """(reader, default) for a field annotated `hint`. The reader is a Record
+    class for a nested record, else a converter. `X | None` reads as X, and
+    null or absent as the default, None when the field has none."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         hint = next(a for a in typing.get_args(hint) if a is not type(None))
         default = None if default is MISSING else default
     read = {int: integer, float: finite_float, tuple[int, ...]: unit_ids}.get(hint, _as_is)
     if isinstance(hint, type) and issubclass(hint, Record):
         read = hint
-    return read, _REQUIRED if default is MISSING else default, _plain_int if read is integer else None
+    return read, _REQUIRED if default is MISSING else default
 
 
 @cache
@@ -270,16 +267,16 @@ def read_record(cls, data, path):
     """Dataclass `cls` with each field read from `data` by read_field: `int`,
     `float` and `tuple[int, ...]` fields through integer, finite_float and
     unit_ids, nested records by their own from_dict, other types as given
-    (cls validates them). Absent fields take their default, and a value its
-    reader would return unchanged, such as an in-bound int, is taken at once;
-    unknown keys are ignored."""
+    (cls validates them). Absent fields take their default, and an in-bound
+    int that integer would return unchanged is taken at once; unknown keys
+    are ignored."""
     expect_object(data, path)
     kwargs = {}
-    for name, read, default, unchanged in _plan(cls):
+    for name, read, default in _plan(cls):
         value = data.get(name)
         if value is None and default is not _REQUIRED:  # as read_field would give it
             kwargs[name] = default
-        elif unchanged is not None and unchanged(value):
+        elif read is integer and _plain_int(value):
             kwargs[name] = value
         elif isinstance(read, type):
             kwargs[name] = read.from_dict(read_field(data, name, path, _as_is), f"{path}.{name}")

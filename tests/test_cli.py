@@ -301,10 +301,19 @@ TRACE_ERRORS = {
         {"duration_ms": 1000, "channels": [[], [{"start_ms": 0, "end_ms": [20]}]]},
         "channels[1][0].end_ms: expected an integer, got [20]",
     ),
+    "end_a_float_third_segment": (
+        {"duration_ms": 1000, "channels": [[], [
+            {"start_ms": 0, "end_ms": 10}, {"start_ms": 15, "end_ms": 20}, {"start_ms": 25, "end_ms": 30.5}]]},
+        "channels[1][2].end_ms: expected an integer, got 30.5",
+    ),
     # a value the reader reads but the segment rejects is named by its path too
     "negative_start": (
         {"duration_ms": 1000, "channels": [[{"start_ms": -1, "end_ms": 20}], []]},
         "channels[0][0]: segment start -1 < 0",
+    ),
+    "end_before_start_second_segment": (
+        {"duration_ms": 1000, "channels": [[{"start_ms": 0, "end_ms": 20}, {"start_ms": 100, "end_ms": 40}], []]},
+        "channels[0][1]: segment end 40 must exceed start 100",
     ),
     "negative_words": (
         {"duration_ms": 1000, "channels": [[{"start_ms": 0, "end_ms": 20, "words": -1}], []]},

@@ -17,6 +17,7 @@ from dde import (
     speaker_index,
     window,
 )
+from dde import _schema
 from dde._schema import unit_ids
 from dde.segments import FRAME_MS, window_json, write_trace
 from conftest import annotated_traces, random_trace, random_unaligned_trace
@@ -446,6 +447,35 @@ class TestSerialization:
         finally:
             sys.setprofile(before)
         assert read == trace
+        assert calls == sum(s.units is not None for ch in trace.channels for s in ch) > 0
+
+    @pytest.mark.parametrize("start, keys", [(20, []), ("20", ["start_ms"])])
+    def test_only_a_field_to_convert_goes_through_read_field(self, monkeypatch, start, keys):
+        # an in-bound int and an absent field are taken without a call
+        read_field, seen = _schema.read_field, []
+
+        def counted(data, key, *args):
+            seen.append(key)
+            return read_field(data, key, *args)
+
+        monkeypatch.setattr(_schema, "read_field", counted)
+        data = {"duration_ms": 100, "channels": [[{"start_ms": start, "end_ms": 40}], []]}
+        assert ConversationTrace.from_dict(data).channels[0][0] == seg(20, 40)
+        assert seen == keys
+
+    def test_a_trace_read_from_json_takes_each_segments_min_of_units_once(self, rng, monkeypatch):
+        # unit_ids' bound check takes it, and the non-negative check no second time
+        trace = random_trace(rng, with_units=True, max_duration_ms=20000)
+        data = json.loads(trace.to_json())
+        calls = 0
+
+        def counted(ids):
+            nonlocal calls
+            calls += 1
+            return min(ids)
+
+        monkeypatch.setattr(_schema, "min", counted, raising=False)
+        assert ConversationTrace.from_dict(data) == trace
         assert calls == sum(s.units is not None for ch in trace.channels for s in ch) > 0
 
 
