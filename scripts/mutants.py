@@ -272,7 +272,7 @@ MUTANTS = [
      "elif read is integer and _plain_int(value):\n            kwargs[name] = read_field(data, name, path, read)",
      [f"{SEGMENTS}::TestSerialization::test_only_a_field_to_convert_goes_through_read_field"]),
     ("absent field read through read_field", "_schema.py",
-     "# as read_field would give it\n            kwargs[name] = default",
+     "  # as read_field would give it\n            kwargs[name] = default",
      "\n            kwargs[name] = read_field(data, name, path, read, default)",
      [f"{SEGMENTS}::TestSerialization::test_only_a_field_to_convert_goes_through_read_field"]),
     ("read ids' min taken again", "_schema.py",
