@@ -183,8 +183,8 @@ def items(value, path=None, read=None) -> tuple:
 
 
 class UnitIds(tuple):
-    """Unit ids that unit_ids read and found none negative of: a record that
-    holds them reads them no further, and non_negative takes no second min."""
+    """Unit ids that unit_ids read and found non-negative: a record that holds
+    them reads them no further, and non_negative takes no second min."""
 
     __slots__ = ()
 
