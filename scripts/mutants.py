@@ -7,11 +7,11 @@ Each entry of MUTANTS breaks one rule of src/dde by exact text: the tick
 labels and their order, the turn, pause, gap and backchannel arithmetic,
 the window and frame-grid cuts, the BPE merge loop, its tie rule and its
 site walk, the engine's context and the order of its tick, the traces the
-engine and the VAD make of their merged channels, the F0 pick, the samples
-line tables, the one pass over both speakers' samples and its spool, the
-JSON readers and the trace file layout. An entry is (name,
-file under src/dde, old text, new text, test node ids); old and new may be
-tuples of texts, replaced pairwise.
+engine and the VAD make of their merged channels, the F0 pick and its
+energies, frame energy in blocks, the samples line tables, the one pass
+over both speakers' samples and its spool, the JSON readers and the trace
+file layout. An entry is (name, file under src/dde, old text, new text,
+test node ids); old and new may be tuples of texts, replaced pairwise.
 
 The script copies src/ and tests/ into a temp dir and runs every named
 test there once, unmutated: they must pass. Then it applies one mutant at
@@ -194,10 +194,10 @@ MUTANTS = [
      "interior = (b >= a) & (b >= c)", "interior = (b > a) & (b >= c)",
      [f"{KERNELS}::TestBatchedF0::test_a_tie_with_the_left_neighbour_is_a_peak"]),
     ("F0: peak threshold 0.8", "_kernels.py",
-     "(b >= 0.85 * best[:, None])", "(b >= 0.8 * best[:, None])",
+     "(b >= 0.85 * best)", "(b >= 0.8 * best)",
      [f"{KERNELS}::TestBatchedF0::test_matches_frame_loop"]),
     ("F0: no argmax fallback", "_kernels.py",
-     "k = np.where(found, interior.argmax(axis=1) + 1, r.argmax(axis=1))", "k = interior.argmax(axis=1) + 1",
+     "k = np.where(found, interior.argmax(axis=0) + 1, r.argmax(axis=0))", "k = interior.argmax(axis=0) + 1",
      [f"{KERNELS}::TestBatchedF0::test_argmax_fallback_at_both_lag_edges"]),
     ("F0: refined without a peak", "_kernels.py",
      "where=found & (parabola != 0.0)", "where=parabola != 0.0",
@@ -208,6 +208,26 @@ MUTANTS = [
     ("F0: a window of lag_max + 8 samples skipped", "_kernels.py",
      "if m < lag_max + 8:", "if m <= lag_max + 8:",
      [f"{KERNELS}::TestBatchedF0::test_matches_frame_loop"]),
+    ("F0: tail energy one lag late", "_kernels.py",
+     "energy[:, lag_min : lag_max + 1]", "energy[:, lag_min + 1 : lag_max + 2]",
+     [f"{KERNELS}::TestBatchedF0::test_matches_frame_loop"]),
+    ("F0: head energy not reversed", "_kernels.py",
+     "energy[:, m - lag_min : m - lag_max - 1 : -1]", "energy[:, m - lag_max : m - lag_min + 1]",
+     [f"{KERNELS}::TestBatchedF0::test_matches_frame_loop"]),
+    ("F0: lag 0's tail energy without the wrap", "_kernels.py",
+     "energy[:, 0] = energy[:, m]", "energy[:, 0] = 0.0",
+     [f"{KERNELS}::TestBatchedF0::test_lowest_lags"]),
+    ("F0: no mask for a zero denominator", "_kernels.py",
+     "    np.copyto(r, 0.0, where=silent)\n", "",
+     [f"{KERNELS}::TestBatchedF0::test_matches_frame_loop_on_scaled_and_integer_rows"]),
+    # ---- frame energy in blocks (_kernels.frame_rms)
+    ("RMS: a block end past the last frame", "_kernels.py",
+     "hi = min(lo + _RMS_BLOCK, n_frames)", "hi = lo + _RMS_BLOCK",
+     [f"{KERNELS}::TestFrameRms::test_same_bits_as_the_whole_signal"]),
+    ("RMS: frames squared in the input's own dtype", "_kernels.py",
+     "block = np.empty((min(n_frames, _RMS_BLOCK), frame_len))",
+     "block = np.empty((min(n_frames, _RMS_BLOCK), frame_len), x.dtype)",
+     [f"{KERNELS}::TestFrameRms::test_same_bits_on_any_input_type"]),
     ("PCM scaled in the input's own dtype", "analytics.py",
      "np.asarray(x, dtype=np.float64) / _PCM_SCALE", "np.asarray(x) / _PCM_SCALE",
      [f"{ANALYTICS}::TestAudioStatsRunSliced::test_samples_of_any_type"]),

@@ -35,12 +35,35 @@ def levenshtein(a, b) -> int:
 
 # -------------------------------------------------------------- frame energy
 
+# Frames are converted to float64 and squared this many at a time, in one
+# buffer per call: a whole channel is never copied, so a call holds its
+# output and one block (655 KB of 320-sample frames). Each row's mean is the
+# same pairwise sum whatever the block, so the energies are too. Chosen on
+# the audio workload's 1-min int16 channel read as ingest reads it (a column
+# of the stereo array, 3000 frames of 320 samples): best of 30 in a fresh
+# process, 5 alternating processes per size on a 2-core x86-64 host, median
+# ms (range):
+#   64: 2.37 (1.54-2.47)   128: 2.05 (1.34-2.09)   256: 1.90 (1.30-2.00)
+#   512: 1.97 (1.27-2.12)  1000: 2.07 (1.47-2.12)  3000, one block: 2.01 (1.51-2.07)
+# against 7.40 (5.68-7.95) for the whole channel converted, then squared
+_RMS_BLOCK = 256
+
+
 def frame_rms(x, frame_len: int) -> np.ndarray:
     """Per-frame RMS of a 1-d signal; trailing partial frame is dropped."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     n_frames = x.size // frame_len
-    frames = x[: n_frames * frame_len].reshape(n_frames, frame_len)
-    return np.sqrt(np.mean(frames * frames, axis=1))
+    rms = np.empty(n_frames)
+    block = np.empty((min(n_frames, _RMS_BLOCK), frame_len))
+    for lo in range(0, n_frames, _RMS_BLOCK):
+        hi = min(lo + _RMS_BLOCK, n_frames)
+        frames = block[: hi - lo]
+        # any input np.asarray(x, dtype=np.float64) converts, this converts
+        np.copyto(frames, x[lo * frame_len : hi * frame_len].reshape(hi - lo, frame_len),
+                  casting="unsafe")
+        np.multiply(frames, frames, out=frames)
+        np.mean(frames, axis=1, out=rms[lo:hi])
+    return np.sqrt(rms, out=rms)
 
 
 # ------------------------------------------------------- autocorrelation F0
@@ -48,7 +71,11 @@ def frame_rms(x, frame_len: int) -> np.ndarray:
 # Full windows are analysed this many frames at a time, which bounds the
 # working arrays of a long call to a few MB. Chosen end to end: the pipeline
 # benchmark's audio workload, 8 alternating untraced 8 s runs per size on a
-# 2-core x86-64 host, median conv-min/s (quartiles):
+# 2-core x86-64 host, median conv-min/s (quartiles), with the energies
+# sliced and the dots written in place:
+#   64: 11.47 (10.86-11.69)   128: 12.08 (11.95-13.21)
+#   256: 13.20 (12.68-13.99)  512: 13.11 (12.40-13.77)
+# and before, with both gathered and each dot copied:
 #   64: 8.44 (8.33-8.65)   128: 9.58 (9.45-9.74)
 #   256: 9.97 (9.82-10.21)  512: 9.67 (9.52-9.95)
 _F0_BATCH = 256
@@ -79,29 +106,37 @@ def _f0_batch(w: np.ndarray, fs: float, lag_min: int, lag_max: int):
     # 5.0-6.6 ms at the 7 other offsets), and where a new array's data lands
     # depends on the heap's history
     w = np.subtract(w, w.mean(axis=1, keepdims=True), out=_aligned(n, m))
-    energy = np.cumsum(w * w, axis=1)
-    total = energy[:, -1:]
-    lags = np.arange(lag_min, lag_max + 1)
+    # energy[:, j] = sum w[:, :j]^2, and column 0 holds the total: the sum at
+    # lag - 1 that lag 0 reads wraps round, as an index of -1 would
+    energy = np.empty((n, m + 1))
+    np.cumsum(np.multiply(w, w, out=energy[:, 1:]), axis=1, out=energy[:, 1:])
+    energy[:, 0] = energy[:, m]
+    lags = range(lag_min, lag_max + 1)
     # one BLAS dot of w[k:] with w[:m-k] per row, for the read lags only: the
     # same ddot over the same slices, bit for bit, as a full autocorrelation
-    # per row (tests/oracles.py::frame_loop_f0_frames)
-    num = np.empty((n, lags.size))
+    # per row (tests/oracles.py::frame_loop_f0_frames). From here on a lag is
+    # a row and a window a column, and each step writes over its input
+    num = np.empty((len(lags), n))
+    heads, tails = w[:, None, :], w[:, :, None]
     for j, k in enumerate(lags):
-        num[:, j] = np.matmul(w[:, None, k:], w[:, : m - k, None])[:, 0, 0]
-    e_head = energy[:, m - lags - 1]                     # sum w[0:m-lag]^2
-    e_tail = total - energy[:, lags - 1]                 # sum w[lag:m]^2
-    denom = np.sqrt(e_head * e_tail)
+        np.matmul(heads[:, :, k:], tails[:, : m - k], num[j, :, None, None])
+    # sum w[lag:m]^2, times sum w[:m-lag]^2: both are slices of energy
+    denom = energy[:, m] - energy[:, lag_min : lag_max + 1].T
+    np.multiply(energy[:, m - lag_min : m - lag_max - 1 : -1].T, denom, out=denom)
+    np.sqrt(denom, out=denom)
     # a window with no energy has denom 0 at every lag, so r = 0 and best = 0
-    r = np.where(denom > 0.0, num / np.maximum(denom, 1e-300), 0.0)
-    best = np.maximum(r.max(axis=1, initial=0.0), 0.0)
-    if lags.size < 3:  # no interior lag to pick
+    silent = ~(denom > 0.0)
+    r = np.divide(num, np.maximum(denom, 1e-300, out=denom), out=num)
+    np.copyto(r, 0.0, where=silent)
+    best = np.maximum(r.max(axis=0, initial=0.0), 0.0)
+    if len(lags) < 3:  # no interior lag to pick
         return np.zeros(n), best
-    a, b, c = r[:, :-2], r[:, 1:-1], r[:, 2:]
-    interior = (b >= a) & (b >= c) & (b >= 0.85 * best[:, None])
-    found = interior.any(axis=1)
-    k = np.where(found, interior.argmax(axis=1) + 1, r.argmax(axis=1))
-    rows = np.arange(n)
-    a, b, c = r[rows, k - 1], r[rows, k], r[rows, np.minimum(k + 1, lags.size - 1)]
+    a, b, c = r[:-2], r[1:-1], r[2:]
+    interior = (b >= a) & (b >= c) & (b >= 0.85 * best)
+    found = interior.any(axis=0)
+    k = np.where(found, interior.argmax(axis=0) + 1, r.argmax(axis=0))
+    cols = np.arange(n)
+    a, b, c = r[k - 1, cols], r[k, cols], r[np.minimum(k + 1, len(lags) - 1), cols]
     # at an interior maximum b >= a and b >= c, so |a - c| = |(a - b) - (c - b)|
     # <= |(a - b) + (c - b)| = |parabola|: |delta| <= 0.5 and needs no clamp
     parabola = a - 2.0 * b + c

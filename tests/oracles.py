@@ -226,6 +226,15 @@ def loop_frame_rms(x, frame_len: int) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
+def whole_signal_frame_rms(x, frame_len: int) -> np.ndarray:
+    """The package's frame energy as it was before it squared its frames in
+    blocks, kept verbatim: the whole signal converted to float64 at once."""
+    x = np.asarray(x, dtype=np.float64)
+    n_frames = x.size // frame_len
+    frames = x[: n_frames * frame_len].reshape(n_frames, frame_len)
+    return np.sqrt(np.mean(frames * frames, axis=1))
+
+
 def loop_f0_frames(x, fs, frame_len, window_len, lag_min, lag_max):
     """Per-frame (f0_hz, strength) by direct normalized autocorrelation sums.
 

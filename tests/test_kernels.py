@@ -1,11 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dde import _kernels
 from oracles import frame_loop_f0_frames, loop_f0_frames, loop_frame_rms, recursive_levenshtein
-from oracles import row_dp_levenshtein
+from oracles import row_dp_levenshtein, whole_signal_frame_rms
 
 
 class TestLevenshtein:
@@ -38,6 +41,51 @@ class TestFrameRms:
         b = loop_frame_rms(x, 320)
         assert a.shape == b.shape == (10,)
         assert np.allclose(a, b, atol=1e-12)
+
+    BLOCK = _kernels._RMS_BLOCK
+
+    @pytest.mark.parametrize("size", [
+        0, 1, 320, (BLOCK - 1) * 320, BLOCK * 320, (BLOCK + 1) * 320,
+        (BLOCK + 1) * 320 + 319,  # a trailing partial frame
+    ])
+    def test_same_bits_as_the_whole_signal(self, rng, size):
+        x = rng.normal(scale=1000.0, size=size)
+        got, want = _kernels.frame_rms(x, 320), whole_signal_frame_rms(x, 320)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_same_bits_on_any_input_type(self, rng):
+        pcm = rng.integers(-32768, 32768, size=((2 * self.BLOCK + 3) * 320 + 17, 2), dtype=np.int16)
+        inputs = {
+            "int16 stereo column view": pcm[:, 1],
+            "Python list": pcm[:3 * 320 + 5, 0].tolist(),
+            "float32": rng.normal(size=(self.BLOCK + 2) * 320).astype(np.float32),
+        }
+        for name, x in inputs.items():
+            got, want = _kernels.frame_rms(x, 320), whole_signal_frame_rms(x, 320)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.integers(1, 12), n_frames=st.integers(0, 40), frame_len=st.integers(1, 33),
+           tail=st.integers(0, 32), seed=st.integers(0, 2**32 - 1))
+    def test_the_block_size_never_changes_the_result(self, block, n_frames, frame_len, tail, seed):
+        x = np.random.default_rng(seed).normal(size=n_frames * frame_len + tail % frame_len)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_RMS_BLOCK", block)
+            got = _kernels.frame_rms(x, frame_len)
+        assert np.array_equal(got, whole_signal_frame_rms(x, frame_len))
+
+    def test_memory_beyond_the_output_does_not_grow_with_the_signal(self):
+        # int16 as ingest reads it: 1 and 16 min of 16 kHz audio, 20 ms frames
+        beyond = []
+        for minutes in (1, 16):
+            x = np.ones(minutes * 60 * 16000, dtype=np.int16)
+            tracemalloc.start()
+            try:
+                rms = _kernels.frame_rms(x, 320)
+                beyond.append(tracemalloc.get_traced_memory()[1] - rms.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert beyond[1] <= 1.1 * beyond[0], beyond
 
 
 class TestF0Frames:
@@ -125,6 +173,17 @@ class TestBatchedF0:
         got, want = _kernels.f0_frames(x, *args), frame_loop_f0_frames(x, *args)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert (got[1] > 0).any() == (lag_max >= 40)
+
+    @pytest.mark.parametrize("lag_min", [0, 1])
+    @pytest.mark.parametrize("name", ["tone", "white_noise"])
+    def test_lowest_lags(self, name, lag_min):
+        # at lag 0 the tail energy reads the cumulative sum at index -1, the
+        # window's total, so it is 0 and so is r: the loop's reading, pinned
+        x = _f0_signal(name)
+        args = (*F0_ARGS[:3], lag_min, 267)
+        got, want = _kernels.f0_frames(x, *args), frame_loop_f0_frames(x, *args)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert (got[1] > 0).all()
 
     def test_argmax_fallback_at_both_lag_edges(self):
         # a refined interior pick lies strictly inside (40, 267): |delta| <= 0.5
