@@ -45,7 +45,6 @@ def levenshtein(a, b) -> int:
 # ms (range):
 #   64: 2.37 (1.54-2.47)   128: 2.05 (1.34-2.09)   256: 1.90 (1.30-2.00)
 #   512: 1.97 (1.27-2.12)  1000: 2.07 (1.47-2.12)  3000, one block: 2.01 (1.51-2.07)
-# against 7.40 (5.68-7.95) for the whole channel converted, then squared
 _RMS_BLOCK = 256
 
 
@@ -58,7 +57,7 @@ def frame_rms(x, frame_len: int) -> np.ndarray:
     for lo in range(0, n_frames, _RMS_BLOCK):
         hi = min(lo + _RMS_BLOCK, n_frames)
         frames = block[: hi - lo]
-        # any input np.asarray(x, dtype=np.float64) converts, this converts
+        # unsafe casting converts whatever np.asarray(x, dtype=np.float64) would
         np.copyto(frames, x[lo * frame_len : hi * frame_len].reshape(hi - lo, frame_len),
                   casting="unsafe")
         np.multiply(frames, frames, out=frames)
@@ -71,13 +70,9 @@ def frame_rms(x, frame_len: int) -> np.ndarray:
 # Full windows are analysed this many frames at a time, which bounds the
 # working arrays of a long call to a few MB. Chosen end to end: the pipeline
 # benchmark's audio workload, 8 alternating untraced 8 s runs per size on a
-# 2-core x86-64 host, median conv-min/s (quartiles), with the energies
-# sliced and the dots written in place:
+# 2-core x86-64 host, median conv-min/s (quartiles):
 #   64: 11.47 (10.86-11.69)   128: 12.08 (11.95-13.21)
 #   256: 13.20 (12.68-13.99)  512: 13.11 (12.40-13.77)
-# and before, with both gathered and each dot copied:
-#   64: 8.44 (8.33-8.65)   128: 9.58 (9.45-9.74)
-#   256: 9.97 (9.82-10.21)  512: 9.67 (9.52-9.95)
 _F0_BATCH = 256
 
 
@@ -117,9 +112,9 @@ def _f0_batch(w: np.ndarray, fs: float, lag_min: int, lag_max: int):
     # per row (tests/oracles.py::frame_loop_f0_frames). From here on a lag is
     # a row and a window a column, and each step writes over its input
     num = np.empty((len(lags), n))
-    heads, tails = w[:, None, :], w[:, :, None]
+    row_vecs, col_vecs = w[:, None, :], w[:, :, None]
     for j, k in enumerate(lags):
-        np.matmul(heads[:, :, k:], tails[:, : m - k], num[j, :, None, None])
+        np.matmul(row_vecs[:, :, k:], col_vecs[:, : m - k], num[j, :, None, None])
     # sum w[lag:m]^2, times sum w[:m-lag]^2: both are slices of energy
     denom = energy[:, m] - energy[:, lag_min : lag_max + 1].T
     np.multiply(energy[:, m - lag_min : m - lag_max - 1 : -1].T, denom, out=denom)

@@ -75,7 +75,7 @@ class TestFrameRms:
         assert np.array_equal(got, whole_signal_frame_rms(x, frame_len))
 
     def test_memory_beyond_the_output_does_not_grow_with_the_signal(self):
-        # int16 as ingest reads it: 1 and 16 min of 16 kHz audio, 20 ms frames
+        # int16 samples, as ingest reads them: 1 and 16 min at 16 kHz, 20 ms frames
         beyond = []
         for minutes in (1, 16):
             x = np.ones(minutes * 60 * 16000, dtype=np.int16)
